@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualPotential, InvalidInput, apply_A, apply_A_adjoint
+from .core import (
+    DualPotential,
+    InvalidInput,
+    apply_A,
+    apply_A_adjoint,
+    incidence_columns,
+    span_bases,
+)
 from .divergence import F_conj_hess_diag, divergence_for
 
 # sweep errors below this are solver noise and are excluded from rate fits
@@ -46,12 +53,11 @@ def compute_d(xi_t, xi_star, t):
     return t * (xi_t.stacked - xi_star.stacked)
 
 
-def _incidence_columns(I0, n_x, n_y):
-    B = np.zeros((n_x + n_y, len(I0)))
-    for col, (i, j) in enumerate(I0):
-        B[i, col] = 1.0
-        B[n_x + j, col] = 1.0
-    return B
+def _span_residual(basis, m):
+    """Relative norm of the part of m outside the span of `basis`."""
+    resid = m - basis @ (basis.T @ m)
+    denom = np.linalg.norm(m)
+    return float(np.linalg.norm(resid) / denom) if denom > 0 else 0.0
 
 
 def e0_diagnostics(exact, shape):
@@ -60,65 +66,31 @@ def e0_diagnostics(exact, shape):
     Returns (dim, relative residual, orthonormal basis) where the basis
     comes from a rank-revealing SVD of the saturated incidence columns.
     """
-    n_x, n_y = shape
-    B = _incidence_columns(exact.I0, n_x, n_y)
-    U, s, _ = np.linalg.svd(B, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(n_x + n_y, len(exact.I0)) * np.finfo(float).eps))
-    basis = U[:, :rank]
-    m = exact.m_star.stacked
-    resid = m - basis @ (basis.T @ m)
-    denom = np.linalg.norm(m)
-    rel = float(np.linalg.norm(resid) / denom) if denom > 0 else 0.0
-    return rank, rel, basis
+    basis, _ = span_bases(incidence_columns(exact.I0, *shape))
+    return basis.shape[1], _span_residual(basis, exact.m_star.stacked), basis
 
 
-def solve_d_star(exact, div, shape, max_iters=200):
+def solve_d_star(exact, div, shape):
     """Limit of the rescaled dual deviation.
 
-    First minimizes the strictly convex reduced functional
-    -<m*|z> + sum_{saturated} exp((A* z)_{xy}) over the saturated span, then
-    selects the minimal weighted-norm point (weight grad^2 F*(-xi*)) on the
-    affine solution set.
+    On the saturated set the limit plan is gamma* = exp(A* d*), so d* solves
+    (A* z)_{I0} = log gamma*_{I0}.  A least-squares lift gives the solution
+    in the saturated span; d* is the minimal weighted-norm point (weight
+    grad^2 F*(-xi*)) of the affine solution set.
     """
     n_x, n_y = shape
     if not exact.I0:
         raise InvalidInput("saturated set is empty")
-    B = _incidence_columns(exact.I0, n_x, n_y)
-    rank, rel, basis = e0_diagnostics(exact, shape)
-    if rel > 1e-6:
+    B = incidence_columns(exact.I0, n_x, n_y)
+    basis, N = span_bases(B)
+    if _span_residual(basis, exact.m_star.stacked) > 1e-6:
         raise RuntimeError("optimal marginals do not lie in the saturated span")
-    m = exact.m_star.stacked
-    Bb = B.T @ basis  # saturated coordinates of the basis vectors
-    mb = basis.T @ m
-    w = np.zeros(rank)
-    for _ in range(max_iters):
-        s = np.exp(np.minimum(Bb @ w, 690))
-        grad = Bb.T @ s - mb
-        if np.max(np.abs(grad)) <= 1e-13 * max(1.0, np.max(np.abs(mb))):
-            break
-        H = Bb.T @ (s[:, None] * Bb)
-        H[np.diag_indices_from(H)] += 1e-14
-        step = -np.linalg.solve(H, grad)
-        val = float(s.sum() - mb @ w)
-        alpha = 1.0
-        for _ in range(60):
-            trial = w + alpha * step
-            tval = float(np.sum(np.exp(np.minimum(Bb @ trial, 690))) - mb @ trial)
-            if tval <= val + 1e-4 * alpha * float(grad @ step):
-                w = trial
-                break
-            alpha *= 0.5
-        else:
-            raise RuntimeError("reduced functional minimization stalled")
-    else:
-        raise RuntimeError("reduced functional minimization did not converge")
-    z0 = basis @ w
-    # minimal weighted norm over z0 + (orthogonal complement of the span)
-    weights = F_conj_hess_diag(-exact.xi_star.stacked, div)
-    U, s_full, _ = np.linalg.svd(B, full_matrices=True)
-    N = U[:, rank:]
+    rows, cols = np.asarray(exact.I0, dtype=int).T
+    z0, *_ = np.linalg.lstsq(B.T, np.log(exact.gamma_star[rows, cols]), rcond=None)
     if N.shape[1] == 0:
         return z0
+    # minimal weighted norm over z0 + (orthogonal complement of the span)
+    weights = F_conj_hess_diag(-exact.xi_star.stacked, div)
     G = N.T @ (weights[:, None] * N)
     rhs = -N.T @ (weights * z0)
     u = np.linalg.solve(G, rhs)

@@ -194,6 +194,46 @@ class Problem:
             raise InvalidInput("dual potential shape does not match the problem")
 
 
+def incidence_columns(entries, n_x, n_y):
+    """Columns of the marginal operator for the plan entries (i, j) given.
+
+    Column k is e_i + e_{n_x + j} on the disjoint union of both clouds.
+    """
+    idx = np.asarray(entries, dtype=int).reshape(-1, 2)
+    cols = np.arange(idx.shape[0])
+    B = np.zeros((n_x + n_y, idx.shape[0]))
+    B[idx[:, 0], cols] = 1.0
+    B[n_x + idx[:, 1], cols] = 1.0
+    return B
+
+
+def span_bases(B):
+    """Orthonormal bases of the column span of B and of its complement.
+
+    The split is at the numerical rank of a rank-revealing SVD.
+    """
+    U, s, _ = np.linalg.svd(B, full_matrices=True)
+    rank = int(np.sum(s > s[0] * max(B.shape) * np.finfo(float).eps))
+    return U[:, :rank], U[:, rank:]
+
+
+def bipartite_hessian(G, diag, scale=1.0):
+    """Dense A diag(scale G) A* + diag(diag) for a plan-shaped weight G.
+
+    This is the transport-shaped Hessian
+    [[diag(G 1), G], [G^T, diag(G^T 1)]] (times scale) plus a diagonal.
+    The scale multiplies the row and column sums after summing, so the
+    regularized Hessian t A diag(gamma) A* rounds the same for any caller.
+    """
+    n_x, n_y = G.shape
+    H = np.zeros((n_x + n_y, n_x + n_y))
+    H[:n_x, n_x:] = scale * G
+    H[n_x:, :n_x] = H[:n_x, n_x:].T
+    sums = np.concatenate([scale * G.sum(axis=1), scale * G.sum(axis=0)])
+    H[np.diag_indices_from(H)] = sums + diag
+    return H
+
+
 def marginal_matrix(n_x, n_y):
     """Dense matrix of the marginal operator in the canonical plan basis.
 

@@ -4,8 +4,9 @@ The constrained dual  min F*(-xi)  s.t.  A* xi <= c  is solved by a
 log-barrier interior-point method followed by an active-set polish that
 drives the KKT residual to machine precision.  From the optimizer we read
 off the saturated set, the slack matrix, the common optimal marginals
-m* = grad F*(-xi*), and finally the minimal-entropy optimal plan by a
-support-masked scaling iteration.
+m* = grad F*(-xi*), and finally the minimal-entropy optimal plan
+gamma* = exp(A* z) on the saturated set, where z minimizes the reduced
+functional sum_{I0} exp((A* z)_xy) - <m*|z> over the saturated span.
 """
 
 from __future__ import annotations
@@ -15,9 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
-from .core import DualPotential, InvalidInput, apply_A, apply_A_adjoint, Marginals
+from .core import (
+    DualPotential,
+    InvalidInput,
+    Marginals,
+    apply_A,
+    apply_A_adjoint,
+    bipartite_hessian,
+    incidence_columns,
+    span_bases,
+)
 from .divergence import (
     F_conj,
     F_conj_grad,
@@ -25,6 +34,11 @@ from .divergence import (
     F_value,
     divergence_for,
 )
+from .newton import newton_minimize
+from .reg_solver import EXP_MAX
+
+# marginal residual accepted in the limit plan, relative to the larger mass
+PROJ_RESIDUAL_TOL = 1e-10
 
 
 class DegenerateInstance(RuntimeError):
@@ -39,10 +53,7 @@ class ExactConfig:
     inner_tol: float = 1e-11
     max_inner_iters: int = 100
     feas_tol: float = 1e-8
-    kkt_tol: float = 1e-9
     sat_tol: float | None = None  # default max(1e-7, 1e-6 * ||c||_inf)
-    proj_residual_tol: float = 1e-10
-    max_scaling_iters: int = 200_000
 
 
 @dataclass
@@ -58,9 +69,9 @@ class ExactSolution:
     flags: list = field(default_factory=list)
 
 
-def _sat_tol(problem, config):
-    if config.sat_tol is not None:
-        return config.sat_tol
+def _sat_tol(problem, sat_tol=None):
+    if sat_tol is not None:
+        return sat_tol
     return max(1e-7, 1e-6 * float(np.max(problem.cost, initial=0.0)))
 
 
@@ -71,61 +82,41 @@ def _slack(xi, problem):
 def _barrier_minimize(problem, div, config):
     """Central-path interior point for min F*(-xi) s.t. A* xi <= c."""
     n_x, n_y = problem.n_x, problem.n_y
-    n = n_x + n_y
     # strictly feasible start: A* xi = -2 < c since c >= 0
-    xi = DualPotential(-np.ones(n_x), -np.ones(n_y))
+    x = -np.ones(n_x + n_y)
     tau = config.barrier_t0
     n_cons = n_x * n_y
     flags = []
+
+    def slack(x):
+        return _slack(DualPotential.from_stacked(x, n_x), problem)
+
+    # +inf off the feasible set makes the line search reject such trial
+    # points, which keeps every iterate strictly feasible
+    def value(x):
+        kappa = slack(x)
+        if not np.all(kappa > 0):
+            return math.inf
+        return F_conj(-x, div) - float(np.sum(np.log(kappa))) / tau
+
+    def gradient(x):
+        return -F_conj_grad(-x, div) + apply_A(1.0 / slack(x)).stacked / tau
+
+    def hessian(x):
+        inv_k = 1.0 / slack(x)
+        return bipartite_hessian(inv_k * inv_k / tau, F_conj_hess_diag(-x, div))
+
     while True:
-        for _ in range(config.max_inner_iters):
-            kappa = _slack(xi, problem)
-            inv_k = 1.0 / kappa
-            grad = -F_conj_grad(-xi.stacked, div) + apply_A(inv_k).stacked / tau
-            if np.max(np.abs(grad)) <= config.inner_tol * max(1.0, tau):
-                break
-            w = inv_k * inv_k / tau
-            H = np.zeros((n, n))
-            H[:n_x, :n_x] = np.diag(w.sum(axis=1))
-            H[n_x:, n_x:] = np.diag(w.sum(axis=0))
-            H[:n_x, n_x:] = w
-            H[n_x:, :n_x] = w.T
-            H[np.diag_indices_from(H)] += F_conj_hess_diag(-xi.stacked, div)
-            try:
-                cf = scipy.linalg.cho_factor(H, check_finite=False)
-                step = -scipy.linalg.cho_solve(cf, grad, check_finite=False)
-            except np.linalg.LinAlgError:
-                H[np.diag_indices_from(H)] += 1e-10 * max(np.trace(H) / n, 1.0)
-                step = -np.linalg.solve(H, grad)
-                flags.append("barrier-ridge")
-            # fraction-to-boundary cap, then Armijo on the barrier objective
-            dslack = apply_A_adjoint(DualPotential.from_stacked(step, n_x))
-            hurting = dslack > 0
-            alpha = 1.0
-            if np.any(hurting):
-                alpha = min(1.0, 0.99 * float(np.min(kappa[hurting] / dslack[hurting])))
-            base = F_conj(-xi.stacked, div) - float(np.sum(np.log(kappa))) / tau
-            slope = float(grad @ step)
-            accepted = False
-            for _ in range(60):
-                trial = DualPotential.from_stacked(xi.stacked + alpha * step, n_x)
-                tk = _slack(trial, problem)
-                if np.all(tk > 0):
-                    tval = F_conj(-trial.stacked, div) - float(np.sum(np.log(tk))) / tau
-                    if tval <= base + 1e-4 * alpha * slope:
-                        accepted = True
-                        break
-                alpha *= 0.5
-            if not accepted:
-                flags.append("barrier-linesearch-stalled")
-                break
-            xi = trial
+        x, _, _, _, stage_flags = newton_minimize(
+            value, gradient, hessian, x,
+            config.inner_tol * max(1.0, tau), config.max_inner_iters,
+        )
+        flags += ["barrier-" + f for f in stage_flags]
         if n_cons / tau < config.barrier_gap:
             break
         tau *= config.barrier_factor
-    kappa = _slack(xi, problem)
-    lam = 1.0 / (tau * kappa)
-    return xi, lam, flags
+    lam = 1.0 / (tau * slack(x))
+    return DualPotential.from_stacked(x, n_x), lam, flags
 
 
 def _polish(problem, div, xi, I0_mask, config):
@@ -142,10 +133,7 @@ def _polish(problem, div, xi, I0_mask, config):
         k = len(idx)
         if k == 0:
             return None
-        B = np.zeros((n, k))
-        for col, (i, j) in enumerate(idx):
-            B[i, col] = 1.0
-            B[n_x + j, col] = 1.0
+        B = incidence_columns(idx, n_x, n_y)
         c_act = problem.cost[mask]
         x = xi.stacked.copy()
         lam = np.zeros(k)
@@ -193,7 +181,7 @@ def _solve_dual_kkt(problem, config=None):
     config = config or ExactConfig()
     div = divergence_for(problem)
     xi, lam, flags = _barrier_minimize(problem, div, config)
-    sat = _sat_tol(problem, config)
+    sat = _sat_tol(problem, config.sat_tol)
     kappa = _slack(xi, problem)
     polished = _polish(problem, div, xi, kappa <= sat, config)
     if polished is not None:
@@ -206,8 +194,7 @@ def _solve_dual_kkt(problem, config=None):
 
 def saturated_set(xi_star, problem, sat_tol=None):
     """Slack matrix, saturated index set and the minimal off-set slack."""
-    if sat_tol is None:
-        sat_tol = max(1e-7, 1e-6 * float(np.max(problem.cost, initial=0.0)))
+    sat_tol = _sat_tol(problem, sat_tol)
     kappa = _slack(xi_star, problem)
     if np.min(kappa) < -10 * sat_tol:
         raise InvalidInput("xi_star is infeasible beyond tolerance")
@@ -227,81 +214,38 @@ def optimal_marginals(xi_star, div):
     return Marginals(m[:n], m[n:])
 
 
-def minimal_entropy_plan(I0, m_star, shape, init=None, config=None):
+def minimal_entropy_plan(I0, m_star, shape):
     """Entropy-minimal plan with marginals m_star supported on I0.
 
-    Support-masked alternating scaling; falls back to Newton on the
-    restricted dual when scaling stagnates.
+    The plan is exp(A* z) on I0, where z minimizes the strictly convex
+    reduced functional sum_{I0} exp((A* z)_xy) - <m*|z> over the span of
+    the saturated incidence columns.
     """
-    config = config or ExactConfig()
     n_x, n_y = shape
-    mask = np.zeros(shape, dtype=bool)
-    for i, j in I0:
-        mask[i, j] = True
-    M = mask.astype(float)
-    m1 = np.maximum(m_star.row, 0.0)
-    m2 = np.maximum(m_star.col, 0.0)
-    rows = m1 > 0
-    cols = m2 > 0
-    tol = config.proj_residual_tol
-    scale = max(m1.sum(), m2.sum(), 1.0)
+    B = incidence_columns(I0, n_x, n_y)
+    basis, _ = span_bases(B)
+    Bb = B.T @ basis  # saturated coordinates of the basis vectors
+    m = np.maximum(np.concatenate([m_star.row, m_star.col]), 0.0)
+    mb = basis.T @ m
 
-    v = np.ones(n_y)
-    gamma = None
-    for _ in range(config.max_scaling_iters):
-        Mv = M @ v
-        u = np.divide(m1, Mv, out=np.zeros(n_x), where=rows & (Mv > 0))
-        Mu = M.T @ u
-        v = np.divide(m2, Mu, out=np.zeros(n_y), where=cols & (Mu > 0))
-        gamma = u[:, None] * M * v[None, :]
-        marg = apply_A(gamma)
-        err = max(np.max(np.abs(marg.row - m1)), np.max(np.abs(marg.col - m2)))
-        if err <= tol * scale:
-            return gamma
+    def expo(w):
+        return np.exp(np.minimum(Bb @ w, EXP_MAX))
 
-    gamma_newton = _restricted_dual_newton(mask, m1, m2, tol * scale)
-    if gamma_newton is not None:
-        return gamma_newton
-    raise RuntimeError("minimal-entropy projection did not converge")
-
-
-def _restricted_dual_newton(mask, m1, m2, tol):
-    """Newton fallback: minimize sum_{I0} exp((A* eta)_{xy}) - <m | eta>."""
-    n_x, n_y = mask.shape
-    n = n_x + n_y
-    m = np.concatenate([m1, m2])
-    eta = np.zeros(n)
-    for _ in range(200):
-        E = np.where(mask, np.exp(np.minimum(eta[:n_x, None] + eta[None, n_x:], 690)), 0.0)
-        grad = apply_A(E).stacked - m
-        if np.max(np.abs(grad)) <= tol:
-            return E
-        H = np.zeros((n, n))
-        H[:n_x, :n_x] = np.diag(E.sum(axis=1))
-        H[n_x:, n_x:] = np.diag(E.sum(axis=0))
-        H[:n_x, n_x:] = E
-        H[n_x:, :n_x] = E.T
-        H[np.diag_indices_from(H)] += 1e-12
-        try:
-            step = -np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            return None
-        # plain backtracking on the dual objective
-        val = float(E.sum() - m @ eta)
-        alpha = 1.0
-        for _ in range(60):
-            trial = eta + alpha * step
-            Et = np.where(
-                mask, np.exp(np.minimum(trial[:n_x, None] + trial[None, n_x:], 690)), 0.0
-            )
-            tval = float(Et.sum() - m @ trial)
-            if tval <= val - 1e-4 * alpha * float(grad @ -step):
-                eta = trial
-                break
-            alpha *= 0.5
-        else:
-            return None
-    return None
+    w, *_ = newton_minimize(
+        lambda w: float(np.sum(expo(w)) - mb @ w),
+        lambda w: Bb.T @ expo(w) - mb,
+        lambda w: Bb.T @ (expo(w)[:, None] * Bb),
+        np.zeros(basis.shape[1]),
+        1e-13 * max(1.0, float(np.max(np.abs(mb)))),
+        200,
+    )
+    gamma = np.zeros(shape)
+    rows, cols = np.asarray(I0, dtype=int).T
+    gamma[rows, cols] = expo(w)
+    scale = max(m[:n_x].sum(), m[n_x:].sum(), 1.0)
+    if np.max(np.abs(apply_A(gamma).stacked - m)) > PROJ_RESIDUAL_TOL * scale:
+        raise RuntimeError("minimal-entropy projection did not converge")
+    return gamma
 
 
 def solve_exact(problem, config=None):
@@ -309,11 +253,9 @@ def solve_exact(problem, config=None):
     config = config or ExactConfig()
     div = divergence_for(problem)
     xi_star, lam, flags = _solve_dual_kkt(problem, config)
-    I0, kappa, kappa_star = saturated_set(xi_star, problem, _sat_tol(problem, config))
+    I0, kappa, kappa_star = saturated_set(xi_star, problem, config.sat_tol)
     m_star = optimal_marginals(xi_star, div)
-    gamma_star = minimal_entropy_plan(
-        I0, m_star, (problem.n_x, problem.n_y), init=lam, config=config
-    )
+    gamma_star = minimal_entropy_plan(I0, m_star, (problem.n_x, problem.n_y))
     converged = "polish-failed" not in flags and "barrier-linesearch-stalled" not in flags
     return ExactSolution(
         xi_star=xi_star,
@@ -335,6 +277,8 @@ def brute_force_primal(problem, n_restarts=20, seed=0):
     pass; best-found semantics, intended for instances with at most 9 cells.
     """
     n_x, n_y = problem.n_x, problem.n_y
+    import scipy.optimize  # only the oracle needs it; keeps `import uotlab` light
+
     if n_x * n_y > 9:
         raise InvalidInput("brute-force oracle is limited to 9 plan entries")
     div = divergence_for(problem)

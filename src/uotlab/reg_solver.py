@@ -13,16 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DualPotential,
     InvalidInput,
     apply_A,
     apply_A_adjoint,
+    bipartite_hessian,
     discrete_entropy,
 )
 from .divergence import F_conj, F_conj_grad, F_conj_hess_diag, F_value, divergence_for
+from .newton import newton_minimize
 
 # exponent clamp keeping exp() representable; hit only on wild line-search
 # trial points, never at accepted iterates of a warm-started sweep
@@ -100,69 +101,28 @@ def kantorovich_hess(xi, t, problem, div=None):
         raise InvalidInput("t must be positive")
     div = divergence_for(problem) if div is None else div
     gamma = _gamma_from(xi, t, problem)
-    n_x, n_y = problem.n_x, problem.n_y
-    H = np.zeros((n_x + n_y, n_x + n_y))
-    H[:n_x, :n_x] = np.diag(t * gamma.sum(axis=1))
-    H[n_x:, n_x:] = np.diag(t * gamma.sum(axis=0))
-    H[:n_x, n_x:] = t * gamma
-    H[n_x:, :n_x] = t * gamma.T
-    H[np.diag_indices_from(H)] += F_conj_hess_diag(-xi.stacked, div)
-    return H
+    return bipartite_hessian(gamma, F_conj_hess_diag(-xi.stacked, div), scale=t)
 
 
 def _newton_solve(problem, t, config, xi0, div):
     n_x = problem.n_x
-    xi = xi0
-    flags = []
-    val = kantorovich_eval(xi, t, problem, div)
-    grad = kantorovich_grad(xi, t, problem, div)
-    iters = 0
-    for iters in range(1, config.max_newton_iters + 1):
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= config.grad_tol:
-            iters -= 1
-            break
-        H = kantorovich_hess(xi, t, problem, div)
-        ridge = config.hess_ridge
-        while True:
-            try:
-                Hr = H if ridge == 0 else H + ridge * np.eye(H.shape[0])
-                cf = scipy.linalg.cho_factor(Hr, check_finite=False)
-                step = -scipy.linalg.cho_solve(cf, grad, check_finite=False)
-                break
-            except np.linalg.LinAlgError:
-                base = 1e-12 * max(np.trace(H) / H.shape[0], 1.0)
-                ridge = max(10 * ridge, base)
-                if "ridge" not in flags:
-                    flags.append("ridge")
-                if ridge > 1e8:
-                    raise
-        slope = float(grad @ step)
-        if -slope <= 16 * np.finfo(float).eps * (1.0 + abs(val)):
-            # predicted decrease is below the objective's rounding floor, so
-            # Armijo can't certify progress; take full Newton steps while they
-            # still reduce the gradient, then stop at numerical stationarity
-            trial = DualPotential.from_stacked(xi.stacked + step, n_x)
-            tgrad = kantorovich_grad(trial, t, problem, div)
-            if float(np.max(np.abs(tgrad))) < gnorm:
-                xi, grad = trial, tgrad
-                val = kantorovich_eval(xi, t, problem, div)
-                continue
-            break
-        alpha = 1.0
-        for _ in range(60):
-            trial = DualPotential.from_stacked(xi.stacked + alpha * step, n_x)
-            tval = kantorovich_eval(trial, t, problem, div)
-            if np.isfinite(tval) and tval <= val + config.armijo_slope * alpha * slope:
-                break
-            alpha *= config.backtrack
-        else:
-            flags.append("linesearch-stalled")
-            break
-        xi, val = trial, tval
-        grad = kantorovich_grad(xi, t, problem, div)
+
+    def at(x):
+        return DualPotential.from_stacked(x, n_x)
+
+    x, val, grad, iters, flags = newton_minimize(
+        lambda x: kantorovich_eval(at(x), t, problem, div),
+        lambda x: kantorovich_grad(at(x), t, problem, div),
+        lambda x: kantorovich_hess(at(x), t, problem, div),
+        xi0.stacked,
+        config.grad_tol,
+        config.max_newton_iters,
+        armijo_slope=config.armijo_slope,
+        backtrack=config.backtrack,
+        ridge=config.hess_ridge,
+    )
+    xi = at(x)
     gnorm = float(np.max(np.abs(grad)))
-    converged = gnorm <= config.grad_tol
     if np.any(_log_gamma(xi, t, problem) > EXP_MAX):
         flags.append("exp-clamped")
     return RegSolution(
@@ -172,7 +132,7 @@ def _newton_solve(problem, t, config, xi0, div):
         kan_value=val,
         iters=iters,
         grad_norm=gnorm,
-        converged=converged,
+        converged=gnorm <= config.grad_tol,
         flags=flags,
     )
 

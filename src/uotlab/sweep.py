@@ -35,7 +35,6 @@ class SweepConfig:
     n_points: int = 60
     warm_start: bool = True
     grad_tol: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.t_min < self.t_max:

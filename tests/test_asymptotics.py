@@ -14,13 +14,21 @@ from uotlab.asymptotics import (
     xi_dot_finite_difference,
     xi_dot_log_grid,
 )
-from uotlab.core import DualPotential, InvalidInput
+from uotlab.core import DualPotential, InvalidInput, Problem
+from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.divergence import divergence_for
 from uotlab.exact_solver import solve_exact
 from uotlab.reg_solver import RegSolveConfig, solve_dual_t
 from uotlab.sweep import SweepConfig, run_sweep
 
 from conftest import make_1x1, random_problem
+
+SHIPPED = [
+    ("point-clouds", 4, "kl"),
+    ("point-clouds", 4, "quadratic"),
+    ("gaussians-1d", 0, "kl"),
+    ("gaussians-1d", 0, "quadratic"),
+]
 
 
 def xi_1x1(t):
@@ -45,15 +53,36 @@ def test_d_star_1x1():
 
 
 def test_d_star_identity_off_support():
-    # gamma* = exp(A* d*) on the saturated set
-    rng = np.random.default_rng(83)
-    p = random_problem(rng, n_x=3, n_y=2)
-    ex = solve_exact(p)
-    d_star = solve_d_star(ex, divergence_for(p), (3, 2))
-    for i, j in ex.I0:
-        assert ex.gamma_star[i, j] == pytest.approx(
-            np.exp(d_star[i] + d_star[3 + j]), abs=1e-7
+    # gamma* = exp(A* d*) on the saturated set; the point-cloud seeds are
+    # instances on which an iterative d* solve used to stall
+    cases = [(random_problem(np.random.default_rng(83), n_x=3, n_y=2), 1e-7)]
+    for seed, div in ((17, "quadratic"), (21, "kl"), (31, "kl")):
+        spec = DatasetSpec(kind="point-clouds", seed=seed, divergence=div)
+        cases.append((gen_dataset(spec), 1e-12))
+    for p, tol in cases:
+        ex = solve_exact(p)
+        d_star = solve_d_star(ex, divergence_for(p), (p.n_x, p.n_y))
+        rows, cols = np.array(ex.I0).T
+        lifted = np.exp(d_star[rows] + d_star[p.n_x + cols])
+        assert np.max(np.abs(ex.gamma_star[rows, cols] - lifted)) <= tol
+
+
+@pytest.mark.parametrize("kind,seed,div", SHIPPED)
+def test_d_star_relabel_invariance(kind, seed, div):
+    # relabelling the points permutes d* and changes nothing else
+    p = gen_dataset(DatasetSpec(kind=kind, seed=seed, divergence=div))
+    d_star = solve_d_star(solve_exact(p), divergence_for(p), (p.n_x, p.n_y))
+    for r in range(10):
+        rng = np.random.default_rng(r)
+        ix = rng.permutation(p.n_x)
+        iy = rng.permutation(p.n_y)
+        q = Problem(
+            p.points_x[ix], p.points_y[iy], p.mu[ix], p.nu[iy],
+            p.cost[np.ix_(ix, iy)], divergence=p.divergence, cost_kind=p.cost_kind,
         )
+        d_q = solve_d_star(solve_exact(q), divergence_for(q), (q.n_x, q.n_y))
+        expected = np.concatenate([d_star[ix], d_star[p.n_x + iy]])
+        assert np.max(np.abs(d_q - expected)) <= 1e-10, r
 
 
 def test_ode_residual_analytic_derivative():

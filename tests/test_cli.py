@@ -1,6 +1,10 @@
 """Command-line surface: exit codes, artifact generation, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from uotlab.cli import EXIT_INVALID, EXIT_OK, cli_main
 
@@ -77,3 +81,17 @@ def test_sweep_divergence_override(tmp_path):
     ) == EXIT_OK
     doc = json.loads(diag.read_text())
     assert doc["n_converged"] == doc["n_points"]
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize is only for the test oracle and costs a large share of
+    # the import time, so the package and the CLI must not pull it in
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, uotlab, uotlab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
