@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 
 class InvalidInput(ValueError):
@@ -100,6 +101,11 @@ def apply_A(gamma):
     if not np.all(np.isfinite(gamma)):
         raise InvalidInput("plan entries must be finite")
     return Marginals(gamma.sum(axis=1), gamma.sum(axis=0))
+
+
+def marginal_sums(gamma):
+    """Stacked row and column sums of a plan, without apply_A's input checks."""
+    return np.concatenate([gamma.sum(axis=1), gamma.sum(axis=0)])
 
 
 def apply_A_adjoint(xi):
@@ -217,21 +223,44 @@ def span_bases(B):
     return U[:, :rank], U[:, rank:]
 
 
-def bipartite_hessian(G, diag, scale=1.0):
-    """Dense A diag(scale G) A* + diag(diag) for a plan-shaped weight G.
+def bipartite_hessian(G, diag):
+    """Dense A diag(G) A* + diag(diag) for a plan-shaped weight G.
 
-    This is the transport-shaped Hessian
-    [[diag(G 1), G], [G^T, diag(G^T 1)]] (times scale) plus a diagonal.
-    The scale multiplies the row and column sums after summing, so the
-    regularized Hessian t A diag(gamma) A* rounds the same for any caller.
+    This is the transport-shaped Hessian [[diag(G 1), G], [G^T, diag(G^T 1)]]
+    plus a diagonal; `bipartite_solve` solves with it without assembling it.
     """
     n_x, n_y = G.shape
     H = np.zeros((n_x + n_y, n_x + n_y))
-    H[:n_x, n_x:] = scale * G
-    H[n_x:, :n_x] = H[:n_x, n_x:].T
-    sums = np.concatenate([scale * G.sum(axis=1), scale * G.sum(axis=0)])
-    H[np.diag_indices_from(H)] = sums + diag
+    H[:n_x, n_x:] = G
+    H[n_x:, :n_x] = G.T
+    H[np.diag_indices_from(H)] = marginal_sums(G) + diag
     return H
+
+
+def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
+    """Solve (bipartite_hessian(G, [d_x, d_y]) + ridge I) s = rhs.
+
+    Both diagonal blocks are diagonal, so the larger side is eliminated and
+    only the min(n_x, n_y) Schur complement diag(b) - W^T W, W = G / sqrt(a),
+    is Cholesky-factored (a, b: diagonals of the eliminated and kept sides).
+    Raises numpy.linalg.LinAlgError when the matrix is not positive definite.
+    """
+    n_x, n_y = G.shape
+    a = d_x + G.sum(axis=1) + ridge
+    b = d_y + G.sum(axis=0) + ridge
+    r_a, r_b = rhs[:n_x], rhs[n_x:]
+    flip = n_x < n_y
+    if flip:
+        G, a, b, r_a, r_b = G.T, b, a, r_b, r_a
+    if not np.all(a > 0):
+        raise np.linalg.LinAlgError("eliminated diagonal is not positive")
+    W = G / np.sqrt(a)[:, None]
+    S = -(W.T @ W)
+    S[np.diag_indices_from(S)] += b
+    cf = scipy.linalg.cho_factor(S, check_finite=False)
+    s_b = scipy.linalg.cho_solve(cf, r_b - G.T @ (r_a / a), check_finite=False)
+    s_a = (r_a - G @ s_b) / a
+    return np.concatenate([s_b, s_a] if flip else [s_a, s_b])
 
 
 def marginal_matrix(n_x, n_y):

@@ -23,8 +23,8 @@ from .core import (
     Marginals,
     apply_A,
     apply_A_adjoint,
-    bipartite_hessian,
     incidence_columns,
+    marginal_sums,
     span_bases,
 )
 from .divergence import (
@@ -34,7 +34,7 @@ from .divergence import (
     F_value,
     divergence_for,
 )
-from .newton import newton_minimize
+from .newton import last_point_cache, newton_minimize
 from .reg_solver import EXP_MAX
 
 # marginal residual accepted in the limit plan, relative to the larger mass
@@ -88,8 +88,9 @@ def _barrier_minimize(problem, div, config):
     n_cons = n_x * n_y
     flags = []
 
-    def slack(x):
-        return _slack(DualPotential.from_stacked(x, n_x), problem)
+    # the slacks at a trial point are computed once, by the value, and
+    # reused by the gradient and the Hessian
+    slack = last_point_cache(lambda x: problem.cost - (x[:n_x, None] + x[None, n_x:]))
 
     # +inf off the feasible set makes the line search reject such trial
     # points, which keeps every iterate strictly feasible
@@ -100,11 +101,11 @@ def _barrier_minimize(problem, div, config):
         return F_conj(-x, div) - float(np.sum(np.log(kappa))) / tau
 
     def gradient(x):
-        return -F_conj_grad(-x, div) + apply_A(1.0 / slack(x)).stacked / tau
+        return -F_conj_grad(-x, div) + marginal_sums(1.0 / slack(x)) / tau
 
     def hessian(x):
         inv_k = 1.0 / slack(x)
-        return bipartite_hessian(inv_k * inv_k / tau, F_conj_hess_diag(-x, div))
+        return inv_k * inv_k / tau, F_conj_hess_diag(-x, div)
 
     while True:
         x, _, _, _, stage_flags = newton_minimize(

@@ -2,13 +2,54 @@
 
 One loop serves the regularized dual, the barrier centering steps and the
 reduced limit-plan functional: Cholesky steps with a ridge retry, Armijo
-backtracking, and an exit at the objective's rounding floor.
+backtracking, and an exit at the objective's rounding floor.  Transport-shaped
+Hessians take a Schur-complement step (`core.bipartite_solve`) instead of a
+dense factorization.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+
+from .core import bipartite_solve
+
+
+def last_point_cache(fn):
+    """fn with its result for the most recent argument kept.
+
+    The kernel evaluates the value, gradient and Hessian at the same array
+    object, so an array-valued quantity computed by the value at a trial
+    point (the plan, the slacks) is reused by the gradient and the Hessian
+    once that point is accepted.
+    """
+    last_x = last_out = None
+
+    def cached(x):
+        nonlocal last_x, last_out
+        if x is not last_x:
+            last_x, last_out = x, fn(x)
+        return last_out
+
+    return cached
+
+
+def _solve(H, rhs, lam):
+    """Solve (H + lam I) s = rhs by Cholesky; see newton_minimize for H."""
+    if isinstance(H, tuple):
+        G, d = H
+        n_x = G.shape[0]
+        return bipartite_solve(G, d[:n_x], d[n_x:], rhs, lam)
+    Hr = H if lam == 0 else H + lam * np.eye(H.shape[0])
+    cf = scipy.linalg.cho_factor(Hr, check_finite=False)
+    return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+
+
+def _mean_diagonal(H):
+    if isinstance(H, tuple):
+        G, d = H
+        return (2 * G.sum() + d.sum()) / d.size
+    return np.trace(H) / H.shape[0]
 
 
 def newton_minimize(
@@ -21,8 +62,10 @@ def newton_minimize(
     +inf off the function's domain; the line search rejects such trial
     points like any other failed Armijo test.  Stops when max|gradient| <=
     grad_tol, after max_iters steps, at numerical stationarity, or when
-    backtracking stalls (flag "linesearch-stalled").  A Hessian that fails
-    to factor is retried with a growing ridge (flag "ridge").
+    backtracking stalls (flag "linesearch-stalled").  `hessian` returns a
+    dense matrix, or a pair (G, d) standing for the transport-shaped
+    `core.bipartite_hessian(G, d)`.  A Hessian that fails to factor is
+    retried with a growing ridge (flag "ridge").
     """
     x = x0
     flags = []
@@ -38,12 +81,10 @@ def newton_minimize(
         lam = ridge
         while True:
             try:
-                Hr = H if lam == 0 else H + lam * np.eye(H.shape[0])
-                cf = scipy.linalg.cho_factor(Hr, check_finite=False)
-                step = -scipy.linalg.cho_solve(cf, grad, check_finite=False)
+                step = -_solve(H, grad, lam)
                 break
             except np.linalg.LinAlgError:
-                base = 1e-12 * max(np.trace(H) / H.shape[0], 1.0)
+                base = 1e-12 * max(_mean_diagonal(H), 1.0)
                 lam = max(10 * lam, base)
                 if "ridge" not in flags:
                     flags.append("ridge")

@@ -10,7 +10,9 @@ gives the primal plan through gamma = exp(t (A* xi - c)).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +23,10 @@ from .core import (
     apply_A_adjoint,
     bipartite_hessian,
     discrete_entropy,
+    marginal_sums,
 )
 from .divergence import F_conj, F_conj_grad, F_conj_hess_diag, F_value, divergence_for
-from .newton import newton_minimize
+from .newton import last_point_cache, newton_minimize
 
 # exponent clamp keeping exp() representable; hit only on wild line-search
 # trial points, never at accepted iterates of a warm-started sweep
@@ -60,12 +63,45 @@ class RegSolution:
     flags: list = field(default_factory=list)
 
 
-def _log_gamma(xi, t, problem):
-    return t * (apply_A_adjoint(xi) - problem.cost)
+def _log_gamma(x, t, problem):
+    """Exponent t (A* xi - c) of the plan at a stacked potential."""
+    n_x = problem.n_x
+    return t * (x[:n_x, None] + x[None, n_x:] - problem.cost)
 
 
-def _gamma_from(xi, t, problem):
-    return np.exp(np.minimum(_log_gamma(xi, t, problem), EXP_MAX))
+def _gamma_from(x, t, problem):
+    return np.exp(np.minimum(_log_gamma(x, t, problem), EXP_MAX))
+
+
+class _DualTerms(NamedTuple):
+    plan: Callable
+    value: Callable
+    gradient: Callable
+    hessian: Callable
+
+
+def _dual_terms(problem, t, div=None):
+    """Plan, value, gradient and Hessian of K_t, as functions of the stacked xi.
+
+    The plan at a point is computed once and reused by the others at the same
+    array.  The Hessian comes as the pair (t gamma, grad^2 F*(-xi)) standing
+    for core.bipartite_hessian of it.
+    """
+    if t <= 0:
+        raise InvalidInput("t must be positive")
+    div = divergence_for(problem) if div is None else div
+    plan = last_point_cache(lambda x: _gamma_from(x, t, problem))
+
+    def value(x):
+        return F_conj(-x, div) + float(np.sum(plan(x))) / t
+
+    def gradient(x):
+        return -F_conj_grad(-x, div) + marginal_sums(plan(x))
+
+    def hessian(x):
+        return t * plan(x), F_conj_hess_diag(-x, div)
+
+    return _DualTerms(plan, value, gradient, hessian)
 
 
 def recover_primal(xi, t, problem):
@@ -73,47 +109,35 @@ def recover_primal(xi, t, problem):
     if t <= 0:
         raise InvalidInput("t must be positive")
     problem.check_shapes(xi=xi)
-    return _gamma_from(xi, t, problem)
+    return _gamma_from(xi.stacked, t, problem)
 
 
 def kantorovich_eval(xi, t, problem, div=None):
     """Value of the regularized dual objective K_t at xi."""
-    if t <= 0:
-        raise InvalidInput("t must be positive")
-    div = divergence_for(problem) if div is None else div
-    expo = _log_gamma(xi, t, problem)
-    penalty = float(np.sum(np.exp(np.minimum(expo, EXP_MAX)))) / t
-    return F_conj(-xi.stacked, div) + penalty
+    problem.check_shapes(xi=xi)
+    return _dual_terms(problem, t, div).value(xi.stacked)
 
 
 def kantorovich_grad(xi, t, problem, div=None):
     """Gradient of K_t as a stacked vector: -grad F*(-xi) + A gamma."""
-    if t <= 0:
-        raise InvalidInput("t must be positive")
-    div = divergence_for(problem) if div is None else div
-    gamma = _gamma_from(xi, t, problem)
-    return -F_conj_grad(-xi.stacked, div) + apply_A(gamma).stacked
+    problem.check_shapes(xi=xi)
+    return _dual_terms(problem, t, div).gradient(xi.stacked)
 
 
 def kantorovich_hess(xi, t, problem, div=None):
     """Hessian of K_t: diag(grad^2 F*(-xi)) + t A diag(gamma) A*."""
-    if t <= 0:
-        raise InvalidInput("t must be positive")
-    div = divergence_for(problem) if div is None else div
-    gamma = _gamma_from(xi, t, problem)
-    return bipartite_hessian(gamma, F_conj_hess_diag(-xi.stacked, div), scale=t)
+    problem.check_shapes(xi=xi)
+    return bipartite_hessian(*_dual_terms(problem, t, div).hessian(xi.stacked))
 
 
 def _newton_solve(problem, t, config, xi0, div):
-    n_x = problem.n_x
-
-    def at(x):
-        return DualPotential.from_stacked(x, n_x)
-
+    # the kernel works on the stacked potential, and each trial point's plan
+    # is computed once, by the value
+    terms = _dual_terms(problem, t, div)
     x, val, grad, iters, flags = newton_minimize(
-        lambda x: kantorovich_eval(at(x), t, problem, div),
-        lambda x: kantorovich_grad(at(x), t, problem, div),
-        lambda x: kantorovich_hess(at(x), t, problem, div),
+        terms.value,
+        terms.gradient,
+        terms.hessian,
         xi0.stacked,
         config.grad_tol,
         config.max_newton_iters,
@@ -121,14 +145,13 @@ def _newton_solve(problem, t, config, xi0, div):
         backtrack=config.backtrack,
         ridge=config.hess_ridge,
     )
-    xi = at(x)
     gnorm = float(np.max(np.abs(grad)))
-    if np.any(_log_gamma(xi, t, problem) > EXP_MAX):
+    if np.any(_log_gamma(x, t, problem) > EXP_MAX):
         flags.append("exp-clamped")
     return RegSolution(
         t=t,
-        xi=xi,
-        gamma=_gamma_from(xi, t, problem),
+        xi=DualPotential.from_stacked(x, problem.n_x),
+        gamma=terms.plan(x),
         kan_value=val,
         iters=iters,
         grad_norm=gnorm,

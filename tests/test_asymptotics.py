@@ -85,6 +85,26 @@ def test_d_star_relabel_invariance(kind, seed, div):
         assert np.max(np.abs(d_q - expected)) <= 1e-10, r
 
 
+# Newton iteration totals and fitted slopes of the shipped sweeps, as computed
+# with dense Newton steps; structure-aware steps must reproduce them
+SHIPPED_SWEEP_PINS = {
+    ("point-clouds", "kl"): (336, -0.9894244806743488, -1.2134520753070839),
+    ("point-clouds", "quadratic"): (282, -0.9453401119750642, -1.156970529515693),
+    ("gaussians-1d", "kl"): (324, -0.9699561918935524, -1.2767521776191866),
+    ("gaussians-1d", "quadratic"): (352, -0.9882888702126001, -1.3298494120205395),
+}
+
+
+@pytest.mark.parametrize("kind,seed,div", SHIPPED)
+def test_shipped_sweep_iterations_and_slopes_pinned(kind, seed, div):
+    iters, dual_slope, primal_slope = SHIPPED_SWEEP_PINS[kind, div]
+    p = gen_dataset(DatasetSpec(kind=kind, seed=seed, divergence=div))
+    res = run_sweep(p, SweepConfig())
+    assert sum(pt.iters for pt in res.points) == iters
+    assert res.dual_fit.slope == pytest.approx(dual_slope, abs=1e-9)
+    assert res.primal_fit.slope == pytest.approx(primal_slope, abs=1e-9)
+
+
 def test_ode_residual_analytic_derivative():
     p = make_1x1(c=1.0)
     for t in (1.0, 10.0, 250.0):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from uotlab.core import (
     DualPotential,
@@ -10,10 +11,14 @@ from uotlab.core import (
     Problem,
     apply_A,
     apply_A_adjoint,
+    bipartite_hessian,
+    bipartite_solve,
     build_cost,
     discrete_entropy,
     marginal_matrix,
+    marginal_sums,
 )
+from uotlab.newton import newton_minimize
 
 
 def test_apply_A_small_matrix():
@@ -32,6 +37,62 @@ def test_apply_A_matches_dense_operator():
     g = rng.random((3, 3))
     A = marginal_matrix(3, 3)
     assert np.allclose(apply_A(g).stacked, A @ g.ravel(), atol=1e-14)
+
+
+def test_marginal_sums_match_apply_A():
+    g = np.random.default_rng(4).random((3, 5))
+    assert np.array_equal(marginal_sums(g), apply_A(g).stacked)
+
+
+@pytest.mark.parametrize(
+    "n_x,n_y,ridge",
+    [(3, 5, 0.0), (5, 3, 0.0), (4, 4, 0.0), (1, 6, 0.0), (6, 1, 0.0), (4, 7, 0.3)],
+)
+def test_bipartite_solve_matches_dense_cholesky(n_x, n_y, ridge):
+    rng = np.random.default_rng(10 * n_x + n_y)
+    G = rng.uniform(0.1, 2.0, (n_x, n_y))
+    d = rng.uniform(0.01, 1.0, n_x + n_y)
+    rhs = rng.standard_normal(n_x + n_y)
+    H = bipartite_hessian(G, d) + ridge * np.eye(n_x + n_y)
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), rhs)
+    s = bipartite_solve(G, d[:n_x], d[n_x:], rhs, ridge)
+    assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n_x,n_y", [(3, 5), (5, 3)])
+def test_bipartite_solve_rejects_indefinite(n_x, n_y):
+    rng = np.random.default_rng(5)
+    G = rng.uniform(0.1, 2.0, (n_x, n_y))
+    rhs = np.ones(n_x + n_y)
+    # d = -0.1 makes (1, -1) a direction of negative curvature; -10 also
+    # makes the eliminated diagonal itself negative
+    for shift in (-0.1, -10.0):
+        d = np.full(n_x + n_y, shift)
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(bipartite_hessian(G, d))
+        with pytest.raises(np.linalg.LinAlgError):
+            bipartite_solve(G, d[:n_x], d[n_x:], rhs)
+
+
+def test_newton_bipartite_step_and_ridge_flag():
+    # on a quadratic with a transport-shaped Hessian one Newton step is exact;
+    # an indefinite Hessian pair is retried with a ridge and flagged
+    rng = np.random.default_rng(6)
+    G = rng.uniform(0.1, 2.0, (3, 4))
+    d = rng.uniform(0.1, 1.0, 7)
+    H = bipartite_hessian(G, d)
+    b = rng.standard_normal(7)
+    x, _, grad, iters, flags = newton_minimize(
+        lambda x: 0.5 * x @ H @ x - b @ x, lambda x: H @ x - b,
+        lambda x: (G, d), np.zeros(7), 1e-12, 5,
+    )
+    assert np.allclose(x, np.linalg.solve(H, b), atol=1e-12)
+    assert iters == 1 and flags == []
+    *_, flags = newton_minimize(
+        lambda x: 0.5 * x @ H @ x - b @ x, lambda x: H @ x - b,
+        lambda x: (G, np.full(7, -0.1)), np.zeros(7), 1e-12, 1,
+    )
+    assert "ridge" in flags
 
 
 def test_adjoint_small():
