@@ -11,11 +11,11 @@ from .core import (
     DualPotential,
     InvalidInput,
     apply_A,
-    apply_A_adjoint,
     incidence_columns,
     span_bases,
 )
 from .divergence import F_conj_hess_diag, divergence_for
+from .reg_solver import clamped_exp, plan_exponent
 
 # sweep errors below this are solver noise and are excluded from rate fits
 ERROR_FLOOR = 1e-12
@@ -108,8 +108,8 @@ def ode_residual(xi, xi_dot, t, problem, div=None):
 
 def _ode_terms(xi, xi_dot, t, problem, div):
     """Returns (full left-hand side, inhomogeneous term) of the trajectory ODE."""
-    log_g = t * (apply_A_adjoint(xi) - problem.cost)
-    gamma = np.exp(np.minimum(log_g, 690))
+    log_g = plan_exponent(xi.stacked, t, problem)
+    gamma = clamped_exp(log_g)
     dot = np.asarray(xi_dot, dtype=float)
     n_x = problem.n_x
     adj_dot = dot[:n_x, None] + dot[None, n_x:]

@@ -228,11 +228,9 @@ def _check_domain(arg, div):
     return arg
 
 
-def F_conj(arg, div, clamp=True):
+def F_conj(arg, div):
     """Separable conjugate sum q_z phi*(arg_z); overflow saturates at EXP_CLAMP."""
-    arg = _check_domain(arg, div)
-    if clamp:
-        arg = np.minimum(arg, EXP_CLAMP)
+    arg = np.minimum(_check_domain(arg, div), EXP_CLAMP)
     return float(np.sum(div.q * np.asarray(div.entropy.phi_conj(arg))))
 
 

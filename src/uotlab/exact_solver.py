@@ -2,7 +2,8 @@
 
 The constrained dual  min F*(-xi)  s.t.  A* xi <= c  is solved by a
 log-barrier interior-point method followed by an active-set polish that
-drives the KKT residual to machine precision.  From the optimizer we read
+minimizes over the face of the saturated constraints to machine precision.
+Both run on the shared Newton kernel.  From the optimizer we read
 off the saturated set, the slack matrix, the common optimal marginals
 m* = grad F*(-xi*), and finally the minimal-entropy optimal plan
 gamma* = exp(A* z) on the saturated set, where z minimizes the reduced
@@ -35,25 +36,25 @@ from .divergence import (
     divergence_for,
 )
 from .newton import last_point_cache, newton_minimize
-from .reg_solver import EXP_MAX
+from .reg_solver import clamped_exp
 
+# barrier weight 1/tau; tau grows by the factor until n_x n_y / tau < gap
+BARRIER_T0 = 1.0
+BARRIER_FACTOR = 10.0
+BARRIER_GAP = 1e-10
+# centering stops at INNER_TOL * max(1, tau); also caps the polish's Newton steps
+INNER_TOL = 1e-11
+MAX_INNER_ITERS = 100
+# slack violation a polished point may have
+FEAS_TOL = 1e-8
+# face residual and reduced gradient the polish must reach, relative to max(1, |c_I0|)
+POLISH_TOL = 1e-13
 # marginal residual accepted in the limit plan, relative to the larger mass
 PROJ_RESIDUAL_TOL = 1e-10
 
 
 class DegenerateInstance(RuntimeError):
     """No saturated constraint at the dual optimum."""
-
-
-@dataclass
-class ExactConfig:
-    barrier_t0: float = 1.0
-    barrier_factor: float = 10.0
-    barrier_gap: float = 1e-10
-    inner_tol: float = 1e-11
-    max_inner_iters: int = 100
-    feas_tol: float = 1e-8
-    sat_tol: float | None = None  # default max(1e-7, 1e-6 * ||c||_inf)
 
 
 @dataclass
@@ -79,12 +80,12 @@ def _slack(xi, problem):
     return problem.cost - apply_A_adjoint(xi)
 
 
-def _barrier_minimize(problem, div, config):
+def _barrier_minimize(problem, div):
     """Central-path interior point for min F*(-xi) s.t. A* xi <= c."""
     n_x, n_y = problem.n_x, problem.n_y
     # strictly feasible start: A* xi = -2 < c since c >= 0
     x = -np.ones(n_x + n_y)
-    tau = config.barrier_t0
+    tau = BARRIER_T0
     n_cons = n_x * n_y
     flags = []
 
@@ -110,81 +111,77 @@ def _barrier_minimize(problem, div, config):
     while True:
         x, _, _, _, stage_flags = newton_minimize(
             value, gradient, hessian, x,
-            config.inner_tol * max(1.0, tau), config.max_inner_iters,
+            INNER_TOL * max(1.0, tau), MAX_INNER_ITERS,
         )
         flags += ["barrier-" + f for f in stage_flags]
-        if n_cons / tau < config.barrier_gap:
+        if n_cons / tau < BARRIER_GAP:
             break
-        tau *= config.barrier_factor
+        tau *= BARRIER_FACTOR
     lam = 1.0 / (tau * slack(x))
     return DualPotential.from_stacked(x, n_x), lam, flags
 
 
-def _polish(problem, div, xi, I0_mask, config):
-    """Newton on the KKT system of min F*(-xi) s.t. (A* xi)_{I0} = c_{I0}.
+def _polish(problem, div, xi, I0_mask):
+    """Minimize F*(-xi) on the face (A* xi)_{I0} = c_{I0} from the barrier point.
 
-    Drops constraints whose multipliers come out negative and retries, so a
-    slightly over-greedy saturation threshold self-corrects.
+    The barrier point is projected onto the face by least squares; the kernel
+    then minimizes over the face's free directions, and the multipliers come
+    from B lam = grad F*(-xi).  Drops constraints whose multipliers come out
+    negative and retries, so a slightly over-greedy saturation threshold
+    self-corrects.
     """
-    n_x, n_y = problem.n_x, problem.n_y
-    n = n_x + n_y
+    n_x = problem.n_x
+    x0 = xi.stacked
     mask = I0_mask.copy()
     for _ in range(mask.sum() + 1):
         idx = np.argwhere(mask)
-        k = len(idx)
-        if k == 0:
+        if len(idx) == 0:
             return None
-        B = incidence_columns(idx, n_x, n_y)
+        B = incidence_columns(idx, n_x, problem.n_y)
+        _, N = span_bases(B)
         c_act = problem.cost[mask]
-        x = xi.stacked.copy()
-        lam = np.zeros(k)
-        ok = False
-        for _ in range(100):
-            g1 = -F_conj_grad(-x, div) + B @ lam
-            g2 = B.T @ x - c_act
-            res = max(np.max(np.abs(g1)), np.max(np.abs(g2)))
-            if res <= 1e-13 * max(1.0, np.max(np.abs(c_act), initial=1.0)):
-                ok = True
-                break
-            D = F_conj_hess_diag(-x, div)
-            KKT = np.zeros((n + k, n + k))
-            KKT[:n, :n] = np.diag(D)
-            KKT[:n, n:] = B
-            KKT[n:, :n] = B.T
-            rhs = -np.concatenate([g1, g2])
-            sol, *_ = scipy.linalg.lstsq(KKT, rhs, check_finite=False, lapack_driver="gelsd")
-            x = x + sol[:n]
-            lam = lam + sol[n:]
-        if not ok:
+        tol = POLISH_TOL * max(1.0, np.max(np.abs(c_act)))
+        x_p = x0 + scipy.linalg.lstsq(B.T, c_act - B.T @ x0, check_finite=False)[0]
+        # a cycle whose costs do not add up has no point on the face; stop
+        # before Newton steps far off the face overflow exp
+        if np.max(np.abs(B.T @ x_p - c_act)) > tol:
             return None
-        neg = lam < -1e-12
-        if not np.any(neg):
-            lam_full = np.zeros((n_x, n_y))
+
+        def at(u):
+            return -(x_p + N @ u)
+
+        u, _, grad, _, _ = newton_minimize(
+            lambda u: F_conj(at(u), div),
+            lambda u: -N.T @ F_conj_grad(at(u), div),
+            lambda u: N.T @ (F_conj_hess_diag(at(u), div)[:, None] * N),
+            np.zeros(N.shape[1]), tol, MAX_INNER_ITERS,
+        )
+        if np.max(np.abs(grad), initial=0.0) > tol:
+            return None
+        x = x_p + N @ u
+        lam, *_ = scipy.linalg.lstsq(B, F_conj_grad(-x, div), check_finite=False)
+        if not np.any(lam < -1e-12):
+            lam_full = np.zeros((n_x, problem.n_y))
             lam_full[mask] = np.maximum(lam, 0.0)
             xi_new = DualPotential.from_stacked(x, n_x)
-            if np.min(_slack(xi_new, problem)) < -config.feas_tol:
+            if np.min(_slack(xi_new, problem)) < -FEAS_TOL:
                 return None
             return xi_new, lam_full
-        drop = mask.copy()
-        drop[tuple(idx[np.argmin(lam)])] = False
-        mask = drop
+        mask[tuple(idx[np.argmin(lam)])] = False
     return None
 
 
-def solve_dual_exact(problem, config=None):
+def solve_dual_exact(problem):
     """Minimizer of F*(-xi) over the polyhedron A* xi <= c."""
-    xi, _, _ = _solve_dual_kkt(problem, config)
+    xi, _, _ = _solve_dual_kkt(problem)
     return xi
 
 
-def _solve_dual_kkt(problem, config=None):
+def _solve_dual_kkt(problem):
     """Dual minimizer together with KKT multipliers and diagnostic flags."""
-    config = config or ExactConfig()
     div = divergence_for(problem)
-    xi, lam, flags = _barrier_minimize(problem, div, config)
-    sat = _sat_tol(problem, config.sat_tol)
-    kappa = _slack(xi, problem)
-    polished = _polish(problem, div, xi, kappa <= sat, config)
+    xi, lam, flags = _barrier_minimize(problem, div)
+    polished = _polish(problem, div, xi, _slack(xi, problem) <= _sat_tol(problem))
     if polished is not None:
         xi, lam_full = polished
     else:
@@ -230,7 +227,7 @@ def minimal_entropy_plan(I0, m_star, shape):
     mb = basis.T @ m
 
     def expo(w):
-        return np.exp(np.minimum(Bb @ w, EXP_MAX))
+        return clamped_exp(Bb @ w)
 
     w, *_ = newton_minimize(
         lambda w: float(np.sum(expo(w)) - mb @ w),
@@ -249,12 +246,11 @@ def minimal_entropy_plan(I0, m_star, shape):
     return gamma
 
 
-def solve_exact(problem, config=None):
+def solve_exact(problem):
     """Full exact pipeline: dual optimizer, saturated set, marginals, limit plan."""
-    config = config or ExactConfig()
     div = divergence_for(problem)
-    xi_star, lam, flags = _solve_dual_kkt(problem, config)
-    I0, kappa, kappa_star = saturated_set(xi_star, problem, config.sat_tol)
+    xi_star, lam, flags = _solve_dual_kkt(problem)
+    I0, kappa, kappa_star = saturated_set(xi_star, problem)
     m_star = optimal_marginals(xi_star, div)
     gamma_star = minimal_entropy_plan(I0, m_star, (problem.n_x, problem.n_y))
     converged = "polish-failed" not in flags and "barrier-linesearch-stalled" not in flags

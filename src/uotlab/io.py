@@ -30,6 +30,13 @@ def problem_to_dict(problem):
     return out
 
 
+def _object(data, key, default, name):
+    spec = data.get(key, default)
+    if not isinstance(spec, dict):
+        raise InvalidInput(f"{name} must be an object, got {type(spec).__name__}")
+    return spec
+
+
 def problem_from_dict(data):
     try:
         points_x = data["points_x"]
@@ -38,16 +45,21 @@ def problem_from_dict(data):
         nu = data["nu"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed problem document: missing {exc}") from None
-    cost_spec = data.get("cost", {"kind": "sqeuclidean"})
+    cost_spec = _object(data, "cost", {"kind": "sqeuclidean"}, "cost")
     kind = cost_spec.get("kind", "sqeuclidean")
     if kind not in COST_KINDS:
         raise InvalidInput(f"unknown cost kind: {kind!r}")
     cost = build_cost(points_x, points_y, kind, matrix=cost_spec.get("matrix"))
-    div_spec = data.get("divergence", {"kind": "kl"})
+    div_spec = _object(data, "divergence", {"kind": "kl"}, "divergence")
     div_kind = div_spec.get("kind", "kl")
     if div_kind not in _ENTROPIES:
         raise InvalidInput(f"unknown divergence kind: {div_kind!r}")
     qref = div_spec.get("q")
+    if qref is not None:
+        qref = _object(div_spec, "q", None, "divergence.q")
+        for key in ("mu_ref", "nu_ref"):
+            if key not in qref:
+                raise InvalidInput(f"divergence.q is missing {key!r}")
     div = DivergenceSpec(
         kind=div_kind,
         mu_ref=None if qref is None else np.asarray(qref["mu_ref"], float),

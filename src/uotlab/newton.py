@@ -1,7 +1,8 @@
 """Damped Newton minimization shared by every smooth solve in the lab.
 
-One loop serves the regularized dual, the barrier centering steps and the
-reduced limit-plan functional: Cholesky steps with a ridge retry, Armijo
+One loop serves the regularized dual, the barrier centering steps, the
+polish on the saturated face of the exact reference and the reduced
+limit-plan functional: Cholesky steps with a ridge retry, Armijo
 backtracking, and an exit at the objective's rounding floor.  Transport-shaped
 Hessians take a Schur-complement step (`core.bipartite_solve`) instead of a
 dense factorization.
@@ -13,6 +14,10 @@ import numpy as np
 import scipy.linalg
 
 from .core import bipartite_solve
+
+# Armijo sufficient-decrease fraction and step shrink factor of the line search
+ARMIJO_SLOPE = 1e-4
+BACKTRACK = 0.5
 
 
 def last_point_cache(fn):
@@ -52,10 +57,7 @@ def _mean_diagonal(H):
     return np.trace(H) / H.shape[0]
 
 
-def newton_minimize(
-    value, gradient, hessian, x0, grad_tol, max_iters,
-    armijo_slope=1e-4, backtrack=0.5, ridge=0.0,
-):
+def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters):
     """Minimize a smooth strictly convex function from x0.
 
     Returns (x, value, gradient, iterations, flags).  `value` may return
@@ -73,12 +75,12 @@ def newton_minimize(
     grad = gradient(x)
     iters = 0
     for iters in range(1, max_iters + 1):
-        gnorm = float(np.max(np.abs(grad)))
+        gnorm = float(np.max(np.abs(grad), initial=0.0))
         if gnorm <= grad_tol:
             iters -= 1
             break
         H = hessian(x)
-        lam = ridge
+        lam = 0.0
         while True:
             try:
                 step = -_solve(H, grad, lam)
@@ -106,9 +108,9 @@ def newton_minimize(
         for _ in range(60):
             trial = x + alpha * step
             tval = value(trial)
-            if np.isfinite(tval) and tval <= val + armijo_slope * alpha * slope:
+            if np.isfinite(tval) and tval <= val + ARMIJO_SLOPE * alpha * slope:
                 break
-            alpha *= backtrack
+            alpha *= BACKTRACK
         else:
             flags.append("linesearch-stalled")
             break

@@ -31,24 +31,20 @@ from .newton import last_point_cache, newton_minimize
 # exponent clamp keeping exp() representable; hit only on wild line-search
 # trial points, never at accepted iterates of a warm-started sweep
 EXP_MAX = 690.0
+# cold starts at large t go through the continuation chain
+# t = CONTINUATION_FROM * CONTINUATION_RATIO**k below the target t
+CONTINUATION_FROM = 1.0
+CONTINUATION_RATIO = 10.0
 
 
 @dataclass
 class RegSolveConfig:
     grad_tol: float = 1e-10
     max_newton_iters: int = 200
-    armijo_slope: float = 1e-4
-    backtrack: float = 0.5
-    hess_ridge: float = 0.0
-    # cold starts at large t go through a geometric continuation chain
-    continuation_from: float = 1.0
-    continuation_ratio: float = 10.0
 
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise InvalidInput("grad_tol must be positive")
-        if not 0 < self.backtrack < 1:
-            raise InvalidInput("backtrack factor must lie in (0, 1)")
 
 
 @dataclass
@@ -63,14 +59,15 @@ class RegSolution:
     flags: list = field(default_factory=list)
 
 
-def _log_gamma(x, t, problem):
+def plan_exponent(x, t, problem):
     """Exponent t (A* xi - c) of the plan at a stacked potential."""
     n_x = problem.n_x
     return t * (x[:n_x, None] + x[None, n_x:] - problem.cost)
 
 
-def _gamma_from(x, t, problem):
-    return np.exp(np.minimum(_log_gamma(x, t, problem), EXP_MAX))
+def clamped_exp(exponent):
+    """exp of a plan exponent, clamped at EXP_MAX so it stays representable."""
+    return np.exp(np.minimum(exponent, EXP_MAX))
 
 
 class _DualTerms(NamedTuple):
@@ -90,7 +87,7 @@ def _dual_terms(problem, t, div=None):
     if t <= 0:
         raise InvalidInput("t must be positive")
     div = divergence_for(problem) if div is None else div
-    plan = last_point_cache(lambda x: _gamma_from(x, t, problem))
+    plan = last_point_cache(lambda x: clamped_exp(plan_exponent(x, t, problem)))
 
     def value(x):
         return F_conj(-x, div) + float(np.sum(plan(x))) / t
@@ -109,7 +106,7 @@ def recover_primal(xi, t, problem):
     if t <= 0:
         raise InvalidInput("t must be positive")
     problem.check_shapes(xi=xi)
-    return _gamma_from(xi.stacked, t, problem)
+    return clamped_exp(plan_exponent(xi.stacked, t, problem))
 
 
 def kantorovich_eval(xi, t, problem, div=None):
@@ -141,12 +138,9 @@ def _newton_solve(problem, t, config, xi0, div):
         xi0.stacked,
         config.grad_tol,
         config.max_newton_iters,
-        armijo_slope=config.armijo_slope,
-        backtrack=config.backtrack,
-        ridge=config.hess_ridge,
     )
     gnorm = float(np.max(np.abs(grad)))
-    if np.any(_log_gamma(x, t, problem) > EXP_MAX):
+    if np.any(plan_exponent(x, t, problem) > EXP_MAX):
         flags.append("exp-clamped")
     return RegSolution(
         t=t,
@@ -174,14 +168,15 @@ def solve_dual_t(problem, t, config=None, init=None):
     if np.any(problem.q <= 0) and np.isinf(div.entropy.recession()):
         raise InvalidInput("reference weights must be strictly positive")
     if init is not None:
+        problem.check_shapes(xi=init)
         return _newton_solve(problem, t, config, init, div)
     xi = DualPotential.zeros(problem.n_x, problem.n_y)
-    t_cur = config.continuation_from
+    t_cur = CONTINUATION_FROM
     sol = None
     while t_cur < t:
         sol = _newton_solve(problem, t_cur, config, xi, div)
         xi = sol.xi
-        t_cur *= config.continuation_ratio
+        t_cur *= CONTINUATION_RATIO
     return _newton_solve(problem, t, config, xi, div)
 
 

@@ -21,11 +21,13 @@ from .asymptotics import (
 from .core import InvalidInput, discrete_entropy
 from .divergence import divergence_for
 from .exact_solver import solve_exact
-from .reg_solver import RegSolveConfig, solve_dual_t
+from .reg_solver import RegSolveConfig, plan_exponent, solve_dual_t
 
 log = logging.getLogger(__name__)
 
 CSV_HEADER = "t,dual_err,primal_err,ode_residual,entropy,iters,flags"
+# gradient tolerance of the sweep's solves (the CLI `solve` default is 1e-10)
+GRAD_TOL = 1e-12
 
 
 @dataclass
@@ -33,8 +35,6 @@ class SweepConfig:
     t_min: float = 1.0
     t_max: float = 1e4
     n_points: int = 60
-    warm_start: bool = True
-    grad_tol: float = 1e-12
 
     def __post_init__(self):
         if not 0 < self.t_min < self.t_max:
@@ -71,24 +71,20 @@ def run_sweep(problem, config=None, exact=None):
     for i, j in exact.I0:
         off_mask[i, j] = False
 
-    reg_cfg = RegSolveConfig(grad_tol=config.grad_tol)
+    reg_cfg = RegSolveConfig(grad_tol=GRAD_TOL)
     grid = t_grid(config)
     sols = []
     init = None
-    cold_iters = None
     for t in grid:
         sol = solve_dual_t(problem, float(t), reg_cfg, init=init)
-        if config.warm_start:
-            init = sol.xi
+        init = sol.xi
         sols.append(sol)
-    if config.warm_start and sols:
-        cold = solve_dual_t(problem, float(grid[-1]), reg_cfg)
-        cold_iters = cold.iters
-        if sols[-1].iters > cold_iters:
-            log.warning(
-                "warm-started solve used more iterations than cold start "
-                "(%d > %d) at t=%g", sols[-1].iters, cold_iters, grid[-1]
-            )
+    cold = solve_dual_t(problem, float(grid[-1]), reg_cfg)
+    if sols[-1].iters > cold.iters:
+        log.warning(
+            "warm-started solve used more iterations than cold start "
+            "(%d > %d) at t=%g", sols[-1].iters, cold.iters, grid[-1]
+        )
 
     points = []
     for k, (t, sol) in enumerate(zip(grid, sols)):
@@ -100,9 +96,7 @@ def run_sweep(problem, config=None, exact=None):
         if 0 < k < len(grid) - 1:
             xd = xi_dot_log_grid(grid, [s.xi for s in sols], k)
             resid = ode_residual(xi, xd, t, problem, div)
-        log_g = t * (
-            xi.phi[:, None] + xi.psi[None, :] - problem.cost
-        )
+        log_g = plan_exponent(xi.stacked, t, problem)
         off_max = float(log_g[off_mask].max()) if off_mask.any() else float("nan")
         points.append(
             TrajectoryPoint(

@@ -36,6 +36,18 @@ def test_missing_problem_file():
         == EXIT_INVALID
 
 
+def test_exact_rejects_malformed_cost(tmp_path, capsys):
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({
+        "points_x": [[0.0]], "points_y": [[1.0]], "mu": [1.0], "nu": [1.0],
+        "cost": "sqeuclidean",
+    }))
+    out = tmp_path / "exact.json"
+    assert cli_main(["exact", "--problem", str(prob), "--out", str(out)]) \
+        == EXIT_INVALID
+    assert "cost" in capsys.readouterr().err
+
+
 def test_solve_writes_solution(tmp_path):
     prob = tmp_path / "p.json"
     out = tmp_path / "sol.json"

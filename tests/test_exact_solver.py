@@ -1,14 +1,24 @@
 """Ground-truth solver: KKT quality, saturated-set mechanics, limit plan."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from uotlab.core import DivergenceSpec, DualPotential, Marginals, Problem, apply_A
+from uotlab.core import (
+    DivergenceSpec,
+    DualPotential,
+    Marginals,
+    Problem,
+    apply_A,
+    incidence_columns,
+)
 from uotlab.divergence import F_conj, divergence_for
 from uotlab.exact_solver import (
     DegenerateInstance,
+    _barrier_minimize,
+    _polish,
     brute_force_primal,
     minimal_entropy_plan,
     optimal_marginals,
@@ -152,6 +162,42 @@ def test_kkt_quality_random_instances(kind):
         assert np.max(
             np.abs(apply_A(ex.gamma_star).stacked - ex.m_star.stacked)
         ) <= 1e-8
+
+
+def test_polish_drops_an_unsaturated_entry():
+    # forcing one off-support constraint that keeps the saturated graph a
+    # forest gives it a negative multiplier; the polish must drop it again
+    rng = np.random.default_rng(83)
+    recovered = 0
+    for k in range(60):
+        p = random_problem(rng, kind=("kl", "quadratic")[k % 2])
+        ex = solve_exact(p)
+        div = divergence_for(p)
+        xi_bar, _, _ = _barrier_minimize(p, div)
+        for i, j in np.argwhere(ex.kappa > 0):
+            entries = ex.I0 + [(i, j)]
+            B = incidence_columns(entries, p.n_x, p.n_y)
+            if np.linalg.matrix_rank(B) < len(entries):
+                continue  # the extra edge would close a cycle
+            mask = np.zeros((p.n_x, p.n_y), dtype=bool)
+            mask[tuple(np.transpose(entries))] = True
+            xi, lam = _polish(p, div, xi_bar, mask)
+            assert np.max(np.abs(xi.stacked - ex.xi_star.stacked)) <= 1e-12
+            assert lam[i, j] == 0.0
+            recovered += 1
+    assert recovered >= 50
+
+
+def test_polish_rejects_inconsistent_cycle():
+    # all four entries of a 2x2 instance form a cycle, and random costs
+    # violate c00 + c11 = c01 + c10, so the face is empty
+    rng = np.random.default_rng(89)
+    p = random_problem(rng, n_x=2, n_y=2)
+    div = divergence_for(p)
+    xi_bar, _, _ = _barrier_minimize(p, div)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _polish(p, div, xi_bar, np.ones((2, 2), dtype=bool)) is None
 
 
 def test_kkt_multipliers_are_primal_feasible():

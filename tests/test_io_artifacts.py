@@ -86,6 +86,16 @@ def test_problem_json_defaults_and_errors():
         problem_from_dict({**base, "divergence": {"kind": "js"}})
     with pytest.raises(InvalidInput):
         problem_from_dict({**base, "cost": {"kind": "manhattan"}})
+    with pytest.raises(InvalidInput, match="cost"):
+        problem_from_dict({**base, "cost": "sqeuclidean"})
+    with pytest.raises(InvalidInput, match="divergence"):
+        problem_from_dict({**base, "divergence": "kl"})
+    with pytest.raises(InvalidInput, match="divergence.q.*nu_ref"):
+        problem_from_dict(
+            {**base, "divergence": {"kind": "kl", "q": {"mu_ref": [1.0]}}}
+        )
+    with pytest.raises(InvalidInput, match="divergence.q"):
+        problem_from_dict({**base, "divergence": {"kind": "kl", "q": [1.0, 1.0]}})
 
 
 def test_solution_and_exact_dicts():

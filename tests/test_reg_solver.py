@@ -229,8 +229,16 @@ def test_input_validation():
         solve_dual_t(p, -1.0)
     with pytest.raises(InvalidInput):
         RegSolveConfig(grad_tol=0.0)
+
+
+def test_warm_start_shape_checked():
+    p = make_1x1(c=1.0)
+    q = random_problem(np.random.default_rng(5), n_x=3, n_y=2)
+    # right total length, wrong split between the clouds
     with pytest.raises(InvalidInput):
-        RegSolveConfig(backtrack=1.5)
+        solve_dual_t(q, 10.0, init=DualPotential(np.zeros(4), np.zeros(1)))
+    with pytest.raises(InvalidInput):
+        solve_dual_t(p, 10.0, init=DualPotential.zeros(2, 2))
 
 
 def test_nonconverged_flagged():
