@@ -155,28 +155,20 @@ def xi_dot_log_grid(ts, xis, k):
     steps = np.diff(s)
     h = float(steps.mean())
     uniform = float(np.max(np.abs(steps - h))) <= 1e-8 * h
-    stacked = [x.stacked for x in xis]
     if uniform and n >= 5:
+        # stack only the potentials the stencil reads
+        def at(i):
+            return xis[i].stacked
+
         if 2 <= k <= n - 3:
             ds = (
-                stacked[k - 2]
-                - 8.0 * stacked[k - 1]
-                + 8.0 * stacked[k + 1]
-                - stacked[k + 2]
+                at(k - 2) - 8.0 * at(k - 1) + 8.0 * at(k + 1) - at(k + 2)
             ) / (12.0 * h)
         elif k == 1:
-            ds = (
-                -2.0 * stacked[0]
-                - 3.0 * stacked[1]
-                + 6.0 * stacked[2]
-                - stacked[3]
-            ) / (6.0 * h)
+            ds = (-2.0 * at(0) - 3.0 * at(1) + 6.0 * at(2) - at(3)) / (6.0 * h)
         else:  # k == n - 2
             ds = (
-                2.0 * stacked[n - 1]
-                + 3.0 * stacked[n - 2]
-                - 6.0 * stacked[n - 3]
-                + stacked[n - 4]
+                2.0 * at(n - 1) + 3.0 * at(n - 2) - 6.0 * at(n - 3) + at(n - 4)
             ) / (6.0 * h)
         return ds / ts[k]
     return xi_dot_finite_difference(

@@ -1,4 +1,8 @@
-"""t-sweeps with warm starts, error diagnostics and CSV emission."""
+"""t-sweeps with warm starts, error diagnostics and CSV emission.
+
+Each sweep point starts from the previous solution moved along the trajectory
+tangent (`reg_solver.predicted_start`).
+"""
 
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from .asymptotics import (
 from .core import InvalidInput, discrete_entropy
 from .divergence import divergence_for
 from .exact_solver import solve_exact
-from .reg_solver import RegSolveConfig, plan_exponent, solve_dual_t
+from .reg_solver import RegSolveConfig, plan_exponent, predicted_start, solve_dual_t
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +64,8 @@ def t_grid(config):
 
 
 def run_sweep(problem, config=None, exact=None):
-    """Solve exact once, then warm-start the regularized solves up the grid."""
+    """Solve exact once, then warm-start the regularized solves up the grid,
+    each from the tangent prediction of the previous solution."""
     config = config or SweepConfig()
     if exact is None:
         exact = solve_exact(problem)
@@ -73,12 +78,10 @@ def run_sweep(problem, config=None, exact=None):
 
     reg_cfg = RegSolveConfig(grad_tol=GRAD_TOL)
     grid = t_grid(config)
-    sols = []
-    init = None
-    for t in grid:
-        sol = solve_dual_t(problem, float(t), reg_cfg, init=init)
-        init = sol.xi
-        sols.append(sol)
+    sols = [solve_dual_t(problem, float(grid[0]), reg_cfg)]
+    for t in grid[1:]:
+        init = predicted_start(problem, sols[-1], float(t), div)
+        sols.append(solve_dual_t(problem, float(t), reg_cfg, init=init))
     cold = solve_dual_t(problem, float(grid[-1]), reg_cfg)
     if sols[-1].iters > cold.iters:
         log.warning(

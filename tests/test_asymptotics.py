@@ -18,8 +18,8 @@ from uotlab.core import DualPotential, InvalidInput, Problem
 from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.divergence import divergence_for
 from uotlab.exact_solver import solve_exact
-from uotlab.reg_solver import RegSolveConfig, solve_dual_t
-from uotlab.sweep import SweepConfig, run_sweep
+from uotlab.reg_solver import RegSolveConfig, solve_dual_t, trajectory_tangent
+from uotlab.sweep import GRAD_TOL, SweepConfig, run_sweep, t_grid
 
 from conftest import make_1x1, random_problem
 
@@ -85,13 +85,14 @@ def test_d_star_relabel_invariance(kind, seed, div):
         assert np.max(np.abs(d_q - expected)) <= 1e-10, r
 
 
-# Newton iteration totals and fitted slopes of the shipped sweeps, as computed
-# with dense Newton steps; structure-aware steps must reproduce them
+# Newton iteration totals of the shipped sweeps with tangent-predicted warm
+# starts, and their fitted slopes as computed with dense Newton steps from
+# plain warm starts; neither the step nor the start may move the slopes
 SHIPPED_SWEEP_PINS = {
-    ("point-clouds", "kl"): (336, -0.9894244806743488, -1.2134520753070839),
-    ("point-clouds", "quadratic"): (282, -0.9453401119750642, -1.156970529515693),
-    ("gaussians-1d", "kl"): (324, -0.9699561918935524, -1.2767521776191866),
-    ("gaussians-1d", "quadratic"): (352, -0.9882888702126001, -1.3298494120205395),
+    ("point-clouds", "kl"): (168, -0.9894244806743488, -1.2134520753070839),
+    ("point-clouds", "quadratic"): (168, -0.9453401119750642, -1.156970529515693),
+    ("gaussians-1d", "kl"): (163, -0.9699561918935524, -1.2767521776191866),
+    ("gaussians-1d", "quadratic"): (165, -0.9882888702126001, -1.3298494120205395),
 }
 
 
@@ -103,6 +104,44 @@ def test_shipped_sweep_iterations_and_slopes_pinned(kind, seed, div):
     assert sum(pt.iters for pt in res.points) == iters
     assert res.dual_fit.slope == pytest.approx(dual_slope, abs=1e-9)
     assert res.primal_fit.slope == pytest.approx(primal_slope, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind,seed,div", SHIPPED)
+def test_predicted_starts_keep_the_trajectory(kind, seed, div):
+    # the same points as a chain started from each previous xi, in fewer
+    # Newton iterations
+    p = gen_dataset(DatasetSpec(kind=kind, seed=seed, divergence=div))
+    cfg = SweepConfig()
+    res = run_sweep(p, cfg)
+    reg_cfg = RegSolveConfig(grad_tol=GRAD_TOL)
+    plain, init = [], None
+    for t in t_grid(cfg):
+        sol = solve_dual_t(p, float(t), reg_cfg, init=init)
+        init = sol.xi
+        plain.append(sol)
+    assert all(pt.converged for pt in res.points)
+    for pt, sol in zip(res.points, plain):
+        assert np.max(np.abs(pt.xi.stacked - sol.xi.stacked)) <= 1e-10, pt.t
+    assert sum(pt.iters for pt in res.points) < sum(s.iters for s in plain)
+
+
+def test_trajectory_tangent_closed_form_1x1():
+    p = make_1x1(c=1.0)
+    cfg = RegSolveConfig(grad_tol=1e-13)
+    for t in (1.0, 10.0, 250.0):
+        tangent = trajectory_tangent(p, solve_dual_t(p, t, cfg))
+        true = 1.0 / (1.0 + 2.0 * t) ** 2
+        assert np.max(np.abs(tangent - true)) <= 1e-10 * true
+
+
+@pytest.mark.parametrize("kind,seed,div", SHIPPED)
+def test_trajectory_tangent_solves_the_ode(kind, seed, div):
+    p = gen_dataset(DatasetSpec(kind=kind, seed=seed, divergence=div))
+    for t in (10.0, 1e3):
+        sol = solve_dual_t(p, t)
+        forcing = ode_inhomogeneous_norm(sol.xi, t, p)
+        tangent = trajectory_tangent(p, sol)
+        assert ode_residual(sol.xi, tangent, t, p) <= 1e-10 * forcing
 
 
 def test_ode_residual_analytic_derivative():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uotlab.core import DualPotential, InvalidInput
+from uotlab.core import DivergenceSpec, DualPotential, InvalidInput, Problem
 from uotlab.divergence import divergence_for
 from uotlab.reg_solver import (
     RegSolveConfig,
@@ -227,6 +227,13 @@ def test_input_validation():
     p = make_1x1()
     with pytest.raises(InvalidInput):
         solve_dual_t(p, -1.0)
+    zero_ref = Problem(
+        [[0.0]], [[0.0]], [1.0], [1.0], [[1.0]],
+        divergence=DivergenceSpec(kind="kl", mu_ref=[0.0], nu_ref=[1.0]),
+        cost_kind="explicit",
+    )
+    with pytest.raises(InvalidInput):
+        solve_dual_t(zero_ref, 1.0)
     with pytest.raises(InvalidInput):
         RegSolveConfig(grad_tol=0.0)
 
