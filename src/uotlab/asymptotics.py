@@ -12,7 +12,7 @@ from .core import (
     InvalidInput,
     apply_A,
     incidence_columns,
-    span_bases,
+    spanning_forest,
 )
 from .divergence import F_conj_hess_diag, divergence_for
 from .reg_solver import clamped_exp, plan_exponent
@@ -53,21 +53,20 @@ def compute_d(xi_t, xi_star, t):
     return t * (xi_t.stacked - xi_star.stacked)
 
 
-def _span_residual(basis, m):
-    """Relative norm of the part of m outside the span of `basis`."""
-    resid = m - basis @ (basis.T @ m)
+def _span_residual(N, m):
+    """Relative norm of the part of m outside the saturated span (N: null basis)."""
     denom = np.linalg.norm(m)
-    return float(np.linalg.norm(resid) / denom) if denom > 0 else 0.0
+    return float(np.linalg.norm(N.T @ m) / denom) if denom > 0 else 0.0
 
 
 def e0_diagnostics(exact, shape):
-    """Basis of the saturated span and the projection residual of m*.
+    """(dim, relative residual of m*, orthonormal basis) of the saturated span.
 
-    Returns (dim, relative residual, orthonormal basis) where the basis
-    comes from a rank-revealing SVD of the saturated incidence columns.
+    The basis is a QR completion of the graph's null basis (`core.spanning_forest`).
     """
-    basis, _ = span_bases(incidence_columns(exact.I0, *shape))
-    return basis.shape[1], _span_residual(basis, exact.m_star.stacked), basis
+    _, N = spanning_forest(exact.I0, *shape)
+    basis = np.linalg.qr(np.hstack([N, np.eye(len(N))]))[0][:, N.shape[1]:]
+    return basis.shape[1], _span_residual(N, exact.m_star.stacked), basis
 
 
 def solve_d_star(exact, div, shape):
@@ -78,22 +77,17 @@ def solve_d_star(exact, div, shape):
     in the saturated span; d* is the minimal weighted-norm point (weight
     grad^2 F*(-xi*)) of the affine solution set.
     """
-    n_x, n_y = shape
     if not exact.I0:
         raise InvalidInput("saturated set is empty")
-    B = incidence_columns(exact.I0, n_x, n_y)
-    basis, N = span_bases(B)
-    if _span_residual(basis, exact.m_star.stacked) > 1e-6:
+    B = incidence_columns(exact.I0, *shape)
+    _, N = spanning_forest(exact.I0, *shape)
+    if _span_residual(N, exact.m_star.stacked) > 1e-6:
         raise RuntimeError("optimal marginals do not lie in the saturated span")
     rows, cols = np.asarray(exact.I0, dtype=int).T
     z0, *_ = np.linalg.lstsq(B.T, np.log(exact.gamma_star[rows, cols]), rcond=None)
-    if N.shape[1] == 0:
-        return z0
     # minimal weighted norm over z0 + (orthogonal complement of the span)
     weights = F_conj_hess_diag(-exact.xi_star.stacked, div)
-    G = N.T @ (weights[:, None] * N)
-    rhs = -N.T @ (weights * z0)
-    u = np.linalg.solve(G, rhs)
+    u = np.linalg.solve(N.T @ (weights[:, None] * N), -N.T @ (weights * z0))
     return z0 + N @ u
 
 

@@ -11,7 +11,7 @@ from . import io
 from .core import InvalidInput
 from .datasets import DATASET_KINDS, DatasetSpec, gen_dataset
 from .divergence import F_conj, divergence_for
-from .exact_solver import DegenerateInstance, solve_exact
+from .exact_solver import solve_exact
 from .reg_solver import RegSolveConfig, primal_objective, solve_dual_t
 from .sweep import SweepConfig, diagnostics_dict, emit_csv, read_csv, run_sweep
 from .plots import emit_svg
@@ -196,11 +196,9 @@ def cli_main(argv=None):
     except (InvalidInput, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except DegenerateInstance as exc:
-        print(f"degenerate instance: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
     except RuntimeError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
+        # DegenerateInstance, CrossoverFailed, ProjectionFailed, ...
+        print(f"non-convergence: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
 
 

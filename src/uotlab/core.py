@@ -213,14 +213,36 @@ def incidence_columns(entries, n_x, n_y):
     return B
 
 
-def span_bases(B):
-    """Orthonormal bases of the column span of B and of its complement.
+def spanning_forest(entries, n_x, n_y):
+    """Kruskal's forest of the bipartite graph whose edges are plan entries.
 
-    The split is at the numerical rank of a rank-revealing SVD.
+    An entry (i, j) is kept unless it closes a cycle with those before it.
+    Returns the kept positions and an orthonormal basis N of the null space
+    of incidence_columns(entries, n_x, n_y)^T: one column per connected
+    component, +1 on its x-nodes and -1 on its y-nodes, normalized.
     """
-    U, s, _ = np.linalg.svd(B, full_matrices=True)
-    rank = int(np.sum(s > s[0] * max(B.shape) * np.finfo(float).eps))
-    return U[:, :rank], U[:, rank:]
+    n = n_x + n_y
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = a = root[root[a]]  # path halving
+        return a
+
+    kept = []
+    for k, (i, j) in enumerate(entries):
+        if len(kept) == n - 1:
+            break  # a spanning tree: every later entry closes a cycle
+        a, b = find(int(i)), find(n_x + int(j))
+        if a != b:
+            root[a] = b
+            kept.append(k)
+    labels = [find(a) for a in range(n)]
+    _, comp, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    sign = np.where(np.arange(n) < n_x, 1.0, -1.0)
+    N = np.zeros((n, sizes.size))
+    N[np.arange(n), comp] = sign / np.sqrt(sizes[comp])
+    return kept, N
 
 
 def bipartite_hessian(G, diag):

@@ -1,13 +1,12 @@
 """Ground-truth solver for the unregularized dual and the limit plan.
 
 The constrained dual  min F*(-xi)  s.t.  A* xi <= c  is solved by a
-log-barrier interior-point method followed by an active-set polish that
-minimizes over the face of the saturated constraints to machine precision.
-Both run on the shared Newton kernel.  From the optimizer we read
-off the saturated set, the slack matrix, the common optimal marginals
-m* = grad F*(-xi*), and finally the minimal-entropy optimal plan
-gamma* = exp(A* z) on the saturated set, where z minimizes the reduced
-functional sum_{I0} exp((A* z)_xy) - <m*|z> over the saturated span.
+log-barrier interior-point method followed by a spanning-forest crossover
+that ends on the exact optimal face; both minimize with the shared Newton
+kernel.  From the optimizer we read off the saturated set, the slack matrix,
+the common optimal marginals m* = grad F*(-xi*), and finally the
+minimal-entropy optimal plan gamma* = exp(A* z) on the saturated set, where
+z minimizes the reduced functional sum_{I0} exp((A* z)_xy) - <m*|z>.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from .core import (
     InvalidInput,
     Marginals,
     apply_A,
-    apply_A_adjoint,
     incidence_columns,
     marginal_sums,
-    span_bases,
+    spanning_forest,
 )
 from .divergence import (
     F_conj,
@@ -42,19 +40,39 @@ from .reg_solver import clamped_exp
 BARRIER_T0 = 1.0
 BARRIER_FACTOR = 10.0
 BARRIER_GAP = 1e-10
-# centering stops at INNER_TOL * max(1, tau); also caps the polish's Newton steps
+# centering stops at INNER_TOL * max(1, tau); also caps the face solves' Newton steps
 INNER_TOL = 1e-11
 MAX_INNER_ITERS = 100
-# slack violation a polished point may have
-FEAS_TOL = 1e-8
-# face residual and reduced gradient the polish must reach, relative to max(1, |c_I0|)
-POLISH_TOL = 1e-13
+# reduced gradient a face solve must reach, relative to max(1, |c|)
+FACE_TOL = 1e-13
+# a forest edge whose flow is below -FLOW_TOL leaves; an entry whose slack is
+# below -SLACK_TOL enters, and one within SLACK_TOL of zero is saturated
+FLOW_TOL = 1e-13
+SLACK_TOL = 1e-12
+MAX_PIVOTS = 1000
 # marginal residual accepted in the limit plan, relative to the larger mass
 PROJ_RESIDUAL_TOL = 1e-10
 
 
 class DegenerateInstance(RuntimeError):
     """No saturated constraint at the dual optimum."""
+
+
+class CrossoverFailed(RuntimeError):
+    """The crossover reached MAX_PIVOTS pivots without an optimal forest."""
+
+    def __init__(self, pivots, min_slack, min_flow):
+        super().__init__(f"crossover stopped after {pivots} pivots: "
+                         f"min slack {min_slack:.3e}, min flow {min_flow:.3e}")
+        self.pivots, self.min_slack, self.min_flow = pivots, min_slack, min_flow
+
+
+class ProjectionFailed(RuntimeError):
+    """The limit plan misses the optimal marginals, e.g. ones outside the span of I0."""
+
+    def __init__(self, residual):
+        super().__init__(f"minimal-entropy plan misses the marginals by {residual:.3e}")
+        self.residual = residual
 
 
 @dataclass
@@ -70,14 +88,8 @@ class ExactSolution:
     flags: list = field(default_factory=list)
 
 
-def _sat_tol(problem, sat_tol=None):
-    if sat_tol is not None:
-        return sat_tol
-    return max(1e-7, 1e-6 * float(np.max(problem.cost, initial=0.0)))
-
-
-def _slack(xi, problem):
-    return problem.cost - apply_A_adjoint(xi)
+def _slack(problem, x):
+    return problem.cost - (x[:problem.n_x, None] + x[None, problem.n_x:])
 
 
 def _barrier_minimize(problem, div):
@@ -86,12 +98,11 @@ def _barrier_minimize(problem, div):
     # strictly feasible start: A* xi = -2 < c since c >= 0
     x = -np.ones(n_x + n_y)
     tau = BARRIER_T0
-    n_cons = n_x * n_y
     flags = []
 
     # the slacks at a trial point are computed once, by the value, and
     # reused by the gradient and the Hessian
-    slack = last_point_cache(lambda x: problem.cost - (x[:n_x, None] + x[None, n_x:]))
+    slack = last_point_cache(lambda x: _slack(problem, x))
 
     # +inf off the feasible set makes the line search reject such trial
     # points, which keeps every iterate strictly feasible
@@ -114,95 +125,70 @@ def _barrier_minimize(problem, div):
             INNER_TOL * max(1.0, tau), MAX_INNER_ITERS,
         )
         flags += ["barrier-" + f for f in stage_flags]
-        if n_cons / tau < BARRIER_GAP:
+        if n_x * n_y / tau < BARRIER_GAP:
             break
         tau *= BARRIER_FACTOR
-    lam = 1.0 / (tau * slack(x))
-    return DualPotential.from_stacked(x, n_x), lam, flags
+    return x, flags
 
 
-def _polish(problem, div, xi, I0_mask):
-    """Minimize F*(-xi) on the face (A* xi)_{I0} = c_{I0} from the barrier point.
+def _crossover(problem, div, x):
+    """Spanning-forest crossover from the barrier point to an optimal forest.
 
-    The barrier point is projected onto the face by least squares; the kernel
-    then minimizes over the face's free directions, and the multipliers come
-    from B lam = grad F*(-xi).  Drops constraints whose multipliers come out
-    negative and retries, so a slightly over-greedy saturation threshold
-    self-corrects.
+    Starts from Kruskal's forest in ascending slack.  Each pivot minimizes
+    F*(-xi) on the forest's face, solves B lam = grad F*(-xi) for the flows,
+    and drops the edge of most negative flow or, failing that, enters the
+    entry of most negative slack; if that closes a cycle, the decreasing cycle
+    edge of least flow leaves (the network-simplex ratio test).  Returns the
+    point, the flows and the forest once neither rule applies.
     """
-    n_x = problem.n_x
-    x0 = xi.stacked
-    mask = I0_mask.copy()
-    for _ in range(mask.sum() + 1):
-        idx = np.argwhere(mask)
-        if len(idx) == 0:
-            return None
-        B = incidence_columns(idx, n_x, problem.n_y)
-        _, N = span_bases(B)
-        c_act = problem.cost[mask]
-        tol = POLISH_TOL * max(1.0, np.max(np.abs(c_act)))
-        x_p = x0 + scipy.linalg.lstsq(B.T, c_act - B.T @ x0, check_finite=False)[0]
-        # a cycle whose costs do not add up has no point on the face; stop
-        # before Newton steps far off the face overflow exp
-        if np.max(np.abs(B.T @ x_p - c_act)) > tol:
-            return None
-
-        def at(u):
-            return -(x_p + N @ u)
-
-        u, _, grad, _, _ = newton_minimize(
-            lambda u: F_conj(at(u), div),
-            lambda u: -N.T @ F_conj_grad(at(u), div),
-            lambda u: N.T @ (F_conj_hess_diag(at(u), div)[:, None] * N),
+    n_x, n_y = problem.n_x, problem.n_y
+    c = problem.cost
+    # at the barrier, ascending slack is descending multiplier-to-slack ratio
+    order = np.argsort(_slack(problem, x), axis=None)
+    order = np.column_stack(np.unravel_index(order, c.shape))
+    forest = np.zeros(c.shape, dtype=bool)
+    forest[tuple(order[spanning_forest(order, n_x, n_y)[0]].T)] = True
+    tol = FACE_TOL * max(1.0, float(np.max(c)))
+    for pivots in range(MAX_PIVOTS + 1):
+        edges = np.argwhere(forest)
+        B = incidence_columns(edges, n_x, n_y)
+        _, N = spanning_forest(edges, n_x, n_y)  # the face's free directions
+        # least-squares projection onto the face, then the kernel along it
+        x = x + scipy.linalg.lstsq(B.T, c[forest] - B.T @ x, check_finite=False)[0]
+        u, *_ = newton_minimize(
+            lambda u: F_conj(-(x + N @ u), div),
+            lambda u: -N.T @ F_conj_grad(-(x + N @ u), div),
+            lambda u: N.T @ (F_conj_hess_diag(-(x + N @ u), div)[:, None] * N),
             np.zeros(N.shape[1]), tol, MAX_INNER_ITERS,
         )
-        if np.max(np.abs(grad), initial=0.0) > tol:
-            return None
-        x = x_p + N @ u
-        lam, *_ = scipy.linalg.lstsq(B, F_conj_grad(-x, div), check_finite=False)
-        if not np.any(lam < -1e-12):
-            lam_full = np.zeros((n_x, problem.n_y))
-            lam_full[mask] = np.maximum(lam, 0.0)
-            xi_new = DualPotential.from_stacked(x, n_x)
-            if np.min(_slack(xi_new, problem)) < -FEAS_TOL:
-                return None
-            return xi_new, lam_full
-        mask[tuple(idx[np.argmin(lam)])] = False
-    return None
+        x = x + N @ u
+        lam = scipy.linalg.lstsq(B, F_conj_grad(-x, div), check_finite=False)[0]
+        off = np.where(forest, math.inf, _slack(problem, x))
+        i, j = enter = np.unravel_index(np.argmin(off), c.shape)
+        min_flow = float(np.min(lam, initial=math.inf))
+        if min_flow >= -FLOW_TOL and off[enter] >= -SLACK_TOL:
+            flows = np.zeros(c.shape)
+            flows[forest] = np.maximum(lam, 0.0)
+            return x, flows, forest
+        if pivots == MAX_PIVOTS:
+            raise CrossoverFailed(pivots, float(off[enter]), min_flow)
+        if min_flow < -FLOW_TOL:
+            forest[tuple(edges[np.argmin(lam)])] = False
+            continue
+        if N[i] @ N[n_x + j] < 0:  # both ends in one component: a cycle
+            # the entering column is a signed sum of the cycle's forest
+            # columns; pushing flow onto it decreases those of sign +1
+            b_enter = incidence_columns([enter], n_x, n_y)[:, 0]
+            path = scipy.linalg.lstsq(B, b_enter, check_finite=False)[0]
+            forest[tuple(edges[np.argmin(np.where(path > 0.5, lam, math.inf))])] = False
+        forest[enter] = True
 
 
 def solve_dual_exact(problem):
     """Minimizer of F*(-xi) over the polyhedron A* xi <= c."""
-    xi, _, _ = _solve_dual_kkt(problem)
-    return xi
-
-
-def _solve_dual_kkt(problem):
-    """Dual minimizer together with KKT multipliers and diagnostic flags."""
     div = divergence_for(problem)
-    xi, lam, flags = _barrier_minimize(problem, div)
-    polished = _polish(problem, div, xi, _slack(xi, problem) <= _sat_tol(problem))
-    if polished is not None:
-        xi, lam_full = polished
-    else:
-        flags.append("polish-failed")
-        lam_full = lam
-    return xi, lam_full, flags
-
-
-def saturated_set(xi_star, problem, sat_tol=None):
-    """Slack matrix, saturated index set and the minimal off-set slack."""
-    sat_tol = _sat_tol(problem, sat_tol)
-    kappa = _slack(xi_star, problem)
-    if np.min(kappa) < -10 * sat_tol:
-        raise InvalidInput("xi_star is infeasible beyond tolerance")
-    mask = kappa <= sat_tol
-    I0 = [(int(i), int(j)) for i, j in np.argwhere(mask)]
-    if not I0:
-        raise DegenerateInstance("no saturated constraint at the dual optimum")
-    off = kappa[~mask]
-    kappa_star = float(off.min()) if off.size else math.inf
-    return I0, kappa, kappa_star
+    x = _crossover(problem, div, _barrier_minimize(problem, div)[0])[0]
+    return DualPotential.from_stacked(x, problem.n_x)
 
 
 def optimal_marginals(xi_star, div):
@@ -216,53 +202,62 @@ def minimal_entropy_plan(I0, m_star, shape):
     """Entropy-minimal plan with marginals m_star supported on I0.
 
     The plan is exp(A* z) on I0, where z minimizes the strictly convex
-    reduced functional sum_{I0} exp((A* z)_xy) - <m*|z> over the span of
-    the saturated incidence columns.
+    reduced functional sum_{I0} exp((A* z)_xy) - <m*|z> with z pinned to 0
+    at one node of every connected component of I0.  Raises
+    ProjectionFailed when m_star is not the marginal of such a plan.
     """
     n_x, n_y = shape
-    B = incidence_columns(I0, n_x, n_y)
-    basis, _ = span_bases(B)
-    Bb = B.T @ basis  # saturated coordinates of the basis vectors
+    pinned = np.argmax(spanning_forest(I0, n_x, n_y)[1] != 0, axis=0)
+    free = np.setdiff1d(np.arange(n_x + n_y), pinned)
+    Bf = incidence_columns(I0, n_x, n_y)[free].T  # (A* z)_{I0} of the free nodes
     m = np.maximum(np.concatenate([m_star.row, m_star.col]), 0.0)
-    mb = basis.T @ m
+    mf = m[free]
 
     def expo(w):
-        return clamped_exp(Bb @ w)
+        return clamped_exp(Bf @ w)
 
     w, *_ = newton_minimize(
-        lambda w: float(np.sum(expo(w)) - mb @ w),
-        lambda w: Bb.T @ expo(w) - mb,
-        lambda w: Bb.T @ (expo(w)[:, None] * Bb),
-        np.zeros(basis.shape[1]),
-        1e-13 * max(1.0, float(np.max(np.abs(mb)))),
+        lambda w: float(np.sum(expo(w)) - mf @ w),
+        lambda w: Bf.T @ expo(w) - mf,
+        lambda w: Bf.T @ (expo(w)[:, None] * Bf),
+        np.zeros(free.size),
+        1e-13 * max(1.0, float(np.max(mf, initial=0.0))),
         200,
     )
     gamma = np.zeros(shape)
     rows, cols = np.asarray(I0, dtype=int).T
     gamma[rows, cols] = expo(w)
-    scale = max(m[:n_x].sum(), m[n_x:].sum(), 1.0)
-    if np.max(np.abs(apply_A(gamma).stacked - m)) > PROJ_RESIDUAL_TOL * scale:
-        raise RuntimeError("minimal-entropy projection did not converge")
+    residual = float(np.max(np.abs(apply_A(gamma).stacked - m)))
+    if residual > PROJ_RESIDUAL_TOL * max(m[:n_x].sum(), m[n_x:].sum(), 1.0):
+        raise ProjectionFailed(residual)
     return gamma
 
 
 def solve_exact(problem):
-    """Full exact pipeline: dual optimizer, saturated set, marginals, limit plan."""
+    """Full exact pipeline: dual optimizer, saturated set, marginals, limit plan.
+
+    The saturated set I0 is the crossover's optimal forest plus the entries
+    whose slack is within SLACK_TOL of zero.
+    """
     div = divergence_for(problem)
-    xi_star, lam, flags = _solve_dual_kkt(problem)
-    I0, kappa, kappa_star = saturated_set(xi_star, problem)
+    x, flags = _barrier_minimize(problem, div)
+    x, lam, forest = _crossover(problem, div, x)
+    xi_star = DualPotential.from_stacked(x, problem.n_x)
+    kappa = _slack(problem, x)
+    mask = forest | (kappa <= SLACK_TOL)
+    I0 = [(int(i), int(j)) for i, j in np.argwhere(mask)]
+    if not I0:
+        raise DegenerateInstance("no saturated constraint at the dual optimum")
     m_star = optimal_marginals(xi_star, div)
-    gamma_star = minimal_entropy_plan(I0, m_star, (problem.n_x, problem.n_y))
-    converged = "polish-failed" not in flags and "barrier-linesearch-stalled" not in flags
     return ExactSolution(
         xi_star=xi_star,
         kappa=kappa,
         I0=I0,
-        kappa_star=kappa_star,
+        kappa_star=float(np.min(kappa[~mask], initial=math.inf)),
         m_star=m_star,
-        gamma_star=gamma_star,
+        gamma_star=minimal_entropy_plan(I0, m_star, kappa.shape),
         lam=lam,
-        converged=converged,
+        converged="barrier-linesearch-stalled" not in flags,
         flags=flags,
     )
 

@@ -1,7 +1,7 @@
 """Damped Newton minimization shared by every smooth solve in the lab.
 
 One loop serves the regularized dual, the barrier centering steps, the
-polish on the saturated face of the exact reference and the reduced
+face solves of the exact reference's crossover and the reduced
 limit-plan functional: Cholesky steps with a ridge retry, Armijo
 backtracking, and an exit at the objective's rounding floor.  Transport-shaped
 Hessians take a Schur-complement step (`core.bipartite_solve`) instead of a

@@ -1,12 +1,11 @@
 """t-sweeps with warm starts, error diagnostics and CSV emission.
 
 Each sweep point starts from the previous solution moved along the trajectory
-tangent (`reg_solver.predicted_start`).
+tangent (`reg_solver.predicted_start`); only the first point is solved cold.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +25,6 @@ from .core import InvalidInput, discrete_entropy
 from .divergence import divergence_for
 from .exact_solver import solve_exact
 from .reg_solver import RegSolveConfig, plan_exponent, predicted_start, solve_dual_t
-
-log = logging.getLogger(__name__)
 
 CSV_HEADER = "t,dual_err,primal_err,ode_residual,entropy,iters,flags"
 # gradient tolerance of the sweep's solves (the CLI `solve` default is 1e-10)
@@ -82,12 +79,6 @@ def run_sweep(problem, config=None, exact=None):
     for t in grid[1:]:
         init = predicted_start(problem, sols[-1], float(t), div)
         sols.append(solve_dual_t(problem, float(t), reg_cfg, init=init))
-    cold = solve_dual_t(problem, float(grid[-1]), reg_cfg)
-    if sols[-1].iters > cold.iters:
-        log.warning(
-            "warm-started solve used more iterations than cold start "
-            "(%d > %d) at t=%g", sols[-1].iters, cold.iters, grid[-1]
-        )
 
     points = []
     for k, (t, sol) in enumerate(zip(grid, sols)):

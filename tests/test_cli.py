@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from uotlab.cli import EXIT_INVALID, EXIT_OK, cli_main
+from uotlab import exact_solver
+from uotlab.cli import EXIT_INVALID, EXIT_NONCONVERGED, EXIT_OK, cli_main
 
 
 def test_gen_then_sweep_exit_zero(tmp_path):
@@ -46,6 +47,22 @@ def test_exact_rejects_malformed_cost(tmp_path, capsys):
     assert cli_main(["exact", "--problem", str(prob), "--out", str(out)]) \
         == EXIT_INVALID
     assert "cost" in capsys.readouterr().err
+
+
+def test_exact_names_a_crossover_failure(tmp_path, capsys, monkeypatch):
+    # the hand instance needs one pivot; with none allowed the CLI reports
+    # the named error and exits as non-converged
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({
+        "points_x": [[0.0], [1.0]], "points_y": [[0.0], [1.0]],
+        "mu": [1.0, 1.0], "nu": [1.0, 1.0],
+        "cost": {"kind": "explicit", "matrix": [[1.0, 2.0], [2.0, 1.0]]},
+    }))
+    monkeypatch.setattr(exact_solver, "MAX_PIVOTS", 0)
+    out = tmp_path / "exact.json"
+    assert cli_main(["exact", "--problem", str(prob), "--out", str(out)]) \
+        == EXIT_NONCONVERGED
+    assert "CrossoverFailed" in capsys.readouterr().err
 
 
 def test_solve_writes_solution(tmp_path):

@@ -15,8 +15,10 @@ from uotlab.core import (
     bipartite_solve,
     build_cost,
     discrete_entropy,
+    incidence_columns,
     marginal_matrix,
     marginal_sums,
+    spanning_forest,
 )
 from uotlab.newton import newton_minimize
 
@@ -202,3 +204,29 @@ def test_stacked_round_trip():
     back = DualPotential.from_stacked(xi.stacked, 2)
     assert np.all(back.phi == xi.phi) and np.all(back.psi == xi.psi)
     assert np.allclose(Marginals([1.0], [2.0, 3.0]).stacked, [1.0, 2.0, 3.0])
+
+
+def test_spanning_forest_null_basis_matches_svd():
+    # random masks with cycles, isolated nodes and empty rows: the signed
+    # component indicators must span the SVD null space of B^T, and Kruskal
+    # must keep a maximal forest (each dropped entry closes a cycle)
+    rng = np.random.default_rng(97)
+    seen = {"cycle": 0, "isolated": 0, "empty row": 0}
+    for n_x, n_y, density in [(1, 1, 1.0), (3, 4, 0.3), (5, 5, 0.5), (6, 3, 0.9),
+                              (8, 9, 0.15), (4, 7, 0.0), (2, 6, 0.6)]:
+        for _ in range(10):
+            mask = rng.random((n_x, n_y)) < density
+            mask[rng.integers(n_x)] = False
+            entries = rng.permutation(np.argwhere(mask))
+            kept, N = spanning_forest(entries, n_x, n_y)
+            B = incidence_columns(entries, n_x, n_y)
+            U, s, _ = np.linalg.svd(B, full_matrices=True)
+            rank = int(np.sum(s > 1e-10))
+            null = U[:, rank:]
+            assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-12)
+            assert np.max(np.abs(N @ N.T - null @ null.T), initial=0.0) <= 1e-12
+            assert np.linalg.matrix_rank(B[:, kept]) == len(kept) == rank
+            seen["cycle"] += len(kept) < len(entries)
+            seen["isolated"] += bool(np.any(np.all(B == 0, axis=1)))
+            seen["empty row"] += bool(np.any(~mask.any(axis=1)))
+    assert min(seen.values()) >= 10, seen

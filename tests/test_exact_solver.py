@@ -1,28 +1,29 @@
-"""Ground-truth solver: KKT quality, saturated-set mechanics, limit plan."""
+"""Ground-truth solver: KKT quality, crossover mechanics, limit plan."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
+from uotlab import exact_solver
 from uotlab.core import (
     DivergenceSpec,
     DualPotential,
     Marginals,
     Problem,
     apply_A,
-    incidence_columns,
+    spanning_forest,
 )
+from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.divergence import F_conj, divergence_for
 from uotlab.exact_solver import (
+    CrossoverFailed,
     DegenerateInstance,
-    _barrier_minimize,
-    _polish,
+    ProjectionFailed,
+    _crossover,
     brute_force_primal,
     minimal_entropy_plan,
     optimal_marginals,
-    saturated_set,
     solve_dual_exact,
     solve_exact,
 )
@@ -55,40 +56,36 @@ def test_1x1_zero_cost_quadratic():
 
 
 def test_saturated_set_hand_instance():
-    # rational data: slack matrix [[0, 3/2], [1/2, 0]]
+    # symmetric kl data: xi* = 1/2 everywhere, slack matrix [[0, 1], [1, 0]];
+    # the Kruskal tree holds one off-diagonal entry, whose flow comes out
+    # e^-1 - 1 < 0, so the crossover drops it
     p = Problem(
         [[0.0], [1.0]], [[0.0], [1.0]], [1.0, 1.0], [1.0, 1.0],
         [[1.0, 2.0], [2.0, 1.0]], cost_kind="explicit",
     )
-    xi = DualPotential([0.5, 1.0], [0.5, 0.0])
-    I0, kappa, kappa_star = saturated_set(xi, p)
-    assert I0 == [(0, 0), (1, 1)]
-    assert np.allclose(kappa, [[0.0, 1.5], [0.5, 0.0]])
-    assert kappa_star == pytest.approx(0.5)
+    ex = solve_exact(p)
+    assert ex.I0 == [(0, 0), (1, 1)]
+    assert np.allclose(ex.xi_star.stacked, 0.5, atol=1e-14)
+    assert np.allclose(ex.kappa, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+    assert ex.kappa_star == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(ex.gamma_star, np.exp(-0.5) * np.eye(2), atol=1e-14)
 
 
-def test_saturated_set_threshold_stability():
+def test_crossover_repairs_an_infeasible_start():
+    # slack -3 at the start: the crossover enters the entry and lands on xi*
     p = make_1x1(c=1.0)
-    sat_tol = 1e-6
-    base = DualPotential([0.5], [0.5])
-    I0, _, _ = saturated_set(base, p, sat_tol)
-    nudged = DualPotential([0.5 - sat_tol / 10], [0.5])
-    I0b, _, _ = saturated_set(nudged, p, sat_tol)
-    assert I0 == I0b
-
-
-def test_saturated_set_infeasible_rejected():
-    from uotlab.core import InvalidInput
-
-    p = make_1x1(c=1.0)
-    with pytest.raises(InvalidInput):
-        saturated_set(DualPotential([2.0], [2.0]), p, 1e-6)
+    x, lam, forest = _crossover(p, divergence_for(p), np.array([2.0, 2.0]))
+    assert np.allclose(x, 0.5, atol=1e-14)
+    assert forest.tolist() == [[True]]
+    assert lam[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-14)
 
 
 def test_empty_saturated_set_degenerate():
-    p = make_1x1(c=1.0)
+    # the quadratic conjugate is minimized at xi = 1, strictly inside
+    # xi_x + xi_y <= 10: the crossover drops the only edge (flow -4)
+    p = make_1x1(c=10.0, kind="quadratic")
     with pytest.raises(DegenerateInstance):
-        saturated_set(DualPotential([-1.0], [-1.0]), p, 1e-8)
+        solve_exact(p)
 
 
 def test_optimal_marginals_reference():
@@ -110,6 +107,15 @@ def test_minimal_entropy_plan_product_form():
     m = Marginals([1.0, 1.0], [1.0, 1.0])
     g = minimal_entropy_plan(I0, m, (2, 2))
     assert np.allclose(g, 0.5, atol=1e-9)
+
+
+def test_minimal_entropy_plan_rejects_marginals_off_the_span():
+    # on I0 = {(0, 0)} a plan has equal row and column sums; 1 and 2 are not
+    m = Marginals([1.0], [2.0])
+    with pytest.raises(ProjectionFailed) as info:
+        minimal_entropy_plan([(0, 0)], m, (1, 1))
+    assert isinstance(info.value, RuntimeError)
+    assert info.value.residual > 0.1
 
 
 def test_minimal_entropy_plan_golden_section_oracle():
@@ -164,40 +170,81 @@ def test_kkt_quality_random_instances(kind):
         ) <= 1e-8
 
 
-def test_polish_drops_an_unsaturated_entry():
-    # forcing one off-support constraint that keeps the saturated graph a
-    # forest gives it a negative multiplier; the polish must drop it again
+def test_crossover_drops_an_unsaturated_entry():
+    # from a start far off the optimum, Kruskal's tree holds entries outside
+    # I0 (they must be dropped) and misses violated ones (they must enter);
+    # every start ends on xi*
     rng = np.random.default_rng(83)
-    recovered = 0
+    dropped = infeasible = 0
     for k in range(60):
-        p = random_problem(rng, kind=("kl", "quadratic")[k % 2])
+        p = random_problem(rng, n_x=3, n_y=3, kind=("kl", "quadratic")[k % 2])
         ex = solve_exact(p)
-        div = divergence_for(p)
-        xi_bar, _, _ = _barrier_minimize(p, div)
-        for i, j in np.argwhere(ex.kappa > 0):
-            entries = ex.I0 + [(i, j)]
-            B = incidence_columns(entries, p.n_x, p.n_y)
-            if np.linalg.matrix_rank(B) < len(entries):
-                continue  # the extra edge would close a cycle
-            mask = np.zeros((p.n_x, p.n_y), dtype=bool)
-            mask[tuple(np.transpose(entries))] = True
-            xi, lam = _polish(p, div, xi_bar, mask)
-            assert np.max(np.abs(xi.stacked - ex.xi_star.stacked)) <= 1e-12
-            assert lam[i, j] == 0.0
-            recovered += 1
-    assert recovered >= 50
+        x0 = ex.xi_star.stacked + rng.normal(0.0, 1.0, p.n_x + p.n_y)
+        kappa0 = p.cost - (x0[:3, None] + x0[None, 3:])
+        order = np.column_stack(np.unravel_index(np.argsort(kappa0, axis=None), (3, 3)))
+        start = {tuple(e) for e in order[spanning_forest(order, 3, 3)[0]]}
+        x, lam, forest = _crossover(p, divergence_for(p), x0)
+        assert np.max(np.abs(x - ex.xi_star.stacked)) <= 1e-12
+        assert np.all(lam[~forest] == 0.0) and np.all(lam >= 0.0)
+        dropped += bool(start - set(ex.I0))
+        infeasible += bool(np.min(kappa0) < 0)
+    assert dropped >= 50 and infeasible >= 50
 
 
-def test_polish_rejects_inconsistent_cycle():
-    # all four entries of a 2x2 instance form a cycle, and random costs
-    # violate c00 + c11 = c01 + c10, so the face is empty
-    rng = np.random.default_rng(89)
-    p = random_problem(rng, n_x=2, n_y=2)
+def test_crossover_ratio_test_on_a_cycle(monkeypatch):
+    # from xi = (1/2, -1 | 1/2, -1) the slack order gives the tree
+    # {(0,0), (0,1), (1,0)}; its face leaves (1,1) at slack -2, which closes
+    # the cycle x1-y0-x0-y1.  The ratio test must push out a decreasing
+    # edge, (0,1) or (1,0), never the increasing (0,0)
+    p = Problem(
+        [[0.0], [1.0]], [[0.0], [1.0]], [1.0, 1.0], [1.0, 1.0],
+        [[1.0, 2.0], [2.0, 1.0]], cost_kind="explicit",
+    )
+    forests = []
+
+    def recording(entries, n_x, n_y):
+        forests.append({tuple(map(int, e)) for e in entries})
+        return spanning_forest(entries, n_x, n_y)
+
+    monkeypatch.setattr(exact_solver, "spanning_forest", recording)
+    x, _, forest = _crossover(p, divergence_for(p), np.array([0.5, -1.0, 0.5, -1.0]))
+    assert forests[1] == {(0, 0), (0, 1), (1, 0)}
+    assert len(forests[2]) == 3 and {(0, 0), (1, 1)} <= forests[2]
+    assert np.allclose(x, 0.5, atol=1e-14)
+    assert forest.tolist() == [[True, False], [False, True]]
+
+
+def test_crossover_pivot_cap_raises_named_error(monkeypatch):
+    # the hand instance needs one pivot; a cap of 0 reports its margins
+    p = Problem(
+        [[0.0], [1.0]], [[0.0], [1.0]], [1.0, 1.0], [1.0, 1.0],
+        [[1.0, 2.0], [2.0, 1.0]], cost_kind="explicit",
+    )
+    monkeypatch.setattr(exact_solver, "MAX_PIVOTS", 0)
+    with pytest.raises(CrossoverFailed) as info:
+        solve_exact(p)
+    assert isinstance(info.value, RuntimeError)
+    assert info.value.pivots == 0
+    assert info.value.min_flow == pytest.approx(np.exp(-1.0) - 1.0, abs=1e-12)
+
+
+LADDER = [(seed, 13, div) for seed in range(40) for div in ("kl", "quadratic")]
+LADDER += [(4, n, div) for n in (60, 120) for div in ("kl", "quadratic")]
+
+
+@pytest.mark.parametrize("seed,n_x,div", LADDER)
+def test_exact_reference_ladder(seed, n_x, div):
+    # point clouds at the default size and two larger ones: every reference
+    # converges with duality gap <= 1e-8 and complementarity <= 1e-10
+    p = gen_dataset(DatasetSpec(
+        kind="point-clouds", seed=seed, divergence=div, n_x=n_x, n_y=n_x + 2,
+    ))
+    ex = solve_exact(p)
+    assert ex.converged
     div = divergence_for(p)
-    xi_bar, _, _ = _barrier_minimize(p, div)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert _polish(p, div, xi_bar, np.ones((2, 2), dtype=bool)) is None
+    gap = primal_objective(ex.gamma_star, p) + F_conj(-ex.xi_star.stacked, div)
+    assert abs(gap) <= 1e-8
+    assert float(np.max(np.abs(ex.gamma_star * ex.kappa))) <= 1e-10
 
 
 def test_kkt_multipliers_are_primal_feasible():
