@@ -15,6 +15,7 @@ from .core import (
     spanning_forest,
 )
 from .divergence import F_conj_hess_diag, divergence_for
+from .exact_solver import ProjectionFailed
 from .reg_solver import clamped_exp, plan_exponent
 
 # sweep errors below this are solver noise and are excluded from rate fits
@@ -81,8 +82,9 @@ def solve_d_star(exact, div, shape):
         raise InvalidInput("saturated set is empty")
     B = incidence_columns(exact.I0, *shape)
     _, N = spanning_forest(exact.I0, *shape)
-    if _span_residual(N, exact.m_star.stacked) > 1e-6:
-        raise RuntimeError("optimal marginals do not lie in the saturated span")
+    residual = _span_residual(N, exact.m_star.stacked)
+    if residual > 1e-6:
+        raise ProjectionFailed(residual)
     rows, cols = np.asarray(exact.I0, dtype=int).T
     z0, *_ = np.linalg.lstsq(B.T, np.log(exact.gamma_star[rows, cols]), rcond=None)
     # minimal weighted norm over z0 + (orthogonal complement of the span)

@@ -284,17 +284,3 @@ def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
     s_a = (r_a - G @ s_b) / a
     return np.concatenate([s_b, s_a] if flip else [s_a, s_b])
 
-
-def marginal_matrix(n_x, n_y):
-    """Dense matrix of the marginal operator in the canonical plan basis.
-
-    Columns are indexed by plan entries in row-major order; used only for
-    small cross-checks.
-    """
-    A = np.zeros((n_x + n_y, n_x * n_y))
-    for i in range(n_x):
-        for j in range(n_y):
-            k = i * n_y + j
-            A[i, k] = 1.0
-            A[n_x + j, k] = 1.0
-    return A

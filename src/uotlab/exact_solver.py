@@ -30,7 +30,7 @@ from .divergence import (
     F_conj,
     F_conj_grad,
     F_conj_hess_diag,
-    F_value,
+    csiszar,
     divergence_for,
 )
 from .newton import last_point_cache, newton_minimize
@@ -184,13 +184,6 @@ def _crossover(problem, div, x):
         forest[enter] = True
 
 
-def solve_dual_exact(problem):
-    """Minimizer of F*(-xi) over the polyhedron A* xi <= c."""
-    div = divergence_for(problem)
-    x = _crossover(problem, div, _barrier_minimize(problem, div)[0])[0]
-    return DualPotential.from_stacked(x, problem.n_x)
-
-
 def optimal_marginals(xi_star, div):
     """Common marginal vector of every primal optimizer: grad F*(-xi*)."""
     n = xi_star.phi.size
@@ -281,7 +274,7 @@ def brute_force_primal(problem, n_restarts=20, seed=0):
     def objective(g):
         gamma = g.reshape(n_x, n_y)
         p = apply_A(gamma).stacked
-        return float(c @ g) + F_value(p, div)
+        return float(c @ g) + csiszar(p, div.q, div.entropy)
 
     def grad(g):
         gamma = g.reshape(n_x, n_y)
@@ -289,16 +282,8 @@ def brute_force_primal(problem, n_restarts=20, seed=0):
         ratio = np.maximum(p, 1e-300) / q
         if ent.name.startswith("kl"):
             dF = np.log(ratio)
-        elif ent.name == "quadratic":
+        else:  # quadratic
             dF = ratio - 1.0
-        else:
-            h = 1e-7
-            dF = np.array(
-                [
-                    (F_value(p + h * e, div) - F_value(p - h * e, div)) / (2 * h)
-                    for e in np.eye(p.size)
-                ]
-            )
         mat = dF[:n_x, None] + dF[None, n_x:]
         return c + mat.ravel()
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 
 from .core import COST_KINDS, DivergenceSpec, InvalidInput, Problem, build_cost
-from .divergence import _ENTROPIES
+from .divergence import get_entropy
 
 
 def problem_to_dict(problem):
@@ -52,8 +52,7 @@ def problem_from_dict(data):
     cost = build_cost(points_x, points_y, kind, matrix=cost_spec.get("matrix"))
     div_spec = _object(data, "divergence", {"kind": "kl"}, "divergence")
     div_kind = div_spec.get("kind", "kl")
-    if div_kind not in _ENTROPIES:
-        raise InvalidInput(f"unknown divergence kind: {div_kind!r}")
+    get_entropy(div_kind)  # raises InvalidInput on an unknown kind
     qref = div_spec.get("q")
     if qref is not None:
         qref = _object(div_spec, "q", None, "divergence.q")

@@ -24,13 +24,12 @@ from .core import (
     DualPotential,
     InvalidInput,
     apply_A,
-    apply_A_adjoint,
     bipartite_hessian,
     bipartite_solve,
     discrete_entropy,
     marginal_sums,
 )
-from .divergence import F_conj, F_conj_grad, F_conj_hess_diag, F_value, divergence_for
+from .divergence import F_conj, F_conj_grad, F_conj_hess_diag, csiszar, divergence_for
 from .newton import last_point_cache, newton_minimize
 
 # exponent clamp keeping exp() representable; hit only on wild line-search
@@ -218,14 +217,9 @@ def solve_primal_t(problem, t, config=None, init=None):
 def primal_objective(gamma, problem, t=None):
     """Transport cost plus marginal penalty, plus the entropy term when t is given."""
     div = divergence_for(problem)
-    val = float(np.sum(problem.cost * gamma)) + F_value(apply_A(gamma).stacked, div)
+    p = apply_A(gamma).stacked
+    val = float(np.sum(problem.cost * gamma)) + csiszar(p, div.q, div.entropy)
     if t is not None:
         val += discrete_entropy(gamma) / t
     return val
 
-
-def coercivity_floor(xi, problem, div=None):
-    """Lower bound F*(-xi) + sum (A* xi - c)_+ valid for K_t at every t."""
-    div = divergence_for(problem) if div is None else div
-    excess = apply_A_adjoint(xi) - problem.cost
-    return F_conj(-xi.stacked, div) + float(np.sum(np.maximum(excess, 0.0)))

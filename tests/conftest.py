@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from uotlab.core import DivergenceSpec, Problem
+from uotlab.core import DivergenceSpec, Problem, apply_A_adjoint
+from uotlab.divergence import F_conj, divergence_for
 
 
 def make_1x1(c=1.0, kind="kl", mass=1.0):
@@ -33,6 +34,28 @@ def random_problem(rng, n_x=None, n_y=None, kind="kl", max_n=3):
         divergence=DivergenceSpec(kind=kind),
         cost_kind="explicit",
     )
+
+
+def marginal_matrix(n_x, n_y):
+    """Dense matrix of the marginal operator in the canonical plan basis.
+
+    Columns are indexed by plan entries in row-major order; used only for
+    small cross-checks.
+    """
+    A = np.zeros((n_x + n_y, n_x * n_y))
+    for i in range(n_x):
+        for j in range(n_y):
+            k = i * n_y + j
+            A[i, k] = 1.0
+            A[n_x + j, k] = 1.0
+    return A
+
+
+def coercivity_floor(xi, problem, div=None):
+    """Lower bound F*(-xi) + sum (A* xi - c)_+ valid for K_t at every t."""
+    div = divergence_for(problem) if div is None else div
+    excess = apply_A_adjoint(xi) - problem.cost
+    return F_conj(-xi.stacked, div) + float(np.sum(np.maximum(excess, 0.0)))
 
 
 @pytest.fixture

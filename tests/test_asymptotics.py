@@ -14,10 +14,10 @@ from uotlab.asymptotics import (
     xi_dot_finite_difference,
     xi_dot_log_grid,
 )
-from uotlab.core import DualPotential, InvalidInput, Problem
+from uotlab.core import DualPotential, InvalidInput, Marginals, Problem
 from uotlab.datasets import DatasetSpec, gen_dataset
-from uotlab.divergence import divergence_for
-from uotlab.exact_solver import solve_exact
+from uotlab.divergence import DivergenceF, divergence_for, get_entropy
+from uotlab.exact_solver import ExactSolution, ProjectionFailed, solve_exact
 from uotlab.reg_solver import RegSolveConfig, solve_dual_t, trajectory_tangent
 from uotlab.sweep import GRAD_TOL, SweepConfig, run_sweep, t_grid
 
@@ -65,6 +65,25 @@ def test_d_star_identity_off_support():
         rows, cols = np.array(ex.I0).T
         lifted = np.exp(d_star[rows] + d_star[p.n_x + cols])
         assert np.max(np.abs(ex.gamma_star[rows, cols] - lifted)) <= tol
+
+
+def test_solve_d_star_rejects_marginals_off_the_span():
+    # I0 = diagonal of 2x2: each component {x_i, y_i} needs equal row and
+    # column mass, which m* = (1, 1 | 2, 1) breaks in the first one
+    ex = ExactSolution(
+        xi_star=DualPotential.zeros(2, 2),
+        kappa=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        I0=[(0, 0), (1, 1)],
+        kappa_star=1.0,
+        m_star=Marginals([1.0, 1.0], [2.0, 1.0]),
+        gamma_star=np.eye(2),
+        lam=np.eye(2),
+        converged=True,
+    )
+    div = DivergenceF(get_entropy("kl"), np.ones(4))
+    with pytest.raises(ProjectionFailed) as info:
+        solve_d_star(ex, div, (2, 2))
+    assert info.value.residual > 1e-6
 
 
 @pytest.mark.parametrize("kind,seed,div", SHIPPED)

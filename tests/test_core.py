@@ -16,11 +16,12 @@ from uotlab.core import (
     build_cost,
     discrete_entropy,
     incidence_columns,
-    marginal_matrix,
     marginal_sums,
     spanning_forest,
 )
 from uotlab.newton import newton_minimize
+
+from conftest import marginal_matrix
 
 
 def test_apply_A_small_matrix():

@@ -7,13 +7,10 @@ import pytest
 
 from uotlab.core import InvalidInput
 from uotlab.divergence import (
-    CustomEntropy,
     DivergenceF,
-    DomainError,
     F_conj,
     F_conj_grad,
     F_conj_hess_diag,
-    F_value,
     csiszar,
     get_entropy,
 )
@@ -72,8 +69,6 @@ def test_second_derivative_positive(ent):
 
 
 def test_recession_constants():
-    assert KL.recession() == math.inf
-    assert QUAD.recession() == math.inf
     # superlinear: the ratio phi(x)/x keeps growing with x
     for ent in (KL, QUAD):
         r_small = float(ent.phi(np.array(1e2))) / 1e2
@@ -132,43 +127,7 @@ def test_positive_reference_required_for_superlinear():
         DivergenceF(KL, np.array([1.0, 0.0]))
 
 
-def test_F_value_outside_domain():
-    div = DivergenceF(KL, np.array([1.0]))
-    assert F_value(np.array([-0.1]), div) == math.inf
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(InvalidInput):
         get_entropy("total-variation")
 
-
-def test_custom_entropy_passes_fd_suite():
-    # power entropy phi(x) = x^2 - x, conjugate (y+1)^2/4
-    ent = CustomEntropy(
-        phi_fn=lambda x: x * x - x,
-        conj_fn=lambda y: 0.25 * (y + 1.0) ** 2,
-        conj_d1_fn=lambda y: 0.5 * (y + 1.0),
-        conj_d2_fn=lambda y: 0.5 * np.ones_like(y),
-    )
-    div = DivergenceF(ent, np.array([1.3, 0.7]))
-    rng = np.random.default_rng(13)
-    arg = rng.uniform(-1.0, 1.0, 2)
-    h = 1e-6
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = h
-        fd = (F_conj(arg + e, div) - F_conj(arg - e, div)) / (2 * h)
-        assert abs(F_conj_grad(arg, div)[k] - fd) <= 1e-6
-
-
-def test_domain_error_outside_interior():
-    ent = CustomEntropy(
-        phi_fn=lambda x: np.where(x > 0, -np.log(x), np.inf),
-        conj_fn=lambda y: -1.0 - np.log(-y),
-        conj_d1_fn=lambda y: -1.0 / y,
-        conj_d2_fn=lambda y: 1.0 / (y * y),
-        domain_interior=(-math.inf, 0.0),
-    )
-    div = DivergenceF(ent, np.array([1.0]))
-    with pytest.raises(DomainError):
-        F_conj(np.array([0.5]), div)

@@ -24,12 +24,12 @@ from uotlab.exact_solver import (
     brute_force_primal,
     minimal_entropy_plan,
     optimal_marginals,
-    solve_dual_exact,
     solve_exact,
 )
-from uotlab.reg_solver import primal_objective, solve_primal_t
+from uotlab.io import problem_from_dict, problem_to_dict
+from uotlab.reg_solver import primal_objective, solve_dual_t, solve_primal_t
 
-from conftest import make_1x1, random_problem
+from conftest import make_1x1, marginal_matrix, random_problem
 
 
 def test_1x1_closed_forms_kl():
@@ -44,7 +44,7 @@ def test_1x1_closed_forms_kl():
 
 def test_1x1_zero_cost_kl():
     p = make_1x1(c=0.0, kind="kl")
-    xi = solve_dual_exact(p)
+    xi = solve_exact(p).xi_star
     assert np.allclose(xi.stacked, [0.0, 0.0], atol=1e-8)
 
 
@@ -247,6 +247,27 @@ def test_exact_reference_ladder(seed, n_x, div):
     assert float(np.max(np.abs(ex.gamma_star * ex.kappa))) <= 1e-10
 
 
+@pytest.mark.parametrize("kind,seed", [("point-clouds", 4), ("gaussians-1d", 0)])
+def test_normalized_kl_matches_kl_through_the_solvers(kind, seed):
+    # kl-normalized shifts phi by +1 and phi* by -1, so every minimizer is
+    # the one of kl; the gap runs csiszar with the shifted phi
+    doc = problem_to_dict(gen_dataset(DatasetSpec(kind=kind, seed=seed, divergence="kl")))
+    p_kl = problem_from_dict(doc)
+    p_nkl = problem_from_dict({**doc, "divergence": {"kind": "kl-normalized"}})
+    assert divergence_for(p_nkl).entropy.name == "kl-normalized"
+    for t in (1.0, 1e2, 1e4):
+        xi_kl = solve_dual_t(p_kl, t).xi.stacked
+        xi_nkl = solve_dual_t(p_nkl, t).xi.stacked
+        assert np.max(np.abs(xi_kl - xi_nkl)) <= 1e-12
+    ex_kl, ex_nkl = solve_exact(p_kl), solve_exact(p_nkl)
+    assert ex_nkl.I0 == ex_kl.I0
+    assert np.max(np.abs(ex_nkl.xi_star.stacked - ex_kl.xi_star.stacked)) <= 1e-12
+    assert np.max(np.abs(ex_nkl.gamma_star - ex_kl.gamma_star)) <= 1e-12
+    div = divergence_for(p_nkl)
+    gap = primal_objective(ex_nkl.gamma_star, p_nkl) + F_conj(-ex_nkl.xi_star.stacked, div)
+    assert abs(gap) <= 1e-8
+
+
 def test_kkt_multipliers_are_primal_feasible():
     rng = np.random.default_rng(67)
     p = random_problem(rng, n_x=3, n_y=3)
@@ -259,7 +280,7 @@ def test_kkt_multipliers_are_primal_feasible():
 
 def test_entropy_minimality_on_optimal_face():
     rng = np.random.default_rng(71)
-    from uotlab.core import discrete_entropy, marginal_matrix
+    from uotlab.core import discrete_entropy
 
     # symmetric costs make every constraint saturate, so the optimal face is
     # a segment (cyclic support) rather than the generic single tree point

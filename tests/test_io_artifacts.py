@@ -84,6 +84,8 @@ def test_problem_json_defaults_and_errors():
         problem_from_dict({"points_x": [[0.0]]})
     with pytest.raises(InvalidInput):
         problem_from_dict({**base, "divergence": {"kind": "js"}})
+    with pytest.raises(InvalidInput, match="divergence kind"):
+        problem_from_dict({**base, "divergence": {"kind": ["kl"]}})
     with pytest.raises(InvalidInput):
         problem_from_dict({**base, "cost": {"kind": "manhattan"}})
     with pytest.raises(InvalidInput, match="cost"):

@@ -10,9 +10,10 @@ from uotlab.core import (
     apply_A,
     apply_A_adjoint,
     discrete_entropy,
-    marginal_matrix,
 )
 from uotlab.divergence import get_entropy
+
+from conftest import marginal_matrix
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 positive = st.floats(0.0, 50.0, allow_nan=False)

@@ -7,7 +7,6 @@ from uotlab.core import DivergenceSpec, DualPotential, InvalidInput, Problem
 from uotlab.divergence import divergence_for
 from uotlab.reg_solver import (
     RegSolveConfig,
-    coercivity_floor,
     kantorovich_eval,
     kantorovich_grad,
     kantorovich_hess,
@@ -17,7 +16,7 @@ from uotlab.reg_solver import (
     solve_primal_t,
 )
 
-from conftest import make_1x1, random_problem
+from conftest import coercivity_floor, make_1x1, random_problem
 
 
 def closed_form_s(t):
