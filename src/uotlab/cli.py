@@ -82,9 +82,6 @@ def _cmd_gen(args):
 
 
 def _cmd_solve(args):
-    if args.t <= 0:
-        print("error: --t must be positive", file=sys.stderr)
-        return EXIT_INVALID
     problem = _override_divergence(io.load_problem(args.problem), args.divergence)
     sol = solve_dual_t(problem, args.t, RegSolveConfig(grad_tol=args.tol))
     if args.out:

@@ -171,8 +171,11 @@ class Problem:
             )
         if not np.all(np.isfinite(self.cost)) or np.any(self.cost < 0):
             raise InvalidInput("cost entries must be finite and nonnegative")
-        if np.any(self.mu < 0) or np.any(self.nu < 0):
-            raise InvalidInput("weights must be nonnegative")
+        weights = np.concatenate([self.mu, self.nu])
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+            raise InvalidInput("weights must be finite and nonnegative")
+        if not np.all(np.isfinite(self.q)):
+            raise InvalidInput("reference weights must be finite")
 
     @property
     def n_x(self):

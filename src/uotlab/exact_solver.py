@@ -1,12 +1,13 @@
 """Ground-truth solver for the unregularized dual and the limit plan.
 
 The constrained dual  min F*(-xi)  s.t.  A* xi <= c  is solved by a
-log-barrier interior-point method followed by a spanning-forest crossover
-that ends on the exact optimal face; both minimize with the shared Newton
-kernel.  From the optimizer we read off the saturated set, the slack matrix,
-the common optimal marginals m* = grad F*(-xi*), and finally the
-minimal-entropy optimal plan gamma* = exp(A* z) on the saturated set, where
-z minimizes the reduced functional sum_{I0} exp((A* z)_xy) - <m*|z>.
+spanning-forest crossover that ends on the exact optimal face.  It starts
+from the regularized optimum xi(t) at t = SEED_T, which lies within O(1/t)
+of xi*, and its face solves run on the shared Newton kernel.  From the
+optimizer we read off the saturated set, the slack matrix, the common
+optimal marginals m* = grad F*(-xi*), and finally the minimal-entropy
+optimal plan gamma* = exp(A* z) on the saturated set, where z minimizes the
+reduced functional sum_{I0} exp((A* z)_xy) - <m*|z>.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .core import (
     Marginals,
     apply_A,
     incidence_columns,
-    marginal_sums,
     spanning_forest,
 )
 from .divergence import (
@@ -33,15 +33,12 @@ from .divergence import (
     csiszar,
     divergence_for,
 )
-from .newton import last_point_cache, newton_minimize
-from .reg_solver import clamped_exp
+from .newton import newton_minimize
+from .reg_solver import clamped_exp, solve_dual_t
 
-# barrier weight 1/tau; tau grows by the factor until n_x n_y / tau < gap
-BARRIER_T0 = 1.0
-BARRIER_FACTOR = 10.0
-BARRIER_GAP = 1e-10
-# centering stops at INNER_TOL * max(1, tau); also caps the face solves' Newton steps
-INNER_TOL = 1e-11
+# the crossover starts from the regularized optimum at this t
+SEED_T = 1e6
+# Newton steps allowed per face solve
 MAX_INNER_ITERS = 100
 # reduced gradient a face solve must reach, relative to max(1, |c|)
 FACE_TOL = 1e-13
@@ -85,6 +82,7 @@ class ExactSolution:
     gamma_star: np.ndarray
     lam: np.ndarray  # KKT multipliers (a primal optimizer, support in I0)
     converged: bool
+    pivots: int = 0  # crossover pivots from the seed's Kruskal forest
     flags: list = field(default_factory=list)
 
 
@@ -92,58 +90,21 @@ def _slack(problem, x):
     return problem.cost - (x[:problem.n_x, None] + x[None, problem.n_x:])
 
 
-def _barrier_minimize(problem, div):
-    """Central-path interior point for min F*(-xi) s.t. A* xi <= c."""
-    n_x, n_y = problem.n_x, problem.n_y
-    # strictly feasible start: A* xi = -2 < c since c >= 0
-    x = -np.ones(n_x + n_y)
-    tau = BARRIER_T0
-    flags = []
-
-    # the slacks at a trial point are computed once, by the value, and
-    # reused by the gradient and the Hessian
-    slack = last_point_cache(lambda x: _slack(problem, x))
-
-    # +inf off the feasible set makes the line search reject such trial
-    # points, which keeps every iterate strictly feasible
-    def value(x):
-        kappa = slack(x)
-        if not np.all(kappa > 0):
-            return math.inf
-        return F_conj(-x, div) - float(np.sum(np.log(kappa))) / tau
-
-    def gradient(x):
-        return -F_conj_grad(-x, div) + marginal_sums(1.0 / slack(x)) / tau
-
-    def hessian(x):
-        inv_k = 1.0 / slack(x)
-        return inv_k * inv_k / tau, F_conj_hess_diag(-x, div)
-
-    while True:
-        x, _, _, _, stage_flags = newton_minimize(
-            value, gradient, hessian, x,
-            INNER_TOL * max(1.0, tau), MAX_INNER_ITERS,
-        )
-        flags += ["barrier-" + f for f in stage_flags]
-        if n_x * n_y / tau < BARRIER_GAP:
-            break
-        tau *= BARRIER_FACTOR
-    return x, flags
-
-
 def _crossover(problem, div, x):
-    """Spanning-forest crossover from the barrier point to an optimal forest.
+    """Spanning-forest crossover from a point near xi* to an optimal forest.
 
     Starts from Kruskal's forest in ascending slack.  Each pivot minimizes
     F*(-xi) on the forest's face, solves B lam = grad F*(-xi) for the flows,
     and drops the edge of most negative flow or, failing that, enters the
     entry of most negative slack; if that closes a cycle, the decreasing cycle
     edge of least flow leaves (the network-simplex ratio test).  Returns the
-    point, the flows and the forest once neither rule applies.
+    point, the flows, the forest and the number of pivots once neither rule
+    applies.  Any start works; one near xi* needs few pivots.
     """
     n_x, n_y = problem.n_x, problem.n_y
     c = problem.cost
-    # at the barrier, ascending slack is descending multiplier-to-slack ratio
+    # at the regularized optimum, ascending slack is descending plan entry
+    # exp(-t kappa): the entries of largest regularized flow come first
     order = np.argsort(_slack(problem, x), axis=None)
     order = np.column_stack(np.unravel_index(order, c.shape))
     forest = np.zeros(c.shape, dtype=bool)
@@ -169,7 +130,7 @@ def _crossover(problem, div, x):
         if min_flow >= -FLOW_TOL and off[enter] >= -SLACK_TOL:
             flows = np.zeros(c.shape)
             flows[forest] = np.maximum(lam, 0.0)
-            return x, flows, forest
+            return x, flows, forest, pivots
         if pivots == MAX_PIVOTS:
             raise CrossoverFailed(pivots, float(off[enter]), min_flow)
         if min_flow < -FLOW_TOL:
@@ -229,12 +190,15 @@ def minimal_entropy_plan(I0, m_star, shape):
 def solve_exact(problem):
     """Full exact pipeline: dual optimizer, saturated set, marginals, limit plan.
 
-    The saturated set I0 is the crossover's optimal forest plus the entries
-    whose slack is within SLACK_TOL of zero.
+    The crossover starts from the regularized optimum at t = SEED_T, whose
+    flags are kept with the prefix "seed-".  The saturated set I0 is the
+    crossover's optimal forest plus the entries whose slack is within
+    SLACK_TOL of zero.  A crossover that finds no optimal forest raises
+    CrossoverFailed, so every returned solution is converged.
     """
     div = divergence_for(problem)
-    x, flags = _barrier_minimize(problem, div)
-    x, lam, forest = _crossover(problem, div, x)
+    seed = solve_dual_t(problem, SEED_T)
+    x, lam, forest, pivots = _crossover(problem, div, seed.xi.stacked)
     xi_star = DualPotential.from_stacked(x, problem.n_x)
     kappa = _slack(problem, x)
     mask = forest | (kappa <= SLACK_TOL)
@@ -250,8 +214,9 @@ def solve_exact(problem):
         m_star=m_star,
         gamma_star=minimal_entropy_plan(I0, m_star, kappa.shape),
         lam=lam,
-        converged="barrier-linesearch-stalled" not in flags,
-        flags=flags,
+        converged=True,
+        pivots=pivots,
+        flags=["seed-" + f for f in seed.flags],
     )
 
 

@@ -100,6 +100,7 @@ def exact_to_dict(exact):
         "m_star": {"row": exact.m_star.row.tolist(), "col": exact.m_star.col.tolist()},
         "gamma_star": exact.gamma_star.tolist(),
         "converged": exact.converged,
+        "pivots": exact.pivots,
         "flags": exact.flags,
     }
 

@@ -1,11 +1,10 @@
 """Damped Newton minimization shared by every smooth solve in the lab.
 
-One loop serves the regularized dual, the barrier centering steps, the
-face solves of the exact reference's crossover and the reduced
-limit-plan functional: Cholesky steps with a ridge retry, Armijo
-backtracking, and an exit at the objective's rounding floor.  Transport-shaped
-Hessians take a Schur-complement step (`core.bipartite_solve`) instead of a
-dense factorization.
+One loop serves the regularized dual, the face solves of the exact
+reference's crossover and the reduced limit-plan functional: Cholesky steps
+with a ridge retry, Armijo backtracking, and an exit at the objective's
+rounding floor.  Transport-shaped Hessians take a Schur-complement step
+(`core.bipartite_solve`) instead of a dense factorization.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ def last_point_cache(fn):
 
     The kernel evaluates the value, gradient and Hessian at the same array
     object, so an array-valued quantity computed by the value at a trial
-    point (the plan, the slacks) is reused by the gradient and the Hessian
-    once that point is accepted.
+    point (the plan) is reused by the gradient and the Hessian once that
+    point is accepted.
     """
     last_x = last_out = None
 
@@ -86,11 +85,11 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters):
                 step = -_solve(H, grad, lam)
                 break
             except np.linalg.LinAlgError:
-                base = 1e-12 * max(_mean_diagonal(H), 1.0)
-                lam = max(10 * lam, base)
+                # a NaN Hessian gives a NaN ridge, which also ends the retry
+                lam = 10 * lam if lam else 1e-12 * max(_mean_diagonal(H), 1.0)
                 if "ridge" not in flags:
                     flags.append("ridge")
-                if lam > 1e8:
+                if not lam <= 1e8:
                     raise
         slope = float(grad @ step)
         if -slope <= 16 * np.finfo(float).eps * (1.0 + abs(val)):

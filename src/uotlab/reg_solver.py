@@ -14,6 +14,7 @@ the expansion xi(t) = xi* + d/t to the next t.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -39,12 +40,12 @@ EXP_MAX = 690.0
 # t = CONTINUATION_FROM * CONTINUATION_RATIO**k below the target t
 CONTINUATION_FROM = 1.0
 CONTINUATION_RATIO = 10.0
+MAX_NEWTON_ITERS = 200
 
 
 @dataclass
 class RegSolveConfig:
     grad_tol: float = 1e-10
-    max_newton_iters: int = 200
 
     def __post_init__(self):
         if self.grad_tol <= 0:
@@ -88,8 +89,8 @@ def _dual_terms(problem, t, div=None):
     array.  The Hessian comes as the pair (t gamma, grad^2 F*(-xi)) standing
     for core.bipartite_hessian of it.
     """
-    if t <= 0:
-        raise InvalidInput("t must be positive")
+    if not 0 < t < math.inf:
+        raise InvalidInput("t must be positive and finite")
     div = divergence_for(problem) if div is None else div
     plan = last_point_cache(lambda x: clamped_exp(plan_exponent(x, t, problem)))
 
@@ -107,8 +108,8 @@ def _dual_terms(problem, t, div=None):
 
 def recover_primal(xi, t, problem):
     """Primal plan exp(t (A* xi - c)) associated with a dual point."""
-    if t <= 0:
-        raise InvalidInput("t must be positive")
+    if not 0 < t < math.inf:
+        raise InvalidInput("t must be positive and finite")
     problem.check_shapes(xi=xi)
     return clamped_exp(plan_exponent(xi.stacked, t, problem))
 
@@ -141,7 +142,7 @@ def _newton_solve(problem, t, config, xi0, div):
         terms.hessian,
         xi0.stacked,
         config.grad_tol,
-        config.max_newton_iters,
+        MAX_NEWTON_ITERS,
     )
     gnorm = float(np.max(np.abs(grad)))
     if np.any(plan_exponent(x, t, problem) > EXP_MAX):
@@ -166,8 +167,8 @@ def solve_dual_t(problem, t, config=None, init=None):
     moderate, matching the bounded rescaled-deviation regime).  Each stage of
     the chain starts from `predicted_start` of the one before.
     """
-    if t <= 0:
-        raise InvalidInput("t must be positive")
+    if not 0 < t < math.inf:
+        raise InvalidInput("t must be positive and finite")
     config = config or RegSolveConfig()
     div = divergence_for(problem)
     if init is not None:

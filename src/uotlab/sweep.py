@@ -6,6 +6,7 @@ tangent (`reg_solver.predicted_start`); only the first point is solved cold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,8 @@ class SweepConfig:
     n_points: int = 60
 
     def __post_init__(self):
-        if not 0 < self.t_min < self.t_max:
-            raise InvalidInput("need 0 < t_min < t_max")
+        if not 0 < self.t_min < self.t_max < math.inf:
+            raise InvalidInput("need 0 < t_min < t_max < inf")
         if self.n_points < 8:
             raise InvalidInput("sweep needs at least 8 points")
 

@@ -262,6 +262,15 @@ def test_fit_rate_excludes_floor_and_needs_points():
         fit_rate([(t, 1.0 / t) for t in ts[:6]])
 
 
+@pytest.mark.parametrize(
+    "t_min,t_max",
+    [(1.0, np.inf), (np.nan, 10.0), (1.0, np.nan), (10.0, 1.0), (0.0, 1.0)],
+)
+def test_sweep_config_rejects_bad_range(t_min, t_max):
+    with pytest.raises(InvalidInput):
+        SweepConfig(t_min=t_min, t_max=t_max)
+
+
 def test_fit_linear_decay():
     ts = np.linspace(1.0, 50.0, 30)
     slope = fit_linear_decay([(t, 2.0 - 0.37 * t) for t in ts])

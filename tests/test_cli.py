@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, artifact generation, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,7 @@ def test_exact_writes_reference(tmp_path):
     doc = json.loads(out.read_text())
     assert {"xi_star", "kappa", "I0", "kappa_star_min", "m_star", "gamma_star"} \
         <= set(doc)
+    assert doc["converged"] and doc["pivots"] == 0
 
 
 def test_sweep_csv_determinism_and_plot(tmp_path):
@@ -112,15 +114,52 @@ def test_sweep_divergence_override(tmp_path):
     assert doc["n_converged"] == doc["n_points"]
 
 
-def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize is only for the test oracle and costs a large share of
-    # the import time, so the package and the CLI must not pull it in
+def _python(*args, timeout=None):
+    """Run a Python process with the package's source tree on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, uotlab, uotlab.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize is only for the test oracle and costs a large share of
+    # the import time, so the package and the CLI must not pull it in
+    code = "import sys, uotlab, uotlab.cli; print('scipy.optimize' in sys.modules)"
+    out = _python("-c", code)
+    assert out.returncode == 0
     assert out.stdout.strip() == "False"
+
+
+def _cli_exit(*argv):
+    # in a child process under a timeout, so that a solver that never ends
+    # on the input fails the test instead of hanging the suite
+    out = _python("-c", "from uotlab.cli import main; main()", *argv, timeout=60)
+    return out.returncode, out.stderr
+
+
+def test_solve_nan_t_rejected(tmp_path):
+    prob = tmp_path / "p.json"
+    cli_main(["gen", "--dataset", "gaussians-1d", "-o", str(prob)])
+    code, err = _cli_exit("solve", "--problem", str(prob), "--t", "nan")
+    assert code == EXIT_INVALID and "finite" in err
+
+
+def test_sweep_infinite_t_max_rejected(tmp_path):
+    prob = tmp_path / "p.json"
+    cli_main(["gen", "--dataset", "gaussians-1d", "-o", str(prob)])
+    code, err = _cli_exit("sweep", "--problem", str(prob), "--t-max", "inf")
+    assert code == EXIT_INVALID and "t_max" in err
+
+
+def test_exact_rejects_nan_weight(tmp_path):
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({
+        "points_x": [[0.0], [1.0]], "points_y": [[0.0]],
+        "mu": [math.nan, 1.0], "nu": [1.0],
+    }))
+    code, err = _cli_exit("exact", "--problem", str(prob), "--out", str(tmp_path / "x"))
+    assert code == EXIT_INVALID and "weights" in err

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from uotlab.core import (
+    DivergenceSpec,
     DualPotential,
     InvalidInput,
     Marginals,
@@ -96,6 +97,16 @@ def test_newton_bipartite_step_and_ridge_flag():
         lambda x: (G, np.full(7, -0.1)), np.zeros(7), 1e-12, 1,
     )
     assert "ridge" in flags
+
+
+def test_newton_nan_hessian_raises():
+    # a NaN Hessian pair never factors and makes the ridge NaN; the retry
+    # must end with the factorization error instead of spinning
+    with pytest.raises(np.linalg.LinAlgError):
+        newton_minimize(
+            lambda x: float(x @ x), lambda x: 2 * x,
+            lambda x: (np.full((1, 1), np.nan), np.ones(2)), np.ones(2), 1e-12, 5,
+        )
 
 
 def test_adjoint_small():
@@ -193,6 +204,20 @@ def test_problem_validation():
         Problem([[0.0]], [[0.0]], [-1.0], [1.0], [[1.0]], cost_kind="explicit")
     with pytest.raises(InvalidInput):
         Problem([[0.0]], [[0.0]], [1.0, 1.0], [1.0], [[1.0]], cost_kind="explicit")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_rejects_nonfinite_weights(bad):
+    with pytest.raises(InvalidInput, match="weights"):
+        Problem([[0.0]], [[0.0]], [bad], [1.0], [[1.0]], cost_kind="explicit")
+    with pytest.raises(InvalidInput, match="weights"):
+        Problem([[0.0]], [[0.0]], [1.0], [bad], [[1.0]], cost_kind="explicit")
+    with pytest.raises(InvalidInput, match="reference weights"):
+        Problem(
+            [[0.0]], [[0.0]], [1.0], [1.0], [[1.0]],
+            divergence=DivergenceSpec(kind="kl", mu_ref=[1.0], nu_ref=[bad]),
+            cost_kind="explicit",
+        )
 
 
 def test_dual_potential_rejects_nonfinite():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uotlab import reg_solver
 from uotlab.core import DivergenceSpec, DualPotential, InvalidInput, Problem
 from uotlab.divergence import divergence_for
 from uotlab.reg_solver import (
@@ -224,8 +225,9 @@ def test_coercivity_floor():
 
 def test_input_validation():
     p = make_1x1()
-    with pytest.raises(InvalidInput):
-        solve_dual_t(p, -1.0)
+    for t in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(InvalidInput):
+            solve_dual_t(p, t)
     zero_ref = Problem(
         [[0.0]], [[0.0]], [1.0], [1.0], [[1.0]],
         divergence=DivergenceSpec(kind="kl", mu_ref=[0.0], nu_ref=[1.0]),
@@ -247,7 +249,8 @@ def test_warm_start_shape_checked():
         solve_dual_t(p, 10.0, init=DualPotential.zeros(2, 2))
 
 
-def test_nonconverged_flagged():
+def test_nonconverged_flagged(monkeypatch):
     p = make_1x1(c=1.0)
-    sol = solve_dual_t(p, 50.0, RegSolveConfig(grad_tol=1e-10, max_newton_iters=1))
+    monkeypatch.setattr(reg_solver, "MAX_NEWTON_ITERS", 1)
+    sol = solve_dual_t(p, 50.0, RegSolveConfig(grad_tol=1e-10))
     assert not sol.converged
