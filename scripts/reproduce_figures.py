@@ -4,14 +4,12 @@
 One command per figure, or all four at once (the default).  Each job runs a
 full t-sweep against the exact reference and writes the sweep CSV, a
 diagnostics JSON and the two-panel log-log SVG into the output directory.
-UOTLAB_THREADS caps the number of concurrent jobs (default 1).
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.plots import emit_svg
@@ -57,14 +55,8 @@ def main(argv=None):
         j for j in JOBS
         if args.only is None or f"{j[0]}:{j[2]}" == args.only
     ]
-    workers = max(1, int(os.environ.get("UOTLAB_THREADS", "1")))
-    if workers == 1 or len(jobs) == 1:
-        for job in jobs:
-            print(run_job(job, args.outdir))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for line in pool.map(run_job, jobs, [args.outdir] * len(jobs)):
-                print(line)
+    for job in jobs:
+        print(run_job(job, args.outdir))
     return 0
 
 

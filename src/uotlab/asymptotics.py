@@ -16,7 +16,7 @@ from .core import (
 )
 from .divergence import F_conj_hess_diag, divergence_for
 from .exact_solver import ProjectionFailed
-from .reg_solver import clamped_exp, plan_exponent
+from .reg_solver import ode_terms
 
 # sweep errors below this are solver noise and are excluded from rate fits
 ERROR_FLOOR = 1e-12
@@ -61,13 +61,14 @@ def _span_residual(N, m):
 
 
 def e0_diagnostics(exact, shape):
-    """(dim, relative residual of m*, orthonormal basis) of the saturated span.
+    """(dim, relative residual of m*) of the saturated span E0 = range(A_{I0}).
 
-    The basis is a QR completion of the graph's null basis (`core.spanning_forest`).
+    dim is n_x + n_y minus the number of connected components of the graph
+    whose edges are I0; the residual is the part of m* outside E0, measured
+    against the graph's null basis (`core.spanning_forest`).
     """
     _, N = spanning_forest(exact.I0, *shape)
-    basis = np.linalg.qr(np.hstack([N, np.eye(len(N))]))[0][:, N.shape[1]:]
-    return basis.shape[1], _span_residual(N, exact.m_star.stacked), basis
+    return N.shape[0] - N.shape[1], _span_residual(N, exact.m_star.stacked)
 
 
 def solve_d_star(exact, div, shape):
@@ -98,99 +99,76 @@ def ode_residual(xi, xi_dot, t, problem, div=None):
     if t <= 0:
         raise InvalidInput("t must be positive")
     div = divergence_for(problem) if div is None else div
-    lhs, _ = _ode_terms(xi, xi_dot, t, problem, div)
-    return float(np.max(np.abs(lhs)))
-
-
-def _ode_terms(xi, xi_dot, t, problem, div):
-    """Returns (full left-hand side, inhomogeneous term) of the trajectory ODE."""
-    log_g = plan_exponent(xi.stacked, t, problem)
-    gamma = clamped_exp(log_g)
+    gamma, hess, forcing = ode_terms(xi.stacked, t, problem, div)
     dot = np.asarray(xi_dot, dtype=float)
     n_x = problem.n_x
-    adj_dot = dot[:n_x, None] + dot[None, n_x:]
-    term1 = apply_A(gamma * adj_dot).stacked
-    term2 = F_conj_hess_diag(-xi.stacked, div) * dot / t
-    term3 = apply_A(gamma * log_g).stacked / (t * t)
-    return term1 + term2 + term3, term3
+    lhs = (
+        apply_A(gamma * (dot[:n_x, None] + dot[None, n_x:])).stacked
+        + hess * dot / t
+        + forcing / (t * t)
+    )
+    return float(np.max(np.abs(lhs)))
 
 
 def ode_inhomogeneous_norm(xi, t, problem):
     """Sup-norm of the (1/t^2) A diag(gamma) log(gamma) forcing term."""
-    div = divergence_for(problem)
-    zero = np.zeros(problem.n_x + problem.n_y)
-    _, term3 = _ode_terms(xi, zero, t, problem, div)
-    return float(np.max(np.abs(term3)))
-
-
-def xi_dot_finite_difference(t_prev, xi_prev, t_next, xi_next, t_mid, xi_mid):
-    """Second-order central difference on a nonuniform (geometric) grid."""
-    h1 = t_mid - t_prev
-    h2 = t_next - t_mid
-    if h1 <= 0 or h2 <= 0:
-        raise InvalidInput("differencing requires ordered adjacent sweep points")
-    a, b, c = xi_prev.stacked, xi_mid.stacked, xi_next.stacked
-    return (h1 * h1 * c - h2 * h2 * a + (h2 * h2 - h1 * h1) * b) / (
-        h1 * h2 * (h1 + h2)
-    )
+    _, _, forcing = ode_terms(xi.stacked, t, problem, divergence_for(problem))
+    return float(np.max(np.abs(forcing / (t * t))))
 
 
 def xi_dot_log_grid(ts, xis, k):
     """High-order derivative estimate d xi / dt at grid index k.
 
-    Assumes ts is (close to) geometric, so log t is uniformly spaced;
-    differentiates in log t with a fourth-order central stencil where the
-    five-point window fits, third-order one-sided at the first and last
-    interior indices, and falls back to the nonuniform three-point formula
-    if the grid is not geometric.
+    ts must be geometric with at least 5 points, so log t is uniformly
+    spaced; differentiates in log t with a fourth-order central stencil where
+    the five-point window fits, and third-order one-sided at the first and
+    last interior indices.
     """
     n = len(ts)
     if not 0 < k < n - 1:
         raise InvalidInput("derivative estimate needs an interior index")
+    if n < 5:
+        raise InvalidInput("derivative estimate needs at least 5 grid points")
     s = np.log(np.asarray(ts, dtype=float))
     steps = np.diff(s)
     h = float(steps.mean())
-    uniform = float(np.max(np.abs(steps - h))) <= 1e-8 * h
-    if uniform and n >= 5:
-        # stack only the potentials the stencil reads
-        def at(i):
-            return xis[i].stacked
+    if float(np.max(np.abs(steps - h))) > 1e-8 * h:
+        raise InvalidInput("derivative estimate needs a geometric grid")
 
-        if 2 <= k <= n - 3:
-            ds = (
-                at(k - 2) - 8.0 * at(k - 1) + 8.0 * at(k + 1) - at(k + 2)
-            ) / (12.0 * h)
-        elif k == 1:
-            ds = (-2.0 * at(0) - 3.0 * at(1) + 6.0 * at(2) - at(3)) / (6.0 * h)
-        else:  # k == n - 2
-            ds = (
-                2.0 * at(n - 1) + 3.0 * at(n - 2) - 6.0 * at(n - 3) + at(n - 4)
-            ) / (6.0 * h)
-        return ds / ts[k]
-    return xi_dot_finite_difference(
-        ts[k - 1], xis[k - 1], ts[k + 1], xis[k + 1], ts[k], xis[k]
-    )
+    # stack only the potentials the stencil reads
+    def at(i):
+        return xis[i].stacked
+
+    if 2 <= k <= n - 3:
+        ds = (
+            at(k - 2) - 8.0 * at(k - 1) + 8.0 * at(k + 1) - at(k + 2)
+        ) / (12.0 * h)
+    elif k == 1:
+        ds = (-2.0 * at(0) - 3.0 * at(1) + 6.0 * at(2) - at(3)) / (6.0 * h)
+    else:  # k == n - 2
+        ds = (
+            2.0 * at(n - 1) + 3.0 * at(n - 2) - 6.0 * at(n - 3) + at(n - 4)
+        ) / (6.0 * h)
+    return ds / ts[k]
 
 
-def fit_rate(series, window=None):
+def fit_rate(series):
     """Least-squares slope of log(err) against log(t).
 
-    `series` is a list of (t, err) pairs; `window` is an inclusive (t_lo,
-    t_hi) range, defaulting to the upper half of the grid in log scale.
-    Points at or below the numerical floor are excluded.
+    `series` is a list of (t, err) pairs.  The fit covers the upper half of
+    the grid in log scale, or the whole grid when that half holds fewer than
+    8 usable points.  Points at or below the numerical floor are excluded.
     """
     pts = [(t, e) for t, e in series if e > ERROR_FLOOR]
     if not pts:
         raise InvalidInput("no usable points above the numerical floor")
     ts = np.array([p[0] for p in pts])
-    if window is None:
-        log_mid = 0.5 * (np.log(ts.min()) + np.log(ts.max()))
-        window = (float(np.exp(log_mid)), float(ts.max()))
-        if np.sum((ts >= window[0]) & (ts <= window[1])) < 8:
-            # short series: widen to the whole grid rather than refuse
-            window = (float(ts.min()), float(ts.max()))
-    lo, hi = window
-    sel = (ts >= lo) & (ts <= hi)
+    log_mid = 0.5 * (np.log(ts.min()) + np.log(ts.max()))
+    lo, hi = float(np.exp(log_mid)), float(ts.max())
+    if np.sum(ts >= lo) < 8:
+        # short series: widen to the whole grid rather than refuse
+        lo = float(ts.min())
+    sel = ts >= lo
     if sel.sum() < 8:
         raise InvalidInput("rate fit requires at least 8 usable points")
     x = np.log(ts[sel])
@@ -204,23 +182,22 @@ def fit_rate(series, window=None):
         slope=float(slope),
         intercept=float(intercept),
         r2=r2,
-        t_window=(float(lo), float(hi)),
+        t_window=(lo, hi),
         n_points=int(sel.sum()),
     )
 
 
-def fit_linear_decay(series, window=None):
+def fit_linear_decay(series):
     """Least-squares slope of log-value against t (exponential decay rate).
 
-    `series` is a list of (t, log_value); returns the fitted slope, so a
-    value behaving like C exp(-k t) yields approximately -k.
+    `series` is a list of (t, log_value) pairs, fitted over the upper half
+    of the grid in log scale; returns the slope, so a value behaving like
+    C exp(-k t) yields approximately -k.
     """
     ts = np.array([p[0] for p in series])
     ys = np.array([p[1] for p in series])
-    if window is None:
-        log_mid = 0.5 * (np.log(ts.min()) + np.log(ts.max()))
-        window = (float(np.exp(log_mid)), float(ts.max()))
-    sel = (ts >= window[0]) & (ts <= window[1])
+    log_mid = 0.5 * (np.log(ts.min()) + np.log(ts.max()))
+    sel = ts >= float(np.exp(log_mid))
     if sel.sum() < 2:
         raise InvalidInput("decay fit requires at least 2 points")
     slope, _ = np.polyfit(ts[sel], ys[sel], 1)

@@ -174,6 +174,14 @@ class Problem:
         weights = np.concatenate([self.mu, self.nu])
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise InvalidInput("weights must be finite and nonnegative")
+        for name, ref, n in (
+            ("mu_ref", self.divergence.mu_ref, n_x),
+            ("nu_ref", self.divergence.nu_ref, n_y),
+        ):
+            if ref is not None and np.shape(ref) != (n,):
+                raise InvalidInput(
+                    f"divergence {name} has shape {np.shape(ref)}, expected ({n},)"
+                )
         if not np.all(np.isfinite(self.q)):
             raise InvalidInput("reference weights must be finite")
 
@@ -192,14 +200,8 @@ class Problem:
         nu_ref = self.nu if self.divergence.nu_ref is None else self.divergence.nu_ref
         return np.concatenate([np.asarray(mu_ref, float), np.asarray(nu_ref, float)])
 
-    def check_shapes(self, gamma=None, xi=None):
-        if gamma is not None:
-            gamma = np.asarray(gamma)
-            if gamma.shape != (self.n_x, self.n_y):
-                raise InvalidInput(
-                    f"plan shape {gamma.shape} does not match ({self.n_x}, {self.n_y})"
-                )
-        if xi is not None and (xi.phi.size != self.n_x or xi.psi.size != self.n_y):
+    def check_shapes(self, xi):
+        if xi.phi.size != self.n_x or xi.psi.size != self.n_y:
             raise InvalidInput("dual potential shape does not match the problem")
 
 

@@ -1,8 +1,11 @@
 """Seeded generators for the two benchmark dataset families.
 
-Point clouds: uniform weights in the unit square with a few far-displaced
-outliers on the target side, total masses 13 and 15.  Gaussians: two
-discretized Gaussian densities on a regular 1-d grid, masses 11 and 10.
+Point clouds: uniform weights in the unit square, the last N_OUTLIERS target
+points displaced by OUTLIER_SHIFT, total masses 13 and 15 by default.
+Gaussians: two discretized Gaussian densities (means GAUSS_MEAN_X and
+GAUSS_MEAN_Y, width GAUSS_STD) on a regular grid of GAUSS_GRID_SIZE points in
+[0, 1], masses GAUSS_MASS_X and GAUSS_MASS_Y, with no random draw.  Both use
+the squared-Euclidean cost.
 """
 
 from __future__ import annotations
@@ -14,6 +17,16 @@ import numpy as np
 from .core import DivergenceSpec, InvalidInput, Problem, build_cost
 
 DATASET_KINDS = ("point-clouds", "gaussians-1d")
+N_OUTLIERS = 2
+# kept moderate so dual gradients at the outlier columns (order e^{-cost})
+# stay well above solver tolerances
+OUTLIER_SHIFT = 2.0
+GAUSS_GRID_SIZE = 12
+GAUSS_MEAN_X = 0.3
+GAUSS_MEAN_Y = 0.7
+GAUSS_STD = 0.2
+GAUSS_MASS_X = 11.0
+GAUSS_MASS_Y = 10.0
 
 
 @dataclass
@@ -21,23 +34,11 @@ class DatasetSpec:
     kind: str = "point-clouds"
     seed: int = 0
     divergence: str = "kl"
-    # point clouds
+    # point clouds only
     n_x: int = 13
     n_y: int = 15
     mass_x: float = 13.0
     mass_y: float = 15.0
-    n_outliers: int = 2
-    # kept moderate so dual gradients at the outlier columns (order e^{-cost})
-    # stay well above solver tolerances
-    outlier_shift: float = 2.0
-    # 1-d Gaussians
-    grid_size: int = 12
-    mean_x: float = 0.3
-    mean_y: float = 0.7
-    std: float = 0.2
-    mass_x_gauss: float = 11.0
-    mass_y_gauss: float = 10.0
-    cost_kind: str = "sqeuclidean"
 
 
 def gen_dataset(spec):
@@ -55,30 +56,22 @@ def _point_clouds(spec):
     rng = np.random.default_rng(spec.seed)
     px = rng.random((spec.n_x, 2))
     py = rng.random((spec.n_y, 2))
-    k = min(spec.n_outliers, spec.n_y)
-    if k > 0:
-        py[-k:] += spec.outlier_shift
+    py[-N_OUTLIERS:] += OUTLIER_SHIFT
     mu = np.full(spec.n_x, spec.mass_x / spec.n_x)
     nu = np.full(spec.n_y, spec.mass_y / spec.n_y)
-    cost = build_cost(px, py, spec.cost_kind)
     return Problem(
-        px, py, mu, nu, cost,
+        px, py, mu, nu, build_cost(px, py),
         divergence=DivergenceSpec(kind=spec.divergence),
-        cost_kind=spec.cost_kind,
     )
 
 
 def _gaussians_1d(spec):
-    if spec.mass_x_gauss <= 0 or spec.mass_y_gauss <= 0:
-        raise InvalidInput("total masses must be positive")
-    grid = np.linspace(0.0, 1.0, spec.grid_size)[:, None]
-    dens_x = np.exp(-0.5 * ((grid[:, 0] - spec.mean_x) / spec.std) ** 2)
-    dens_y = np.exp(-0.5 * ((grid[:, 0] - spec.mean_y) / spec.std) ** 2)
-    mu = dens_x * (spec.mass_x_gauss / dens_x.sum())
-    nu = dens_y * (spec.mass_y_gauss / dens_y.sum())
-    cost = build_cost(grid, grid, spec.cost_kind)
+    grid = np.linspace(0.0, 1.0, GAUSS_GRID_SIZE)[:, None]
+    dens_x = np.exp(-0.5 * ((grid[:, 0] - GAUSS_MEAN_X) / GAUSS_STD) ** 2)
+    dens_y = np.exp(-0.5 * ((grid[:, 0] - GAUSS_MEAN_Y) / GAUSS_STD) ** 2)
+    mu = dens_x * (GAUSS_MASS_X / dens_x.sum())
+    nu = dens_y * (GAUSS_MASS_Y / dens_y.sum())
     return Problem(
-        grid, grid, mu, nu, cost,
+        grid, grid, mu, nu, build_cost(grid, grid),
         divergence=DivergenceSpec(kind=spec.divergence),
-        cost_kind=spec.cost_kind,
     )

@@ -46,7 +46,11 @@ def _solve(H, rhs, lam):
         return bipartite_solve(G, d[:n_x], d[n_x:], rhs, lam)
     Hr = H if lam == 0 else H + lam * np.eye(H.shape[0])
     cf = scipy.linalg.cho_factor(Hr, check_finite=False)
-    return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+    step = scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+    if not np.all(np.isfinite(step)):
+        # unchecked factorization passes NaN through; fail as the pair branch does
+        raise np.linalg.LinAlgError("Newton step is not finite")
+    return step
 
 
 def _mean_diagonal(H):

@@ -110,25 +110,25 @@ def recover_primal(xi, t, problem):
     """Primal plan exp(t (A* xi - c)) associated with a dual point."""
     if not 0 < t < math.inf:
         raise InvalidInput("t must be positive and finite")
-    problem.check_shapes(xi=xi)
+    problem.check_shapes(xi)
     return clamped_exp(plan_exponent(xi.stacked, t, problem))
 
 
 def kantorovich_eval(xi, t, problem, div=None):
     """Value of the regularized dual objective K_t at xi."""
-    problem.check_shapes(xi=xi)
+    problem.check_shapes(xi)
     return _dual_terms(problem, t, div).value(xi.stacked)
 
 
 def kantorovich_grad(xi, t, problem, div=None):
     """Gradient of K_t as a stacked vector: -grad F*(-xi) + A gamma."""
-    problem.check_shapes(xi=xi)
+    problem.check_shapes(xi)
     return _dual_terms(problem, t, div).gradient(xi.stacked)
 
 
 def kantorovich_hess(xi, t, problem, div=None):
     """Hessian of K_t: diag(grad^2 F*(-xi)) + t A diag(gamma) A*."""
-    problem.check_shapes(xi=xi)
+    problem.check_shapes(xi)
     return bipartite_hessian(*_dual_terms(problem, t, div).hessian(xi.stacked))
 
 
@@ -172,7 +172,7 @@ def solve_dual_t(problem, t, config=None, init=None):
     config = config or RegSolveConfig()
     div = divergence_for(problem)
     if init is not None:
-        problem.check_shapes(xi=init)
+        problem.check_shapes(init)
         return _newton_solve(problem, t, config, init, div)
     xi = DualPotential.zeros(problem.n_x, problem.n_y)
     t_cur = CONTINUATION_FROM
@@ -183,19 +183,30 @@ def solve_dual_t(problem, t, config=None, init=None):
     return _newton_solve(problem, t, config, xi, div)
 
 
+def ode_terms(x, t, problem, div):
+    """Plan gamma, grad^2 F*(-xi) and forcing A(gamma log gamma) at a stacked xi.
+
+    Differentiating the stationarity condition of K_t in t gives the
+    trajectory ODE
+        A(gamma A* xi_dot) + grad^2 F*(-xi) xi_dot / t + A(gamma log gamma) / t^2 = 0,
+    whose coefficients these are.
+    """
+    log_g = plan_exponent(x, t, problem)
+    gamma = clamped_exp(log_g)
+    return gamma, F_conj_hess_diag(-x, div), marginal_sums(gamma * log_g)
+
+
 def trajectory_tangent(problem, sol, div=None):
     """Stacked d xi/dt at a solved point, from the trajectory ODE.
 
-    Differentiating the stationarity condition of K_t in t gives
-    H xi_dot = -A(gamma log gamma) / t, with H the Hessian of K_t at the
-    solution; one Schur-complement solve on its pair (t gamma, grad^2 F*(-xi)).
+    The ODE (see ode_terms) reads H xi_dot = -A(gamma log gamma) / t, with H
+    the Hessian of K_t at the solution; one Schur-complement solve on its
+    pair (t gamma, grad^2 F*(-xi)).
     """
     div = divergence_for(problem) if div is None else div
-    x = sol.xi.stacked
-    d = F_conj_hess_diag(-x, div)
-    forcing = marginal_sums(sol.gamma * plan_exponent(x, sol.t, problem))
+    gamma, d, forcing = ode_terms(sol.xi.stacked, sol.t, problem, div)
     n_x = problem.n_x
-    return bipartite_solve(sol.t * sol.gamma, d[:n_x], d[n_x:], -forcing / sol.t)
+    return bipartite_solve(sol.t * gamma, d[:n_x], d[n_x:], -forcing / sol.t)
 
 
 def predicted_start(problem, sol, t, div=None):

@@ -114,7 +114,7 @@ def run_sweep(problem, config=None, exact=None):
     dual_fit = fit_rate([(p.t, p.dual_err) for p in usable])
     primal_fit = fit_rate([(p.t, p.primal_err) for p in usable])
     d_star = solve_d_star(exact, div, shape)
-    dim_e0, e0_res, _ = e0_diagnostics(exact, shape)
+    dim_e0, e0_res = e0_diagnostics(exact, shape)
     off_slope = None
     if off_mask.any():
         off_slope = fit_linear_decay(

@@ -107,6 +107,13 @@ def test_newton_nan_hessian_raises():
             lambda x: float(x @ x), lambda x: 2 * x,
             lambda x: (np.full((1, 1), np.nan), np.ones(2)), np.ones(2), 1e-12, 5,
         )
+    # a dense NaN Hessian factors without complaint; its NaN step must fail
+    # the same way rather than stall the line search at the start point
+    with pytest.raises(np.linalg.LinAlgError):
+        newton_minimize(
+            lambda x: float(x @ x), lambda x: 2 * x,
+            lambda x: np.full((2, 2), np.nan), np.ones(2), 1e-12, 5,
+        )
 
 
 def test_adjoint_small():
@@ -216,6 +223,24 @@ def test_problem_rejects_nonfinite_weights(bad):
         Problem(
             [[0.0]], [[0.0]], [1.0], [1.0], [[1.0]],
             divergence=DivergenceSpec(kind="kl", mu_ref=[1.0], nu_ref=[bad]),
+            cost_kind="explicit",
+        )
+
+
+@pytest.mark.parametrize(
+    "mu_ref, nu_ref, name",
+    [([1.0, 1.0, 1.0], [1.0], "mu_ref"),
+     ([1.0, 1.0, 1.0], [1.0, 1.0], "mu_ref"),
+     ([1.0, 1.0], [1.0], "nu_ref")],
+)
+def test_problem_rejects_reference_weights_of_wrong_length(mu_ref, nu_ref, name):
+    # q concatenates the two references, so a wrong length would shift
+    # them across the clouds or fail later inside F_conj
+    with pytest.raises(InvalidInput, match=name):
+        Problem(
+            [[0.0], [1.0]], [[0.0], [1.0]], [1.0, 1.0], [1.0, 1.0],
+            [[1.0, 2.0], [2.0, 1.0]],
+            divergence=DivergenceSpec(kind="kl", mu_ref=mu_ref, nu_ref=nu_ref),
             cost_kind="explicit",
         )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uotlab.core import InvalidInput
-from uotlab.datasets import DatasetSpec, gen_dataset
+from uotlab.datasets import N_OUTLIERS, OUTLIER_SHIFT, DatasetSpec, gen_dataset
 
 
 def test_point_cloud_masses_exact():
@@ -38,12 +38,11 @@ def test_different_seeds_differ():
 
 
 def test_outliers_are_displaced():
-    spec = DatasetSpec(kind="point-clouds", seed=2)
-    p = gen_dataset(spec)
-    bulk = p.points_y[: -spec.n_outliers]
-    outl = p.points_y[-spec.n_outliers:]
+    p = gen_dataset(DatasetSpec(kind="point-clouds", seed=2))
+    bulk = p.points_y[:-N_OUTLIERS]
+    outl = p.points_y[-N_OUTLIERS:]
     assert np.all(bulk <= 1.0)
-    assert np.all(outl >= spec.outlier_shift)
+    assert np.all(outl >= OUTLIER_SHIFT)
 
 
 def test_gaussian_grid_regular():
@@ -59,5 +58,3 @@ def test_invalid_specs():
         gen_dataset(DatasetSpec(kind="moons"))
     with pytest.raises(InvalidInput):
         gen_dataset(DatasetSpec(kind="point-clouds", mass_x=-1.0))
-    with pytest.raises(InvalidInput):
-        gen_dataset(DatasetSpec(kind="gaussians-1d", mass_y_gauss=0.0))

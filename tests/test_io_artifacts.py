@@ -98,6 +98,14 @@ def test_problem_json_defaults_and_errors():
         )
     with pytest.raises(InvalidInput, match="divergence.q"):
         problem_from_dict({**base, "divergence": {"kind": "kl", "q": [1.0, 1.0]}})
+    two = {
+        "points_x": [[0.0], [1.0]], "points_y": [[0.0], [1.0]],
+        "mu": [1.0, 1.0], "nu": [1.0, 1.0],
+    }
+    for nu_ref in ([1.0], [1.0, 1.0]):
+        q = {"mu_ref": [1.0, 1.0, 1.0], "nu_ref": nu_ref}
+        with pytest.raises(InvalidInput, match="mu_ref"):
+            problem_from_dict({**two, "divergence": {"kind": "kl", "q": q}})
 
 
 def test_solution_and_exact_dicts():
