@@ -4,8 +4,9 @@ Point clouds: uniform weights in the unit square, the last N_OUTLIERS target
 points displaced by OUTLIER_SHIFT, total masses 13 and 15 by default.
 Gaussians: two discretized Gaussian densities (means GAUSS_MEAN_X and
 GAUSS_MEAN_Y, width GAUSS_STD) on a regular grid of GAUSS_GRID_SIZE points in
-[0, 1], masses GAUSS_MASS_X and GAUSS_MASS_Y, with no random draw.  Both use
-the squared-Euclidean cost.
+[0, 1], masses GAUSS_MASS_X and GAUSS_MASS_Y, with no random draw; a spec
+that sets its seed, sizes or masses is refused.  Both use the
+squared-Euclidean cost.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class DatasetSpec:
     kind: str = "point-clouds"
     seed: int = 0
     divergence: str = "kl"
-    # point clouds only
+    # point clouds only, like seed; gen_dataset refuses them for gaussians-1d
     n_x: int = 13
     n_y: int = 15
     mass_x: float = 13.0
@@ -66,6 +67,13 @@ def _point_clouds(spec):
 
 
 def _gaussians_1d(spec):
+    default = DatasetSpec()
+    for name in ("seed", "n_x", "n_y", "mass_x", "mass_y"):
+        if getattr(spec, name) != getattr(default, name):
+            raise InvalidInput(
+                f"gaussians-1d takes no {name} (got {getattr(spec, name)!r}): "
+                "its grid, masses and densities are fixed"
+            )
     grid = np.linspace(0.0, 1.0, GAUSS_GRID_SIZE)[:, None]
     dens_x = np.exp(-0.5 * ((grid[:, 0] - GAUSS_MEAN_X) / GAUSS_STD) ** 2)
     dens_y = np.exp(-0.5 * ((grid[:, 0] - GAUSS_MEAN_Y) / GAUSS_STD) ** 2)

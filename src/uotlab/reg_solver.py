@@ -10,6 +10,11 @@ gives the primal plan through gamma = exp(t (A* xi - c)).
 Warm starts are predicted from the trajectory: at a solved point the tangent
 d xi/dt solves the trajectory ODE, and `predicted_start` extrapolates along
 the expansion xi(t) = xi* + d/t to the next t.
+
+As t grows, the plan entries off the saturated set decay like exp(-t kappa).
+Entries with an exponent below EXP_MIN are flushed to exact zeros: they are
+far below every tolerance, and computed they would sink into the subnormal
+range, where arithmetic is 10-100x slower.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ from .newton import last_point_cache, newton_minimize
 # exponent clamp keeping exp() representable; hit only on wild line-search
 # trial points, never at accepted iterates of a warm-started sweep
 EXP_MAX = 690.0
+# exponents below this give exact zeros: a kept entry is at least exp(-300),
+# so products of two kept entries (the Schur complement W^T W) stay normal
+# doubles, and a dropped one is ~1e110 below any gradient tolerance
+EXP_MIN = -300.0
 # cold starts at large t go through the continuation chain
 # t = CONTINUATION_FROM * CONTINUATION_RATIO**k below the target t
 CONTINUATION_FROM = 1.0
@@ -71,8 +80,18 @@ def plan_exponent(x, t, problem):
 
 
 def clamped_exp(exponent):
-    """exp of a plan exponent, clamped at EXP_MAX so it stays representable."""
-    return np.exp(np.minimum(exponent, EXP_MAX))
+    """exp of a plan exponent, clamped at EXP_MAX so it stays representable.
+
+    Exponents below EXP_MIN give exact zeros.  The input is not modified.
+    """
+    # exp runs only on [EXP_MIN, EXP_MAX] and the flush is a multiply by the
+    # mask: numpy's exp is slow on inputs that underflow or are -inf, and a
+    # masked assignment branches per entry
+    e = np.maximum(exponent, EXP_MIN)
+    np.minimum(e, EXP_MAX, out=e)
+    np.exp(e, out=e)
+    e *= exponent >= EXP_MIN
+    return e
 
 
 class _DualTerms(NamedTuple):

@@ -13,10 +13,17 @@ from uotlab.cli import EXIT_INVALID, EXIT_NONCONVERGED, EXIT_OK, cli_main
 
 def test_gen_then_sweep_exit_zero(tmp_path):
     prob = tmp_path / "p.json"
-    assert cli_main(
-        ["gen", "--dataset", "gaussians-1d", "--seed", "7", "-o", str(prob)]
-    ) == EXIT_OK
+    assert cli_main(["gen", "--dataset", "gaussians-1d", "-o", str(prob)]) == EXIT_OK
     assert cli_main(["sweep", "--problem", str(prob), "--n-points", "12"]) == EXIT_OK
+
+
+def test_gen_gaussians_rejects_a_seed(tmp_path, capsys):
+    # the gaussians have no random draw; a seed is refused, not ignored
+    prob = tmp_path / "p.json"
+    argv = ["gen", "--dataset", "gaussians-1d", "--seed", "4", "-o", str(prob)]
+    assert cli_main(argv) == EXIT_INVALID
+    assert "seed" in capsys.readouterr().err
+    assert not prob.exists()
 
 
 def test_sweep_requires_problem():

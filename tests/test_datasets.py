@@ -15,16 +15,15 @@ def test_point_cloud_masses_exact():
 
 
 def test_gaussian_masses_exact():
-    for seed in (0, 3, 11):
-        p = gen_dataset(DatasetSpec(kind="gaussians-1d", seed=seed))
-        assert p.mu.sum() == pytest.approx(11.0, abs=1e-12)
-        assert p.nu.sum() == pytest.approx(10.0, abs=1e-12)
+    p = gen_dataset(DatasetSpec(kind="gaussians-1d", seed=0))
+    assert p.mu.sum() == pytest.approx(11.0, abs=1e-12)
+    assert p.nu.sum() == pytest.approx(10.0, abs=1e-12)
 
 
 def test_determinism():
-    for kind in ("point-clouds", "gaussians-1d"):
-        a = gen_dataset(DatasetSpec(kind=kind, seed=5))
-        b = gen_dataset(DatasetSpec(kind=kind, seed=5))
+    for kind, seed in (("point-clouds", 5), ("gaussians-1d", 0)):
+        a = gen_dataset(DatasetSpec(kind=kind, seed=seed))
+        b = gen_dataset(DatasetSpec(kind=kind, seed=seed))
         assert np.array_equal(a.points_x, b.points_x)
         assert np.array_equal(a.points_y, b.points_y)
         assert np.array_equal(a.mu, b.mu)
@@ -58,3 +57,11 @@ def test_invalid_specs():
         gen_dataset(DatasetSpec(kind="moons"))
     with pytest.raises(InvalidInput):
         gen_dataset(DatasetSpec(kind="point-clouds", mass_x=-1.0))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", 4), ("n_x", 60), ("n_y", 62), ("mass_x", 1.0), ("mass_y", 2.0),
+])
+def test_gaussians_reject_point_cloud_fields(field, value):
+    with pytest.raises(InvalidInput, match=f"takes no {field} "):
+        gen_dataset(DatasetSpec(kind="gaussians-1d", **{field: value}))

@@ -5,9 +5,13 @@ import pytest
 
 from uotlab import reg_solver
 from uotlab.core import DivergenceSpec, DualPotential, InvalidInput, Problem
+from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.divergence import divergence_for
 from uotlab.reg_solver import (
+    EXP_MAX,
+    EXP_MIN,
     RegSolveConfig,
+    clamped_exp,
     kantorovich_eval,
     kantorovich_grad,
     kantorovich_hess,
@@ -254,3 +258,49 @@ def test_nonconverged_flagged(monkeypatch):
     monkeypatch.setattr(reg_solver, "MAX_NEWTON_ITERS", 1)
     sol = solve_dual_t(p, 50.0, RegSolveConfig(grad_tol=1e-10))
     assert not sol.converged
+
+
+def test_clamped_exp_flushes_below_exp_min():
+    e = np.linspace(-800.0, 700.0, 30001)
+    before = e.copy()
+    g = clamped_exp(e)
+    assert np.array_equal(e, before)
+    # no subnormal: every value is an exact zero or a normal double
+    assert np.all((g == 0.0) | (g >= np.finfo(float).tiny))
+    kept = e >= EXP_MIN
+    assert np.array_equal(g[kept], np.exp(np.minimum(e[kept], EXP_MAX)))
+    assert np.all(g[~kept] == 0.0)
+
+
+def _ladder_chain(div):
+    """Solutions of the warm-started chain on the n_x = 60 size-ladder instance."""
+    p = gen_dataset(DatasetSpec(
+        kind="point-clouds", seed=4, n_x=60, n_y=62, mass_x=60.0, mass_y=62.0,
+        divergence=div,
+    ))
+    cfg = RegSolveConfig(grad_tol=1e-12)
+    sols, init = [], None
+    for t in np.geomspace(1.0, 1e4, 20):
+        sol = solve_dual_t(p, float(t), cfg, init=init)
+        assert sol.converged
+        sols.append(sol)
+        init = sol.xi
+    return sols
+
+
+@pytest.mark.parametrize("div", ["kl", "quadratic"])
+def test_warm_chain_plans_hold_no_subnormal(div):
+    tiny = np.finfo(float).tiny
+    for sol in _ladder_chain(div):
+        g = sol.gamma
+        assert not np.any((g > 0.0) & (g < tiny)), sol.t
+
+
+@pytest.mark.parametrize("div", ["kl", "quadratic"])
+def test_flush_leaves_the_warm_chain_unchanged(div, monkeypatch):
+    flushed = _ladder_chain(div)
+    monkeypatch.setattr(reg_solver, "EXP_MIN", -np.inf)
+    exact = _ladder_chain(div)
+    for a, b in zip(flushed, exact):
+        assert np.array_equal(a.xi.stacked, b.xi.stacked), a.t
+        assert a.iters == b.iters, a.t
