@@ -8,14 +8,26 @@ operation here is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class InvalidInput(ValueError):
     """Raised when an input violates a documented precondition."""
+
+
+class NotPositiveDefinite(np.linalg.LinAlgError):
+    """A Cholesky factorization met a leading minor that is not positive.
+
+    `minor` is the order of the first such leading minor, as LAPACK reports it.
+    """
+
+    def __init__(self, minor):
+        super().__init__(f"{minor}-th leading minor of the array is not positive definite")
+        self.minor = minor
 
 
 COST_KINDS = ("sqeuclidean", "euclidean", "explicit")
@@ -260,8 +272,32 @@ def bipartite_hessian(G, diag):
     H = np.zeros((n_x + n_y, n_x + n_y))
     H[:n_x, n_x:] = G
     H[n_x:, :n_x] = G.T
-    H[np.diag_indices_from(H)] = marginal_sums(G) + diag
+    H.flat[::n_x + n_y + 1] = marginal_sums(G) + diag
     return H
+
+
+def cholesky_solve(S, rhs):
+    """Solve S s = rhs for symmetric positive definite S by LAPACK Cholesky.
+
+    Only the upper triangle of S is read, and S itself may be overwritten
+    (it is when Fortran-ordered), so pass a temporary.  Raises
+    NotPositiveDefinite, a numpy.linalg.LinAlgError, at the first pivot that
+    is not positive or is NaN.  Nothing else is checked for finiteness: a NaN
+    or inf in rhs reaches the solution.
+    """
+    U, info = dpotrf(S, lower=0, clean=0, overwrite_a=1)
+    if info == 0 and math.isnan(U.diagonal().sum()):
+        # reference LAPACK stops at a NaN pivot, OpenBLAS passes it through;
+        # the pivots are nonnegative, so their sum is NaN only if one is
+        info = 1 + int(np.argmax(np.isnan(U.diagonal())))
+    if info > 0:
+        raise NotPositiveDefinite(info)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    s, info = dpotrs(U, rhs, lower=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return s
 
 
 def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
@@ -270,7 +306,8 @@ def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
     Both diagonal blocks are diagonal, so the larger side is eliminated and
     only the min(n_x, n_y) Schur complement diag(b) - W^T W, W = G / sqrt(a),
     is Cholesky-factored (a, b: diagonals of the eliminated and kept sides).
-    Raises numpy.linalg.LinAlgError when the matrix is not positive definite.
+    Raises numpy.linalg.LinAlgError when the matrix is not positive definite:
+    NotPositiveDefinite when the Schur complement fails to factor.
     """
     n_x, n_y = G.shape
     a = d_x + G.sum(axis=1) + ridge
@@ -283,9 +320,8 @@ def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
         raise np.linalg.LinAlgError("eliminated diagonal is not positive")
     W = G / np.sqrt(a)[:, None]
     S = -(W.T @ W)
-    S[np.diag_indices_from(S)] += b
-    cf = scipy.linalg.cho_factor(S, check_finite=False)
-    s_b = scipy.linalg.cho_solve(cf, r_b - G.T @ (r_a / a), check_finite=False)
+    S.flat[::b.size + 1] += b
+    s_b = cholesky_solve(S, r_b - G.T @ (r_a / a))
     s_a = (r_a - G @ s_b) / a
     return np.concatenate([s_b, s_a] if flip else [s_a, s_b])
 

@@ -4,15 +4,15 @@ One loop serves the regularized dual, the face solves of the exact
 reference's crossover and the reduced limit-plan functional: Cholesky steps
 with a ridge retry, Armijo backtracking, and an exit at the objective's
 rounding floor.  Transport-shaped Hessians take a Schur-complement step
-(`core.bipartite_solve`) instead of a dense factorization.
+(`core.bipartite_solve`) instead of a dense factorization.  Every step,
+Schur or dense, factors through `core.cholesky_solve`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .core import bipartite_solve
+from .core import bipartite_solve, cholesky_solve
 
 # Armijo sufficient-decrease fraction and step shrink factor of the line search
 ARMIJO_SLOPE = 1e-4
@@ -44,11 +44,11 @@ def _solve(H, rhs, lam):
         G, d = H
         n_x = G.shape[0]
         return bipartite_solve(G, d[:n_x], d[n_x:], rhs, lam)
-    Hr = H if lam == 0 else H + lam * np.eye(H.shape[0])
-    cf = scipy.linalg.cho_factor(Hr, check_finite=False)
-    step = scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+    # cholesky_solve may overwrite its matrix, and H is factored again on a ridge retry
+    Hr = H.copy() if lam == 0 else H + lam * np.eye(H.shape[0])
+    step = cholesky_solve(Hr, rhs)
     if not np.all(np.isfinite(step)):
-        # unchecked factorization passes NaN through; fail as the pair branch does
+        # a NaN gradient passes the factorization; fail as a NaN pivot does
         raise np.linalg.LinAlgError("Newton step is not finite")
     return step
 

@@ -52,6 +52,20 @@ CONTINUATION_RATIO = 10.0
 MAX_NEWTON_ITERS = 200
 
 
+class TangentFailed(np.linalg.LinAlgError):
+    """The Hessian at a solved point failed to factor in trajectory_tangent.
+
+    `t` is the solved point's t.  `minor` is the order of the first leading
+    minor of the Schur complement that is not positive, or None when the
+    eliminated diagonal already is not.
+    """
+
+    def __init__(self, t, minor):
+        where = "eliminated diagonal" if minor is None else f"leading minor {minor}"
+        super().__init__(f"trajectory tangent at t={t:g}: {where} is not positive")
+        self.t, self.minor = t, minor
+
+
 @dataclass
 class RegSolveConfig:
     grad_tol: float = 1e-10
@@ -220,12 +234,16 @@ def trajectory_tangent(problem, sol, div=None):
 
     The ODE (see ode_terms) reads H xi_dot = -A(gamma log gamma) / t, with H
     the Hessian of K_t at the solution; one Schur-complement solve on its
-    pair (t gamma, grad^2 F*(-xi)).
+    pair (t gamma, grad^2 F*(-xi)).  Raises TangentFailed when that Hessian
+    is not numerically positive definite.
     """
     div = divergence_for(problem) if div is None else div
     gamma, d, forcing = ode_terms(sol.xi.stacked, sol.t, problem, div)
     n_x = problem.n_x
-    return bipartite_solve(sol.t * gamma, d[:n_x], d[n_x:], -forcing / sol.t)
+    try:
+        return bipartite_solve(sol.t * gamma, d[:n_x], d[n_x:], -forcing / sol.t)
+    except np.linalg.LinAlgError as exc:
+        raise TangentFailed(sol.t, getattr(exc, "minor", None)) from exc
 
 
 def predicted_start(problem, sol, t, div=None):

@@ -15,6 +15,7 @@ from uotlab.core import (
     bipartite_hessian,
     bipartite_solve,
     build_cost,
+    cholesky_solve,
     discrete_entropy,
     incidence_columns,
     marginal_sums,
@@ -78,6 +79,41 @@ def test_bipartite_solve_rejects_indefinite(n_x, n_y):
             bipartite_solve(G, d[:n_x], d[n_x:], rhs)
 
 
+@pytest.mark.parametrize("n", [1, 13, 240])
+def test_cholesky_solve_bitwise_equals_scipy(n):
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    S = M @ M.T + n * np.eye(n)
+    rhs = rng.standard_normal(n)
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), rhs)
+    assert cholesky_solve(S.copy(), rhs).tobytes() == ref.tobytes()
+
+
+def test_cholesky_solve_rejects_indefinite_and_nan_pivots():
+    # -1 is an eigenvalue; the second leading minor is 1 - 4 = -3
+    with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+        cholesky_solve(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.ones(3))
+    S = np.eye(3)
+    S[1, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+        cholesky_solve(S, np.ones(3))
+
+
+def test_newton_dense_ridge_retry_leaves_hessian_unchanged():
+    # the singular Hessian fails to factor and is retried with a ridge; the
+    # factorization overwrites a Fortran-ordered matrix in place, so the
+    # caller's Hessian survives only if the Newton step factors a copy
+    H = np.asfortranarray([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    H0 = H.copy()
+    b = np.array([1.0, 1.0, 1.0])
+    *_, flags = newton_minimize(
+        lambda x: 0.5 * x @ H0 @ x - b @ x, lambda x: H0 @ x - b,
+        lambda x: H, np.zeros(3), 1e-12, 1,
+    )
+    assert "ridge" in flags
+    assert np.array_equal(H, H0)
+
+
 def test_newton_bipartite_step_and_ridge_flag():
     # on a quadratic with a transport-shaped Hessian one Newton step is exact;
     # an indefinite Hessian pair is retried with a ridge and flagged
@@ -107,8 +143,8 @@ def test_newton_nan_hessian_raises():
             lambda x: float(x @ x), lambda x: 2 * x,
             lambda x: (np.full((1, 1), np.nan), np.ones(2)), np.ones(2), 1e-12, 5,
         )
-    # a dense NaN Hessian factors without complaint; its NaN step must fail
-    # the same way rather than stall the line search at the start point
+    # a dense NaN Hessian must fail the same way rather than stall the line
+    # search at the start point
     with pytest.raises(np.linalg.LinAlgError):
         newton_minimize(
             lambda x: float(x @ x), lambda x: 2 * x,

@@ -11,6 +11,7 @@ from uotlab.reg_solver import (
     EXP_MAX,
     EXP_MIN,
     RegSolveConfig,
+    TangentFailed,
     clamped_exp,
     kantorovich_eval,
     kantorovich_grad,
@@ -304,3 +305,15 @@ def test_flush_leaves_the_warm_chain_unchanged(div, monkeypatch):
     for a, b in zip(flushed, exact):
         assert np.array_equal(a.xi.stacked, b.xi.stacked), a.t
         assert a.iters == b.iters, a.t
+
+
+@pytest.mark.parametrize("div", ["kl", "quadratic"])
+def test_badly_scaled_masses_raise_named_tangent_failure(div):
+    # masses of 1e-49: the plan at the first continuation stage is far below
+    # the Hessian's rounding, and the tangent's Schur complement is singular
+    p = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence=div,
+                                mass_x=13e-50, mass_y=15e-50))
+    with pytest.raises(TangentFailed) as info:
+        solve_dual_t(p, 100)
+    assert isinstance(info.value, np.linalg.LinAlgError)
+    assert info.value.t == 1.0 and info.value.minor == 13
