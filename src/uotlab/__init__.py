@@ -5,10 +5,7 @@ empirical convergence-rate experiments."""
 from .core import (
     DivergenceSpec,
     DualPotential,
-    Marginals,
     Problem,
-    apply_A,
-    apply_A_adjoint,
     build_cost,
     discrete_entropy,
 )
@@ -20,10 +17,7 @@ from .sweep import SweepConfig, run_sweep
 __all__ = [
     "DivergenceSpec",
     "DualPotential",
-    "Marginals",
     "Problem",
-    "apply_A",
-    "apply_A_adjoint",
     "build_cost",
     "discrete_entropy",
     "DivergenceF",

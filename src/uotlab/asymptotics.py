@@ -11,6 +11,8 @@ from .core import (
     DualPotential,
     InvalidInput,
     apply_A,
+    apply_A_adjoint,
+    check_positive_finite,
     incidence_columns,
     spanning_forest,
 )
@@ -49,8 +51,7 @@ class RateFit:
 
 def compute_d(xi_t, xi_star, t):
     """Rescaled dual deviation t (xi(t) - xi*), stacked over both clouds."""
-    if t <= 0:
-        raise InvalidInput("t must be positive")
+    check_positive_finite(t, "t")
     return t * (xi_t.stacked - xi_star.stacked)
 
 
@@ -68,7 +69,7 @@ def e0_diagnostics(exact, shape):
     against the graph's null basis (`core.spanning_forest`).
     """
     _, N = spanning_forest(exact.I0, *shape)
-    return N.shape[0] - N.shape[1], _span_residual(N, exact.m_star.stacked)
+    return N.shape[0] - N.shape[1], _span_residual(N, exact.m_star)
 
 
 def solve_d_star(exact, div, shape):
@@ -83,7 +84,7 @@ def solve_d_star(exact, div, shape):
         raise InvalidInput("saturated set is empty")
     B = incidence_columns(exact.I0, *shape)
     _, N = spanning_forest(exact.I0, *shape)
-    residual = _span_residual(N, exact.m_star.stacked)
+    residual = _span_residual(N, exact.m_star)
     if residual > 1e-6:
         raise ProjectionFailed(residual)
     rows, cols = np.asarray(exact.I0, dtype=int).T
@@ -96,14 +97,16 @@ def solve_d_star(exact, div, shape):
 
 def ode_residual(xi, xi_dot, t, problem, div=None):
     """Sup-norm of the trajectory ODE left-hand side at (xi, xi_dot, t)."""
-    if t <= 0:
-        raise InvalidInput("t must be positive")
+    check_positive_finite(t, "t")
+    dot = np.asarray(xi_dot, dtype=float)
+    if dot.shape != (problem.n_x + problem.n_y,) or not np.all(np.isfinite(dot)):
+        raise InvalidInput(
+            f"xi_dot must be {problem.n_x + problem.n_y} finite stacked entries"
+        )
     div = divergence_for(problem) if div is None else div
     gamma, hess, forcing = ode_terms(xi.stacked, t, problem, div)
-    dot = np.asarray(xi_dot, dtype=float)
-    n_x = problem.n_x
     lhs = (
-        apply_A(gamma * (dot[:n_x, None] + dot[None, n_x:])).stacked
+        apply_A(gamma * apply_A_adjoint(dot, problem.n_x))
         + hess * dot / t
         + forcing / (t * t)
     )
@@ -112,6 +115,7 @@ def ode_residual(xi, xi_dot, t, problem, div=None):
 
 def ode_inhomogeneous_norm(xi, t, problem):
     """Sup-norm of the (1/t^2) A diag(gamma) log(gamma) forcing term."""
+    check_positive_finite(t, "t")
     _, _, forcing = ode_terms(xi.stacked, t, problem, divergence_for(problem))
     return float(np.max(np.abs(forcing / (t * t))))
 

@@ -1,4 +1,5 @@
-"""Domain types for discrete unbalanced transport: problems, potentials, marginals.
+"""Domain types for discrete unbalanced transport: problems, potentials, the
+marginal operator A and its adjoint.
 
 Measures live on finite point sets and are identified with their weight
 vectors.  A transport plan ("coupling") is a plain nonnegative ndarray of
@@ -17,6 +18,12 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 class InvalidInput(ValueError):
     """Raised when an input violates a documented precondition."""
+
+
+def check_positive_finite(value, name):
+    """Raise InvalidInput unless 0 < value < inf; NaN fails too."""
+    if not 0 < value < math.inf:
+        raise InvalidInput(f"{name} must be positive and finite")
 
 
 class NotPositiveDefinite(np.linalg.LinAlgError):
@@ -89,40 +96,17 @@ class DualPotential:
         return DualPotential(np.zeros(n_x), np.zeros(n_y))
 
 
-@dataclass(frozen=True)
-class Marginals:
-    """Row/column sums of a plan, as a pair of mass vectors."""
-
-    row: np.ndarray
-    col: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "row", np.asarray(self.row, dtype=float))
-        object.__setattr__(self, "col", np.asarray(self.col, dtype=float))
-
-    @property
-    def stacked(self):
-        return np.concatenate([self.row, self.col])
-
-
 def apply_A(gamma):
-    """Marginal operator: plan -> (row sums, column sums)."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 2:
-        raise InvalidInput("plan must be a 2-dimensional array")
-    if not np.all(np.isfinite(gamma)):
-        raise InvalidInput("plan entries must be finite")
-    return Marginals(gamma.sum(axis=1), gamma.sum(axis=0))
+    """Marginal operator A: a plan's row sums stacked over its column sums.
 
-
-def marginal_sums(gamma):
-    """Stacked row and column sums of a plan, without apply_A's input checks."""
+    No input checks; primal_objective checks a plan that comes from outside.
+    """
     return np.concatenate([gamma.sum(axis=1), gamma.sum(axis=0)])
 
 
-def apply_A_adjoint(xi):
-    """Adjoint of the marginal operator: (phi, psi) -> matrix phi_x + psi_y."""
-    return xi.phi[:, None] + xi.psi[None, :]
+def apply_A_adjoint(x, n_x):
+    """Adjoint A* of the marginal operator: stacked (phi, psi) -> matrix phi_x + psi_y."""
+    return x[:n_x, None] + x[None, n_x:]
 
 
 def discrete_entropy(gamma):
@@ -272,7 +256,7 @@ def bipartite_hessian(G, diag):
     H = np.zeros((n_x + n_y, n_x + n_y))
     H[:n_x, n_x:] = G
     H[n_x:, :n_x] = G.T
-    H.flat[::n_x + n_y + 1] = marginal_sums(G) + diag
+    H.flat[::n_x + n_y + 1] = apply_A(G) + diag
     return H
 
 

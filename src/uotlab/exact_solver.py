@@ -21,8 +21,8 @@ import scipy.linalg
 from .core import (
     DualPotential,
     InvalidInput,
-    Marginals,
     apply_A,
+    apply_A_adjoint,
     incidence_columns,
     spanning_forest,
 )
@@ -78,16 +78,12 @@ class ExactSolution:
     kappa: np.ndarray
     I0: list
     kappa_star: float
-    m_star: Marginals
+    m_star: np.ndarray  # optimal marginals, row sums stacked over column sums
     gamma_star: np.ndarray
     lam: np.ndarray  # KKT multipliers (a primal optimizer, support in I0)
     converged: bool
     pivots: int = 0  # crossover pivots from the seed's Kruskal forest
     flags: list = field(default_factory=list)
-
-
-def _slack(problem, x):
-    return problem.cost - (x[:problem.n_x, None] + x[None, problem.n_x:])
 
 
 def _crossover(problem, div, x):
@@ -105,7 +101,7 @@ def _crossover(problem, div, x):
     c = problem.cost
     # at the regularized optimum, ascending slack is descending plan entry
     # exp(-t kappa): the entries of largest regularized flow come first
-    order = np.argsort(_slack(problem, x), axis=None)
+    order = np.argsort(c - apply_A_adjoint(x, n_x), axis=None)
     order = np.column_stack(np.unravel_index(order, c.shape))
     forest = np.zeros(c.shape, dtype=bool)
     forest[tuple(order[spanning_forest(order, n_x, n_y)[0]].T)] = True
@@ -124,7 +120,7 @@ def _crossover(problem, div, x):
         )
         x = x + N @ u
         lam = scipy.linalg.lstsq(B, F_conj_grad(-x, div), check_finite=False)[0]
-        off = np.where(forest, math.inf, _slack(problem, x))
+        off = np.where(forest, math.inf, c - apply_A_adjoint(x, n_x))
         i, j = enter = np.unravel_index(np.argmin(off), c.shape)
         min_flow = float(np.min(lam, initial=math.inf))
         if min_flow >= -FLOW_TOL and off[enter] >= -SLACK_TOL:
@@ -146,14 +142,12 @@ def _crossover(problem, div, x):
 
 
 def optimal_marginals(xi_star, div):
-    """Common marginal vector of every primal optimizer: grad F*(-xi*)."""
-    n = xi_star.phi.size
-    m = F_conj_grad(-xi_star.stacked, div)
-    return Marginals(m[:n], m[n:])
+    """Common stacked marginals of every primal optimizer: grad F*(-xi*)."""
+    return F_conj_grad(-xi_star.stacked, div)
 
 
 def minimal_entropy_plan(I0, m_star, shape):
-    """Entropy-minimal plan with marginals m_star supported on I0.
+    """Entropy-minimal plan with stacked marginals m_star supported on I0.
 
     The plan is exp(A* z) on I0, where z minimizes the strictly convex
     reduced functional sum_{I0} exp((A* z)_xy) - <m*|z> with z pinned to 0
@@ -164,7 +158,7 @@ def minimal_entropy_plan(I0, m_star, shape):
     pinned = np.argmax(spanning_forest(I0, n_x, n_y)[1] != 0, axis=0)
     free = np.setdiff1d(np.arange(n_x + n_y), pinned)
     Bf = incidence_columns(I0, n_x, n_y)[free].T  # (A* z)_{I0} of the free nodes
-    m = np.maximum(np.concatenate([m_star.row, m_star.col]), 0.0)
+    m = np.maximum(m_star, 0.0)
     mf = m[free]
 
     def expo(w):
@@ -181,7 +175,7 @@ def minimal_entropy_plan(I0, m_star, shape):
     gamma = np.zeros(shape)
     rows, cols = np.asarray(I0, dtype=int).T
     gamma[rows, cols] = expo(w)
-    residual = float(np.max(np.abs(apply_A(gamma).stacked - m)))
+    residual = float(np.max(np.abs(apply_A(gamma) - m)))
     if residual > PROJ_RESIDUAL_TOL * max(m[:n_x].sum(), m[n_x:].sum(), 1.0):
         raise ProjectionFailed(residual)
     return gamma
@@ -200,7 +194,7 @@ def solve_exact(problem):
     seed = solve_dual_t(problem, SEED_T)
     x, lam, forest, pivots = _crossover(problem, div, seed.xi.stacked)
     xi_star = DualPotential.from_stacked(x, problem.n_x)
-    kappa = _slack(problem, x)
+    kappa = problem.cost - apply_A_adjoint(x, problem.n_x)
     mask = forest | (kappa <= SLACK_TOL)
     I0 = [(int(i), int(j)) for i, j in np.argwhere(mask)]
     if not I0:
@@ -239,19 +233,18 @@ def brute_force_primal(problem):
 
     def objective(g):
         gamma = g.reshape(n_x, n_y)
-        p = apply_A(gamma).stacked
+        p = apply_A(gamma)
         return float(c @ g) + csiszar(p, div.q, div.entropy)
 
     def grad(g):
         gamma = g.reshape(n_x, n_y)
-        p = apply_A(gamma).stacked
+        p = apply_A(gamma)
         ratio = np.maximum(p, 1e-300) / q
         if ent.name.startswith("kl"):
             dF = np.log(ratio)
         else:  # quadratic
             dF = ratio - 1.0
-        mat = dF[:n_x, None] + dF[None, n_x:]
-        return c + mat.ravel()
+        return c + apply_A_adjoint(dF, n_x).ravel()
 
     rng = np.random.default_rng(0)
     total = max(problem.mu.sum() + problem.nu.sum(), 1.0)

@@ -92,12 +92,13 @@ def solution_to_dict(sol):
 
 
 def exact_to_dict(exact):
+    n_x = exact.xi_star.phi.size
     return {
         "xi_star": {"phi": exact.xi_star.phi.tolist(), "psi": exact.xi_star.psi.tolist()},
         "kappa": exact.kappa.tolist(),
         "I0": [[int(i), int(j)] for i, j in exact.I0],
         "kappa_star_min": None if np.isinf(exact.kappa_star) else exact.kappa_star,
-        "m_star": {"row": exact.m_star.row.tolist(), "col": exact.m_star.col.tolist()},
+        "m_star": {"row": exact.m_star[:n_x].tolist(), "col": exact.m_star[n_x:].tolist()},
         "gamma_star": exact.gamma_star.tolist(),
         "converged": exact.converged,
         "pivots": exact.pivots,

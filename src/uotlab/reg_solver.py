@@ -19,7 +19,6 @@ range, where arithmetic is 10-100x slower.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -30,10 +29,11 @@ from .core import (
     DualPotential,
     InvalidInput,
     apply_A,
+    apply_A_adjoint,
     bipartite_hessian,
     bipartite_solve,
+    check_positive_finite,
     discrete_entropy,
-    marginal_sums,
 )
 from .divergence import F_conj, F_conj_grad, F_conj_hess_diag, csiszar, divergence_for
 from .newton import last_point_cache, newton_minimize
@@ -71,8 +71,7 @@ class RegSolveConfig:
     grad_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise InvalidInput("grad_tol must be positive")
+        check_positive_finite(self.grad_tol, "grad_tol")
 
 
 @dataclass
@@ -80,7 +79,6 @@ class RegSolution:
     t: float
     xi: DualPotential
     gamma: np.ndarray
-    kan_value: float
     iters: int
     grad_norm: float
     converged: bool
@@ -89,8 +87,7 @@ class RegSolution:
 
 def plan_exponent(x, t, problem):
     """Exponent t (A* xi - c) of the plan at a stacked potential."""
-    n_x = problem.n_x
-    return t * (x[:n_x, None] + x[None, n_x:] - problem.cost)
+    return t * (apply_A_adjoint(x, problem.n_x) - problem.cost)
 
 
 def clamped_exp(exponent):
@@ -122,8 +119,7 @@ def _dual_terms(problem, t, div=None):
     array.  The Hessian comes as the pair (t gamma, grad^2 F*(-xi)) standing
     for core.bipartite_hessian of it.
     """
-    if not 0 < t < math.inf:
-        raise InvalidInput("t must be positive and finite")
+    check_positive_finite(t, "t")
     div = divergence_for(problem) if div is None else div
     plan = last_point_cache(lambda x: clamped_exp(plan_exponent(x, t, problem)))
 
@@ -131,20 +127,12 @@ def _dual_terms(problem, t, div=None):
         return F_conj(-x, div) + float(np.sum(plan(x))) / t
 
     def gradient(x):
-        return -F_conj_grad(-x, div) + marginal_sums(plan(x))
+        return -F_conj_grad(-x, div) + apply_A(plan(x))
 
     def hessian(x):
         return t * plan(x), F_conj_hess_diag(-x, div)
 
     return _DualTerms(plan, value, gradient, hessian)
-
-
-def recover_primal(xi, t, problem):
-    """Primal plan exp(t (A* xi - c)) associated with a dual point."""
-    if not 0 < t < math.inf:
-        raise InvalidInput("t must be positive and finite")
-    problem.check_shapes(xi)
-    return clamped_exp(plan_exponent(xi.stacked, t, problem))
 
 
 def kantorovich_eval(xi, t, problem, div=None):
@@ -169,7 +157,7 @@ def _newton_solve(problem, t, config, xi0, div):
     # the kernel works on the stacked potential, and each trial point's plan
     # is computed once, by the value
     terms = _dual_terms(problem, t, div)
-    x, val, grad, iters, flags = newton_minimize(
+    x, _, grad, iters, flags = newton_minimize(
         terms.value,
         terms.gradient,
         terms.hessian,
@@ -184,7 +172,6 @@ def _newton_solve(problem, t, config, xi0, div):
         t=t,
         xi=DualPotential.from_stacked(x, problem.n_x),
         gamma=terms.plan(x),
-        kan_value=val,
         iters=iters,
         grad_norm=gnorm,
         converged=gnorm <= config.grad_tol,
@@ -200,8 +187,7 @@ def solve_dual_t(problem, t, config=None, init=None):
     moderate, matching the bounded rescaled-deviation regime).  Each stage of
     the chain starts from `predicted_start` of the one before.
     """
-    if not 0 < t < math.inf:
-        raise InvalidInput("t must be positive and finite")
+    check_positive_finite(t, "t")
     config = config or RegSolveConfig()
     div = divergence_for(problem)
     if init is not None:
@@ -226,7 +212,7 @@ def ode_terms(x, t, problem, div):
     """
     log_g = plan_exponent(x, t, problem)
     gamma = clamped_exp(log_g)
-    return gamma, F_conj_hess_diag(-x, div), marginal_sums(gamma * log_g)
+    return gamma, F_conj_hess_diag(-x, div), apply_A(gamma * log_g)
 
 
 def trajectory_tangent(problem, sol, div=None):
@@ -265,8 +251,15 @@ def solve_primal_t(problem, t, config=None, init=None):
 
 def primal_objective(gamma, problem, t=None):
     """Transport cost plus marginal penalty, plus the entropy term when t is given."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != problem.cost.shape:
+        raise InvalidInput(
+            f"plan shape {gamma.shape} does not match the cost's {problem.cost.shape}"
+        )
+    if not np.all(np.isfinite(gamma)):
+        raise InvalidInput("plan entries must be finite")
     div = divergence_for(problem)
-    p = apply_A(gamma).stacked
+    p = apply_A(gamma)
     val = float(np.sum(problem.cost * gamma)) + csiszar(p, div.q, div.entropy)
     if t is not None:
         val += discrete_entropy(gamma) / t

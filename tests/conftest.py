@@ -54,7 +54,7 @@ def marginal_matrix(n_x, n_y):
 def coercivity_floor(xi, problem, div=None):
     """Lower bound F*(-xi) + sum (A* xi - c)_+ valid for K_t at every t."""
     div = divergence_for(problem) if div is None else div
-    excess = apply_A_adjoint(xi) - problem.cost
+    excess = apply_A_adjoint(xi.stacked, problem.n_x) - problem.cost
     return F_conj(-xi.stacked, div) + float(np.sum(np.maximum(excess, 0.0)))
 
 

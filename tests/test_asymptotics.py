@@ -15,7 +15,7 @@ from uotlab.asymptotics import (
     solve_d_star,
     xi_dot_log_grid,
 )
-from uotlab.core import DualPotential, InvalidInput, Marginals, Problem
+from uotlab.core import DualPotential, InvalidInput, Problem
 from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.divergence import DivergenceF, divergence_for, get_entropy
 from uotlab.exact_solver import ExactSolution, ProjectionFailed, solve_exact
@@ -76,7 +76,7 @@ def test_solve_d_star_rejects_marginals_off_the_span():
         kappa=np.array([[0.0, 1.0], [1.0, 0.0]]),
         I0=[(0, 0), (1, 1)],
         kappa_star=1.0,
-        m_star=Marginals([1.0, 1.0], [2.0, 1.0]),
+        m_star=np.array([1.0, 1.0, 2.0, 1.0]),
         gamma_star=np.eye(2),
         lam=np.eye(2),
         converged=True,
@@ -181,6 +181,28 @@ def test_ode_residual_garbage_negative_control():
     assert bad >= 10 * max(good, 1e-12)
 
 
+@pytest.mark.parametrize("t", [0.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda xi, t, p: compute_d(xi, xi, t),
+        lambda xi, t, p: ode_residual(xi, np.zeros(2), t, p),
+        lambda xi, t, p: ode_inhomogeneous_norm(xi, t, p),
+    ],
+    ids=["compute_d", "ode_residual", "ode_inhomogeneous_norm"],
+)
+def test_asymptotics_reject_nonfinite_t(call, t):
+    with pytest.raises(InvalidInput):
+        call(xi_1x1(1.0), t, make_1x1(c=1.0))
+
+
+def test_ode_residual_rejects_bad_xi_dot():
+    p = make_1x1(c=1.0)
+    for xi_dot in (np.zeros(3), np.zeros((1, 2)), np.array([0.0, np.nan])):
+        with pytest.raises(InvalidInput):
+            ode_residual(xi_1x1(1.0), xi_dot, 1.0, p)
+
+
 def test_ode_residual_finite_difference_ratio_105():
     # solved potentials on a ratio-1.05 grid around t0 = 100; the five-point
     # stencil meets the 1e-4 bound
@@ -244,8 +266,8 @@ def test_e0_orthogonal_perturbation_detected():
     ex = solve_exact(p)
     # perturb m* orthogonally to E0 = span{(1, 1)}
     orth = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    m = ex.m_star.stacked + 0.01 * orth
-    perturbed = dataclasses.replace(ex, m_star=Marginals(m[:1], m[1:]))
+    m = ex.m_star + 0.01 * orth
+    perturbed = dataclasses.replace(ex, m_star=m)
     _, rel = e0_diagnostics(perturbed, (1, 1))
     assert rel * np.linalg.norm(m) == pytest.approx(0.01, abs=1e-12)
 

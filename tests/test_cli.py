@@ -36,6 +36,14 @@ def test_solve_negative_t_rejected(tmp_path):
     assert cli_main(["solve", "--problem", str(prob), "--t", "-5"]) == EXIT_INVALID
 
 
+def test_solve_infinite_tol_rejected(tmp_path):
+    # an infinite tolerance would accept the zero start as converged
+    prob = tmp_path / "p.json"
+    cli_main(["gen", "--dataset", "point-clouds", "--seed", "4", "-o", str(prob)])
+    argv = ["solve", "--problem", str(prob), "--t", "100", "--tol", "inf"]
+    assert cli_main(argv) == EXIT_INVALID
+
+
 def test_unknown_flag_rejected():
     assert cli_main(["sweep", "--frobnicate"]) == EXIT_INVALID
 
@@ -94,6 +102,8 @@ def test_exact_writes_reference(tmp_path):
     assert {"xi_star", "kappa", "I0", "kappa_star_min", "m_star", "gamma_star"} \
         <= set(doc)
     assert doc["converged"] and doc["pivots"] == 0
+    assert len(doc["m_star"]["row"]) == len(doc["xi_star"]["phi"]) == 12
+    assert len(doc["m_star"]["col"]) == len(doc["xi_star"]["psi"]) == 12
 
 
 def test_sweep_csv_determinism_and_plot(tmp_path):

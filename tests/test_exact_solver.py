@@ -9,7 +9,6 @@ from uotlab import exact_solver
 from uotlab.core import (
     DivergenceSpec,
     DualPotential,
-    Marginals,
     Problem,
     apply_A,
     spanning_forest,
@@ -38,7 +37,7 @@ def test_1x1_closed_forms_kl():
     assert np.allclose(ex.xi_star.stacked, [0.5, 0.5], atol=1e-9)
     assert ex.I0 == [(0, 0)]
     assert ex.kappa[0, 0] == pytest.approx(0.0, abs=1e-9)
-    assert np.allclose(ex.m_star.stacked, np.exp(-0.5), atol=1e-9)
+    assert np.allclose(ex.m_star, np.exp(-0.5), atol=1e-9)
     assert ex.gamma_star[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-9)
 
 
@@ -52,7 +51,7 @@ def test_1x1_zero_cost_quadratic():
     p = make_1x1(c=0.0, kind="quadratic")
     ex = solve_exact(p)
     assert np.allclose(ex.xi_star.stacked, [0.0, 0.0], atol=1e-8)
-    assert np.allclose(ex.m_star.stacked, [1.0, 1.0], atol=1e-8)
+    assert np.allclose(ex.m_star, [1.0, 1.0], atol=1e-8)
 
 
 def test_saturated_set_hand_instance():
@@ -92,11 +91,11 @@ def test_optimal_marginals_reference():
     p = make_1x1(c=1.0, kind="kl")
     div = divergence_for(p)
     m = optimal_marginals(DualPotential([0.5], [0.5]), div)
-    assert np.allclose(m.stacked, np.exp(-0.5))
+    assert np.allclose(m, np.exp(-0.5))
 
 
 def test_minimal_entropy_plan_unique_point():
-    m = Marginals([np.exp(-0.5)], [np.exp(-0.5)])
+    m = np.array([np.exp(-0.5), np.exp(-0.5)])
     g = minimal_entropy_plan([(0, 0)], m, (1, 1))
     assert g[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-10)
 
@@ -104,14 +103,14 @@ def test_minimal_entropy_plan_unique_point():
 def test_minimal_entropy_plan_product_form():
     # full support with uniform marginals: symmetry forces the product plan
     I0 = [(i, j) for i in range(2) for j in range(2)]
-    m = Marginals([1.0, 1.0], [1.0, 1.0])
+    m = np.ones(4)
     g = minimal_entropy_plan(I0, m, (2, 2))
     assert np.allclose(g, 0.5, atol=1e-9)
 
 
 def test_minimal_entropy_plan_rejects_marginals_off_the_span():
     # on I0 = {(0, 0)} a plan has equal row and column sums; 1 and 2 are not
-    m = Marginals([1.0], [2.0])
+    m = np.array([1.0, 2.0])
     with pytest.raises(ProjectionFailed) as info:
         minimal_entropy_plan([(0, 0)], m, (1, 1))
     assert isinstance(info.value, RuntimeError)
@@ -124,7 +123,7 @@ def test_minimal_entropy_plan_golden_section_oracle():
     row = np.array([1.0, 2.0])
     col = np.array([1.4, 1.6])
     I0 = [(i, j) for i in range(2) for j in range(2)]
-    g = minimal_entropy_plan(I0, Marginals(row, col), (2, 2))
+    g = minimal_entropy_plan(I0, np.concatenate([row, col]), (2, 2))
 
     def entropy_of(theta):
         gamma = np.array(
@@ -147,7 +146,7 @@ def test_minimal_entropy_plan_golden_section_oracle():
             c2 = a + invphi * (b - a)
     theta = 0.5 * (a + b)
     assert g[0, 0] == pytest.approx(theta, abs=1e-7)
-    assert np.allclose(apply_A(g).stacked, np.concatenate([row, col]), atol=1e-9)
+    assert np.allclose(apply_A(g), np.concatenate([row, col]), atol=1e-9)
 
 
 @pytest.mark.parametrize("kind", ["kl", "quadratic"])
@@ -166,7 +165,7 @@ def test_kkt_quality_random_instances(kind):
         assert float(np.max(np.abs(ex.gamma_star * ex.kappa))) <= 1e-10
         # the plan realizes the optimal marginals on its support
         assert np.max(
-            np.abs(apply_A(ex.gamma_star).stacked - ex.m_star.stacked)
+            np.abs(apply_A(ex.gamma_star) - ex.m_star)
         ) <= 1e-8
 
 

@@ -12,12 +12,12 @@ from uotlab.reg_solver import (
     EXP_MIN,
     RegSolveConfig,
     TangentFailed,
+    _dual_terms,
     clamped_exp,
     kantorovich_eval,
     kantorovich_grad,
     kantorovich_hess,
     primal_objective,
-    recover_primal,
     solve_dual_t,
     solve_primal_t,
 )
@@ -168,12 +168,11 @@ def test_primal_dual_consistency():
         assert np.max(np.abs(np.log(sol.gamma) - log_g)) <= 1e-10
 
 
-def test_recover_primal_reference_values():
+def test_dual_plan_reference_values():
     p = make_1x1(c=0.0)
-    xi = DualPotential.zeros(1, 1)
-    assert recover_primal(xi, 7.0, p)[0, 0] == pytest.approx(1.0)
+    assert _dual_terms(p, 7.0).plan(np.zeros(2))[0, 0] == pytest.approx(1.0)
     p1 = make_1x1(c=1.0)
-    g = recover_primal(DualPotential([1 / 3], [1 / 3]), 1.0, p1)
+    g = _dual_terms(p1, 1.0).plan(np.array([1 / 3, 1 / 3]))
     assert g[0, 0] == pytest.approx(np.exp(-1 / 3))
 
 
@@ -186,7 +185,7 @@ def test_stationarity_marginal_identity():
     p = random_problem(rng, kind="quadratic")
     sol = solve_dual_t(p, 12.0)
     div = divergence_for(p)
-    lhs = apply_A(sol.gamma).stacked
+    lhs = apply_A(sol.gamma)
     rhs = F_conj_grad(-sol.xi.stacked, div)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
@@ -240,8 +239,18 @@ def test_input_validation():
     )
     with pytest.raises(InvalidInput):
         solve_dual_t(zero_ref, 1.0)
-    with pytest.raises(InvalidInput):
-        RegSolveConfig(grad_tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidInput):
+            RegSolveConfig(grad_tol=tol)
+
+
+def test_primal_objective_rejects_bad_plans():
+    p = random_problem(np.random.default_rng(7), n_x=2, n_y=3)
+    nan_plan = np.ones((2, 3))
+    nan_plan[1, 2] = np.nan
+    for gamma in (np.ones(6), np.ones((3, 2)), np.ones((1, 3)), nan_plan):
+        with pytest.raises(InvalidInput):
+            primal_objective(gamma, p)
 
 
 def test_warm_start_shape_checked():
