@@ -13,7 +13,7 @@ from .core import (
     apply_A,
     apply_A_adjoint,
     check_positive_finite,
-    incidence_columns,
+    grounded_solve,
     spanning_forest,
 )
 from .divergence import F_conj_hess_diag, divergence_for
@@ -76,19 +76,19 @@ def solve_d_star(exact, div, shape):
     """Limit of the rescaled dual deviation.
 
     On the saturated set the limit plan is gamma* = exp(A* d*), so d* solves
-    (A* z)_{I0} = log gamma*_{I0}.  A least-squares lift gives the solution
-    in the saturated span; d* is the minimal weighted-norm point (weight
-    grad^2 F*(-xi*)) of the affine solution set.
+    (A* z)_{I0} = log gamma*_{I0}.  A grounded_solve on I0 with unit weights
+    gives one solution z0; d* is the minimal weighted-norm point (weight
+    grad^2 F*(-xi*)) of the affine solution set z0 + range(N).
     """
     if not exact.I0:
         raise InvalidInput("saturated set is empty")
-    B = incidence_columns(exact.I0, *shape)
     _, N = spanning_forest(exact.I0, *shape)
     residual = _span_residual(N, exact.m_star)
     if residual > 1e-6:
         raise ProjectionFailed(residual)
-    rows, cols = np.asarray(exact.I0, dtype=int).T
-    z0, *_ = np.linalg.lstsq(B.T, np.log(exact.gamma_star[rows, cols]), rcond=None)
+    G = np.zeros(shape)
+    G[tuple(np.asarray(exact.I0, dtype=int).T)] = 1.0
+    z0 = grounded_solve(G, N, apply_A(np.log(np.where(G > 0, exact.gamma_star, 1.0))))
     # minimal weighted norm over z0 + (orthogonal complement of the span)
     weights = F_conj_hess_diag(-exact.xi_star.stacked, div)
     u = np.linalg.solve(N.T @ (weights[:, None] * N), -N.T @ (weights * z0))

@@ -201,26 +201,13 @@ class Problem:
             raise InvalidInput("dual potential shape does not match the problem")
 
 
-def incidence_columns(entries, n_x, n_y):
-    """Columns of the marginal operator for the plan entries (i, j) given.
-
-    Column k is e_i + e_{n_x + j} on the disjoint union of both clouds.
-    """
-    idx = np.asarray(entries, dtype=int).reshape(-1, 2)
-    cols = np.arange(idx.shape[0])
-    B = np.zeros((n_x + n_y, idx.shape[0]))
-    B[idx[:, 0], cols] = 1.0
-    B[n_x + idx[:, 1], cols] = 1.0
-    return B
-
-
 def spanning_forest(entries, n_x, n_y):
     """Kruskal's forest of the bipartite graph whose edges are plan entries.
 
     An entry (i, j) is kept unless it closes a cycle with those before it.
-    Returns the kept positions and an orthonormal basis N of the null space
-    of incidence_columns(entries, n_x, n_y)^T: one column per connected
-    component, +1 on its x-nodes and -1 on its y-nodes, normalized.
+    Returns the kept positions and an orthonormal basis N of the space of
+    stacked potentials z with z_i + z_{n_x + j} = 0 on every entry: one column per
+    connected component, +1 on its x-nodes and -1 on its y-nodes, normalized.
     """
     n = n_x + n_y
     root = list(range(n))
@@ -309,3 +296,16 @@ def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
     s_a = (r_a - G @ s_b) / a
     return np.concatenate([s_b, s_a] if flip else [s_a, s_b])
 
+
+
+def grounded_solve(G, N, rhs):
+    """Solve bipartite_hessian(G, 0) y = rhs, grounded at one root per component.
+
+    N is the null basis of spanning_forest on G's support; the root of a
+    component is the first node of its column.  A unit diagonal there makes
+    the system definite, and for rhs orthogonal to N the solution is 0 at the
+    roots and solves the singular system (the network-simplex grounding).
+    """
+    d = np.zeros(N.shape[0])
+    d[np.argmax(N != 0, axis=0)] = 1.0
+    return bipartite_solve(G, d[:G.shape[0]], d[G.shape[0]:], rhs)

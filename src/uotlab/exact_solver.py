@@ -6,8 +6,8 @@ from the regularized optimum xi(t) at t = SEED_T, which lies within O(1/t)
 of xi*, and its face solves run on the shared Newton kernel.  From the
 optimizer we read off the saturated set, the slack matrix, the common
 optimal marginals m* = grad F*(-xi*), and finally the minimal-entropy
-optimal plan gamma* = exp(A* z) on the saturated set, where z minimizes the
-reduced functional sum_{I0} exp((A* z)_xy) - <m*|z>.
+optimal plan gamma* = exp(A* z) on the saturated set, where z minimizes
+sum_{I0} exp((A* z)_xy) - <m*|z> with one node of every component grounded.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DualPotential,
     InvalidInput,
     apply_A,
     apply_A_adjoint,
-    incidence_columns,
+    grounded_solve,
     spanning_forest,
 )
 from .divergence import (
@@ -33,7 +32,7 @@ from .divergence import (
     csiszar,
     divergence_for,
 )
-from .newton import newton_minimize
+from .newton import last_point_cache, newton_minimize
 from .reg_solver import clamped_exp, solve_dual_t
 
 # the crossover starts from the regularized optimum at this t
@@ -90,12 +89,13 @@ def _crossover(problem, div, x):
     """Spanning-forest crossover from a point near xi* to an optimal forest.
 
     Starts from Kruskal's forest in ascending slack.  Each pivot minimizes
-    F*(-xi) on the forest's face, solves B lam = grad F*(-xi) for the flows,
-    and drops the edge of most negative flow or, failing that, enters the
-    entry of most negative slack; if that closes a cycle, the decreasing cycle
-    edge of least flow leaves (the network-simplex ratio test).  Returns the
-    point, the flows, the forest and the number of pivots once neither rule
-    applies.  Any start works; one near xi* needs few pivots.
+    F*(-xi) on the forest's face, solves A lam = grad F*(-xi) on the forest
+    for the flows, and drops the edge of most negative flow or, failing that,
+    enters the entry of most negative slack; if that closes a cycle, the
+    decreasing cycle edge of least flow leaves (the network-simplex ratio
+    test).  Returns the point, the flows, the forest and the number of pivots
+    once neither rule applies.  Any start works; one near xi* needs few
+    pivots.  Every system on the forest is a grounded_solve with unit weights.
     """
     n_x, n_y = problem.n_x, problem.n_y
     c = problem.cost
@@ -107,11 +107,10 @@ def _crossover(problem, div, x):
     forest[tuple(order[spanning_forest(order, n_x, n_y)[0]].T)] = True
     tol = FACE_TOL * max(1.0, float(np.max(c)))
     for pivots in range(MAX_PIVOTS + 1):
-        edges = np.argwhere(forest)
-        B = incidence_columns(edges, n_x, n_y)
+        edges, G = np.argwhere(forest), forest * 1.0
         _, N = spanning_forest(edges, n_x, n_y)  # the face's free directions
-        # least-squares projection onto the face, then the kernel along it
-        x = x + scipy.linalg.lstsq(B.T, c[forest] - B.T @ x, check_finite=False)[0]
+        # a point on the face, then the kernel along it
+        x = x + grounded_solve(G, N, apply_A(G * (c - apply_A_adjoint(x, n_x))))
         u, *_ = newton_minimize(
             lambda u: F_conj(-(x + N @ u), div),
             lambda u: -N.T @ F_conj_grad(-(x + N @ u), div),
@@ -119,7 +118,7 @@ def _crossover(problem, div, x):
             np.zeros(N.shape[1]), tol, MAX_INNER_ITERS,
         )
         x = x + N @ u
-        lam = scipy.linalg.lstsq(B, F_conj_grad(-x, div), check_finite=False)[0]
+        lam = apply_A_adjoint(grounded_solve(G, N, F_conj_grad(-x, div)), n_x)[forest]
         off = np.where(forest, math.inf, c - apply_A_adjoint(x, n_x))
         i, j = enter = np.unravel_index(np.argmin(off), c.shape)
         min_flow = float(np.min(lam, initial=math.inf))
@@ -135,8 +134,8 @@ def _crossover(problem, div, x):
         if N[i] @ N[n_x + j] < 0:  # both ends in one component: a cycle
             # the entering column is a signed sum of the cycle's forest
             # columns; pushing flow onto it decreases those of sign +1
-            b_enter = incidence_columns([enter], n_x, n_y)[:, 0]
-            path = scipy.linalg.lstsq(B, b_enter, check_finite=False)[0]
+            b_enter = np.bincount([i, n_x + j], minlength=n_x + n_y) * 1.0
+            path = apply_A_adjoint(grounded_solve(G, N, b_enter), n_x)[forest]
             forest[tuple(edges[np.argmin(np.where(path > 0.5, lam, math.inf))])] = False
         forest[enter] = True
 
@@ -150,31 +149,33 @@ def minimal_entropy_plan(I0, m_star, shape):
     """Entropy-minimal plan with stacked marginals m_star supported on I0.
 
     The plan is exp(A* z) on I0, where z minimizes the strictly convex
-    reduced functional sum_{I0} exp((A* z)_xy) - <m*|z> with z pinned to 0
-    at one node of every connected component of I0.  Raises
-    ProjectionFailed when m_star is not the marginal of such a plan.
+    functional sum_{I0} exp((A* z)_xy) - <m*|z> + (1/2) sum_roots z^2, with
+    one root node in every connected component of I0 (as in grounded_solve).
+    The root term is 0 at the minimizer exactly when m* is balanced on each
+    component; ProjectionFailed is raised when m_star is not the marginal of
+    such a plan.
     """
     n_x, n_y = shape
-    pinned = np.argmax(spanning_forest(I0, n_x, n_y)[1] != 0, axis=0)
-    free = np.setdiff1d(np.arange(n_x + n_y), pinned)
-    Bf = incidence_columns(I0, n_x, n_y)[free].T  # (A* z)_{I0} of the free nodes
+    root = np.zeros(n_x + n_y)
+    root[np.argmax(spanning_forest(I0, n_x, n_y)[1] != 0, axis=0)] = 1.0
+    rows, cols = np.asarray(I0, dtype=int).T
     m = np.maximum(m_star, 0.0)
-    mf = m[free]
 
-    def expo(w):
-        return clamped_exp(Bf @ w)
+    @last_point_cache
+    def plan(z):
+        gamma = np.zeros(shape)
+        gamma[rows, cols] = clamped_exp(z[rows] + z[n_x + cols])
+        return gamma
 
-    w, *_ = newton_minimize(
-        lambda w: float(np.sum(expo(w)) - mf @ w),
-        lambda w: Bf.T @ expo(w) - mf,
-        lambda w: Bf.T @ (expo(w)[:, None] * Bf),
-        np.zeros(free.size),
-        1e-13 * max(1.0, float(np.max(mf, initial=0.0))),
+    z, *_ = newton_minimize(
+        lambda z: float(np.sum(plan(z)) - m @ z + 0.5 * root @ z**2),
+        lambda z: apply_A(plan(z)) - m + root * z,
+        lambda z: (plan(z), root),
+        np.zeros(n_x + n_y),
+        1e-13 * max(1.0, float(np.max(m))),
         200,
     )
-    gamma = np.zeros(shape)
-    rows, cols = np.asarray(I0, dtype=int).T
-    gamma[rows, cols] = expo(w)
+    gamma = plan(z)
     residual = float(np.max(np.abs(apply_A(gamma) - m)))
     if residual > PROJ_RESIDUAL_TOL * max(m[:n_x].sum(), m[n_x:].sum(), 1.0):
         raise ProjectionFailed(residual)

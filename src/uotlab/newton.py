@@ -3,9 +3,10 @@
 One loop serves the regularized dual, the face solves of the exact
 reference's crossover and the reduced limit-plan functional: Cholesky steps
 with a ridge retry, Armijo backtracking, and an exit at the objective's
-rounding floor.  Transport-shaped Hessians take a Schur-complement step
-(`core.bipartite_solve`) instead of a dense factorization.  Every step,
-Schur or dense, factors through `core.cholesky_solve`.
+rounding floor.  Transport-shaped Hessians, those of the regularized dual
+and the limit plan, take a Schur-complement step (`core.bipartite_solve`);
+dense steps serve only the crossover's face solves.  Every step, Schur or
+dense, factors through `core.cholesky_solve`.
 """
 
 from __future__ import annotations

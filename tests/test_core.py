@@ -16,7 +16,7 @@ from uotlab.core import (
     build_cost,
     cholesky_solve,
     discrete_entropy,
-    incidence_columns,
+    grounded_solve,
     spanning_forest,
 )
 from uotlab.newton import newton_minimize
@@ -285,27 +285,58 @@ def test_stacked_round_trip():
     assert np.all(back.phi == xi.phi) and np.all(back.psi == xi.psi)
 
 
-def test_spanning_forest_null_basis_matches_svd():
-    # random masks with cycles, isolated nodes and empty rows: the signed
-    # component indicators must span the SVD null space of B^T, and Kruskal
-    # must keep a maximal forest (each dropped entry closes a cycle)
+def _random_masks():
+    # random masks with cycles, isolated nodes and empty rows, each with its
+    # entries in random order and their incidence columns e_i + e_{n_x + j}
     rng = np.random.default_rng(97)
-    seen = {"cycle": 0, "isolated": 0, "empty row": 0}
     for n_x, n_y, density in [(1, 1, 1.0), (3, 4, 0.3), (5, 5, 0.5), (6, 3, 0.9),
                               (8, 9, 0.15), (4, 7, 0.0), (2, 6, 0.6)]:
         for _ in range(10):
             mask = rng.random((n_x, n_y)) < density
             mask[rng.integers(n_x)] = False
             entries = rng.permutation(np.argwhere(mask))
-            kept, N = spanning_forest(entries, n_x, n_y)
-            B = incidence_columns(entries, n_x, n_y)
-            U, s, _ = np.linalg.svd(B, full_matrices=True)
-            rank = int(np.sum(s > 1e-10))
-            null = U[:, rank:]
-            assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-12)
-            assert np.max(np.abs(N @ N.T - null @ null.T), initial=0.0) <= 1e-12
-            assert np.linalg.matrix_rank(B[:, kept]) == len(kept) == rank
-            seen["cycle"] += len(kept) < len(entries)
-            seen["isolated"] += bool(np.any(np.all(B == 0, axis=1)))
-            seen["empty row"] += bool(np.any(~mask.any(axis=1)))
+            B = np.zeros((n_x + n_y, len(entries)))
+            B[entries[:, 0], np.arange(len(entries))] = 1.0
+            B[n_x + entries[:, 1], np.arange(len(entries))] = 1.0
+            yield n_x, n_y, mask, entries, B
+
+
+def test_spanning_forest_null_basis_matches_svd():
+    # the signed component indicators must span the SVD null space of B^T,
+    # and Kruskal must keep a maximal forest (each dropped entry closes a cycle)
+    seen = {"cycle": 0, "isolated": 0, "empty row": 0}
+    for n_x, n_y, mask, entries, B in _random_masks():
+        kept, N = spanning_forest(entries, n_x, n_y)
+        U, s, _ = np.linalg.svd(B, full_matrices=True)
+        rank = int(np.sum(s > 1e-10))
+        null = U[:, rank:]
+        assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-12)
+        assert np.max(np.abs(N @ N.T - null @ null.T), initial=0.0) <= 1e-12
+        assert np.linalg.matrix_rank(B[:, kept]) == len(kept) == rank
+        seen["cycle"] += len(kept) < len(entries)
+        seen["isolated"] += bool(np.any(np.all(B == 0, axis=1)))
+        seen["empty row"] += bool(np.any(~mask.any(axis=1)))
     assert min(seen.values()) >= 10, seen
+
+
+def test_grounded_solve_matches_laplacian_and_least_squares():
+    # for rhs orthogonal to the null basis, the grounded solution solves the
+    # singular transport Hessian and is 0 at each component's first node; on
+    # a forest its edge values A* y are the least-squares flows B lam = rhs
+    rng = np.random.default_rng(98)
+    forests = 0
+    for n_x, n_y, mask, entries, B in _random_masks():
+        G = mask * 1.0
+        kept, N = spanning_forest(entries, n_x, n_y)
+        rhs = rng.standard_normal(n_x + n_y)
+        rhs -= N @ (N.T @ rhs)
+        y = grounded_solve(G, N, rhs)
+        residual = bipartite_hessian(G, np.zeros(n_x + n_y)) @ y - rhs
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+        assert np.max(np.abs(y[np.argmax(N != 0, axis=0)])) <= 1e-12
+        if len(kept) == len(entries):
+            forests += 1
+            lam = np.linalg.lstsq(B, rhs, rcond=None)[0]
+            flows = apply_A_adjoint(y, n_x)[tuple(entries.T)]
+            assert np.max(np.abs(flows - lam), initial=0.0) <= 1e-12
+    assert forests >= 10

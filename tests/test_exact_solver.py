@@ -117,6 +117,22 @@ def test_minimal_entropy_plan_rejects_marginals_off_the_span():
     assert info.value.residual > 0.1
 
 
+def test_minimal_entropy_plan_two_components():
+    # I0 = the 2x2 diagonal: each component is one entry, so each entry
+    # carries its own marginal, and the roots' term vanishes at the optimum
+    m = np.array([1.0, 2.0, 1.0, 2.0])
+    g = minimal_entropy_plan([(0, 0), (1, 1)], m, (2, 2))
+    assert np.allclose(g, np.diag([1.0, 2.0]), atol=1e-12)
+
+
+def test_minimal_entropy_plan_rejects_an_isolated_node_with_mass():
+    # y1 touches no entry of I0, so no plan on I0 carries its marginal
+    m = np.array([1.0, 1.0, 1.0])
+    with pytest.raises(ProjectionFailed) as info:
+        minimal_entropy_plan([(0, 0)], m, (1, 2))
+    assert info.value.residual == pytest.approx(1.0, abs=1e-12)
+
+
 def test_minimal_entropy_plan_golden_section_oracle():
     # full 2x2 support, non-uniform marginals: the feasible set is the
     # 1-parameter family gamma(theta); compare against scalar minimization
@@ -246,18 +262,26 @@ def test_shipped_crossover_pivots_pinned(kind, seed, div):
 
 
 LADDER = [(seed, 13, div) for seed in range(40) for div in ("kl", "quadratic")]
-LADDER += [(4, n, div) for n in (60, 120) for div in ("kl", "quadratic")]
+LADDER += [(4, n, div) for n in (60, 120, 240) for div in ("kl", "quadratic")]
+# crossover pivots of the larger rungs from the seed at t = SEED_T
+LADDER_PIVOTS = {
+    (60, "kl"): 3, (60, "quadratic"): 6,
+    (120, "kl"): 2, (120, "quadratic"): 10,
+    (240, "kl"): 2, (240, "quadratic"): 9,
+}
 
 
 @pytest.mark.parametrize("seed,n_x,div", LADDER)
 def test_exact_reference_ladder(seed, n_x, div):
-    # point clouds at the default size and two larger ones: every reference
+    # point clouds at the default size and three larger ones: every reference
     # converges with duality gap <= 1e-8 and complementarity <= 1e-10
     p = gen_dataset(DatasetSpec(
         kind="point-clouds", seed=seed, divergence=div, n_x=n_x, n_y=n_x + 2,
     ))
     ex = solve_exact(p)
     assert ex.converged
+    if n_x > 13:
+        assert ex.pivots == LADDER_PIVOTS[n_x, div]
     div = divergence_for(p)
     gap = primal_objective(ex.gamma_star, p) + F_conj(-ex.xi_star.stacked, div)
     assert abs(gap) <= 1e-8
