@@ -112,6 +112,8 @@ def apply_A_adjoint(x, n_x):
 def discrete_entropy(gamma):
     """Sum of gamma * (log gamma - 1) with the 0 log 0 = 0 convention."""
     gamma = np.asarray(gamma, dtype=float)
+    if not np.all(np.isfinite(gamma)):
+        raise InvalidInput("entropy requires finite plan entries")
     if np.any(gamma < 0):
         raise InvalidInput("entropy requires a nonnegative plan")
     pos = gamma > 0
@@ -159,6 +161,8 @@ class Problem:
         object.__setattr__(self, "nu", np.asarray(self.nu, dtype=float))
         object.__setattr__(self, "cost", np.asarray(self.cost, dtype=float))
         n_x, n_y = self.mu.size, self.nu.size
+        if n_x == 0 or n_y == 0:
+            raise InvalidInput("each point cloud needs at least one point")
         if self.points_x.shape[0] != n_x or self.points_y.shape[0] != n_y:
             raise InvalidInput("weight vectors must match the point clouds")
         if self.cost.shape != (n_x, n_y):

@@ -52,6 +52,8 @@ def gen_dataset(spec):
 
 
 def _point_clouds(spec):
+    if spec.n_x < 1 or spec.n_y < 1:
+        raise InvalidInput("point clouds need n_x, n_y >= 1")
     if spec.mass_x <= 0 or spec.mass_y <= 0:
         raise InvalidInput("total masses must be positive")
     rng = np.random.default_rng(spec.seed)

@@ -79,6 +79,9 @@ def _panel(series, guide_slope, x0, title, ylabel):
 
 def emit_svg(points, path, title=""):
     """Write the two-panel (primal left, dual right) log-log error figure."""
+    # saxutils pulls in urllib.request; only a written figure pays for it
+    from xml.sax.saxutils import escape
+
     primal = [(p.t, p.primal_err) for p in points]
     dual = [(p.t, p.dual_err) for p in points]
     width = 2 * (PANEL_W + MARGIN) + GAP + MARGIN
@@ -95,7 +98,7 @@ def emit_svg(points, path, title=""):
     if title:
         body.append(
             f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
+            f'font-size="14">{escape(title)}</text>'
         )
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -196,6 +196,13 @@ def test_entropy_rejects_negative():
         discrete_entropy([[-0.5]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_entropy_rejects_nonfinite(bad):
+    # a NaN entry used to be dropped by the gamma > 0 mask, and inf summed
+    with pytest.raises(InvalidInput, match="finite"):
+        discrete_entropy([[bad, 1.0]])
+
+
 def test_entropy_strictly_convex_midpoint():
     rng = np.random.default_rng(4)
     for _ in range(20):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uotlab.core import InvalidInput
+from uotlab.core import InvalidInput, Problem
 from uotlab.datasets import N_OUTLIERS, OUTLIER_SHIFT, DatasetSpec, gen_dataset
 
 
@@ -12,6 +12,20 @@ def test_point_cloud_masses_exact():
     assert p.mu.sum() == pytest.approx(13.0, abs=1e-12)
     assert p.nu.sum() == pytest.approx(15.0, abs=1e-12)
     assert p.n_x == 13 and p.n_y == 15
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_dataset(DatasetSpec(n_x=0)),
+    lambda: gen_dataset(DatasetSpec(n_y=0)),
+    lambda: gen_dataset(DatasetSpec(n_x=-3)),
+    lambda: Problem(np.zeros((0, 2)), [[0.0, 0.0]], [], [1.0], np.zeros((0, 1))),
+    lambda: Problem([[0.0, 0.0]], np.zeros((0, 2)), [1.0], [], np.zeros((1, 0))),
+], ids=["n_x=0", "n_y=0", "n_x=-3", "empty source", "empty target"])
+def test_empty_or_negative_clouds_rejected(make):
+    # these died with ZeroDivisionError, numpy's negative dimensions, or
+    # inside LAPACK once a solver ran on the empty cloud
+    with pytest.raises(InvalidInput):
+        make()
 
 
 def test_gaussian_masses_exact():

@@ -171,6 +171,15 @@ def test_svg_structure(tmp_path):
     assert "<image" not in text and "href" not in text  # self-contained
 
 
+def test_svg_title_is_escaped(tmp_path):
+    path = tmp_path / "fig.svg"
+    title = "kl & <quadratic>"
+    emit_svg(synthetic_rows(12), path, title=title)
+    root = ET.parse(path).getroot()  # an unescaped & or < is not well-formed
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert title in texts
+
+
 def test_svg_needs_two_points(tmp_path):
     with pytest.raises(InvalidInput):
         emit_svg(synthetic_rows(1), tmp_path / "f.svg")
