@@ -209,8 +209,8 @@ def spanning_forest(entries, n_x, n_y):
     """Kruskal's forest of the bipartite graph whose edges are plan entries.
 
     An entry (i, j) is kept unless it closes a cycle with those before it.
-    Returns the kept positions and an orthonormal basis N of the space of
-    stacked potentials z with z_i + z_{n_x + j} = 0 on every entry: one column per
+    Returns the kept positions and an orthonormal basis N of the stacked
+    potentials z with z_i + z_{n_x + j} = 0 on every entry: one column per
     connected component, +1 on its x-nodes and -1 on its y-nodes, normalized.
     """
     n = n_x + n_y
@@ -299,7 +299,6 @@ def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
     s_b = cholesky_solve(S, r_b - G.T @ (r_a / a))
     s_a = (r_a - G @ s_b) / a
     return np.concatenate([s_b, s_a] if flip else [s_a, s_b])
-
 
 
 def grounded_solve(G, N, rhs):

@@ -1,7 +1,7 @@
 """Damped Newton minimization shared by every smooth solve in the lab.
 
 One loop serves the regularized dual, the face solves of the exact
-reference's crossover and the reduced limit-plan functional: Cholesky steps
+reference's crossover and the limit-plan functional: Cholesky steps
 with a ridge retry, Armijo backtracking, and an exit at the objective's
 rounding floor.  Transport-shaped Hessians, those of the regularized dual
 and the limit plan, take a Schur-complement step (`core.bipartite_solve`);
