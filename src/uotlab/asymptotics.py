@@ -16,7 +16,7 @@ from .core import (
     grounded_solve,
     spanning_forest,
 )
-from .divergence import F_conj_hess_diag, divergence_for
+from .divergence import F_conj_hess_diag
 from .exact_solver import ProjectionFailed
 from .reg_solver import ode_terms
 
@@ -95,16 +95,18 @@ def solve_d_star(exact, div, shape):
     return z0 + N @ u
 
 
-def ode_residual(xi, xi_dot, t, problem, div=None):
-    """Sup-norm of the trajectory ODE left-hand side at (xi, xi_dot, t)."""
+def ode_residual(xi, xi_dot, t, problem):
+    """Sup-norm of the trajectory ODE left-hand side at (xi, xi_dot, t).
+
+    The penalty in the ODE's terms is problem.penalty (see reg_solver.ode_terms).
+    """
     check_positive_finite(t, "t")
     dot = np.asarray(xi_dot, dtype=float)
     if dot.shape != (problem.n_x + problem.n_y,) or not np.all(np.isfinite(dot)):
         raise InvalidInput(
             f"xi_dot must be {problem.n_x + problem.n_y} finite stacked entries"
         )
-    div = divergence_for(problem) if div is None else div
-    gamma, hess, forcing = ode_terms(xi.stacked, t, problem, div)
+    gamma, hess, forcing = ode_terms(xi.stacked, t, problem)
     lhs = (
         apply_A(gamma * apply_A_adjoint(dot, problem.n_x))
         + hess * dot / t
@@ -116,7 +118,7 @@ def ode_residual(xi, xi_dot, t, problem, div=None):
 def ode_inhomogeneous_norm(xi, t, problem):
     """Sup-norm of the (1/t^2) A diag(gamma) log(gamma) forcing term."""
     check_positive_finite(t, "t")
-    _, _, forcing = ode_terms(xi.stacked, t, problem, divergence_for(problem))
+    _, _, forcing = ode_terms(xi.stacked, t, problem)
     return float(np.max(np.abs(forcing / (t * t))))
 
 

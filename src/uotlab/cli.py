@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import types
 
@@ -11,7 +12,7 @@ import numpy as np
 from . import io
 from .core import InvalidInput
 from .datasets import DATASET_KINDS, DatasetSpec, gen_dataset
-from .divergence import F_conj, divergence_for
+from .divergence import F_conj
 from .exact_solver import solve_exact
 from .reg_solver import RegSolveConfig, primal_objective, solve_dual_t
 from .sweep import SweepConfig, diagnostics_dict, emit_csv, read_csv, run_sweep
@@ -71,9 +72,8 @@ def _build_parser():
 def _override_divergence(problem, kind):
     if kind is None or kind == problem.divergence.kind:
         return problem
-    data = io.problem_to_dict(problem)
-    data["divergence"]["kind"] = kind
-    return io.problem_from_dict(data)
+    div = dataclasses.replace(problem.divergence, kind=kind)
+    return dataclasses.replace(problem, divergence=div)
 
 
 def _cmd_gen(args):
@@ -133,7 +133,6 @@ def _cmd_plot(args):
 
 def _cmd_check(args):
     problem = io.load_problem(args.problem)
-    div = divergence_for(problem)
     exact = solve_exact(problem)
     failures = []
 
@@ -141,7 +140,7 @@ def _cmd_check(args):
     if feas < -1e-8:
         failures.append(f"feasibility violated: min slack {feas:.3e}")
     primal_val = primal_objective(exact.gamma_star, problem)
-    gap = abs(primal_val + F_conj(-exact.xi_star.stacked, div))
+    gap = abs(primal_val + F_conj(-exact.xi_star.stacked, problem.penalty))
     if gap > 1e-8:
         failures.append(f"duality gap {gap:.3e}")
     comp = float(np.max(np.abs(exact.gamma_star * exact.kappa)))

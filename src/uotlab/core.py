@@ -37,9 +37,6 @@ class NotPositiveDefinite(np.linalg.LinAlgError):
         self.minor = minor
 
 
-COST_KINDS = ("sqeuclidean", "euclidean", "explicit")
-
-
 def build_cost(points_x, points_y, kind="sqeuclidean", matrix=None):
     """Pairwise ground cost between two point clouds.
 
@@ -53,6 +50,8 @@ def build_cost(points_x, points_y, kind="sqeuclidean", matrix=None):
         if c.ndim != 2:
             raise InvalidInput("explicit cost matrix must be 2-dimensional")
         return c
+    if kind not in ("sqeuclidean", "euclidean"):
+        raise InvalidInput(f"unknown cost kind: {kind!r}")
     px = np.atleast_2d(np.asarray(points_x, dtype=float))
     py = np.atleast_2d(np.asarray(points_y, dtype=float))
     if px.shape[1] != py.shape[1]:
@@ -61,11 +60,7 @@ def build_cost(points_x, points_y, kind="sqeuclidean", matrix=None):
         )
     diff = px[:, None, :] - py[None, :, :]
     sq = np.einsum("ijk,ijk->ij", diff, diff)
-    if kind == "sqeuclidean":
-        return sq
-    if kind == "euclidean":
-        return np.sqrt(sq)
-    raise InvalidInput(f"unknown cost kind: {kind!r}")
+    return sq if kind == "sqeuclidean" else np.sqrt(sq)
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,9 @@ class Problem:
     """A full discrete unbalanced transport instance.
 
     Weight vectors mu/nu sit on the point clouds, `cost` is the ground cost
-    matrix and `divergence` selects the marginal penalty.
+    matrix and `divergence` selects the marginal penalty.  The constructor
+    checks the inputs and builds that penalty once, as `penalty` (a
+    divergence.DivergenceF), which every solver reads.
     """
 
     points_x: np.ndarray
@@ -149,6 +146,7 @@ class Problem:
     cost: np.ndarray
     divergence: DivergenceSpec = field(default_factory=DivergenceSpec)
     cost_kind: str = "sqeuclidean"
+    penalty: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -160,6 +158,8 @@ class Problem:
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
         object.__setattr__(self, "nu", np.asarray(self.nu, dtype=float))
         object.__setattr__(self, "cost", np.asarray(self.cost, dtype=float))
+        if self.mu.ndim != 1 or self.nu.ndim != 1:
+            raise InvalidInput("weight vectors must be 1-dimensional")
         n_x, n_y = self.mu.size, self.nu.size
         if n_x == 0 or n_y == 0:
             raise InvalidInput("each point cloud needs at least one point")
@@ -184,6 +184,8 @@ class Problem:
                 )
         if not np.all(np.isfinite(self.q)):
             raise InvalidInput("reference weights must be finite")
+        from .divergence import divergence_for  # divergence imports this module
+        object.__setattr__(self, "penalty", divergence_for(self))
 
     @property
     def n_x(self):

@@ -25,13 +25,7 @@ from .core import (
     grounded_solve,
     spanning_forest,
 )
-from .divergence import (
-    F_conj,
-    F_conj_grad,
-    F_conj_hess_diag,
-    csiszar,
-    divergence_for,
-)
+from .divergence import F_conj, F_conj_grad, F_conj_hess_diag, csiszar
 from .newton import last_point_cache, newton_minimize
 from .reg_solver import clamped_exp, solve_dual_t
 
@@ -85,7 +79,7 @@ class ExactSolution:
     flags: list = field(default_factory=list)
 
 
-def _crossover(problem, div, x):
+def _crossover(problem, x):
     """Spanning-forest crossover from a point near xi* to an optimal forest.
 
     Starts from Kruskal's forest in ascending slack.  Each pivot minimizes
@@ -98,7 +92,7 @@ def _crossover(problem, div, x):
     pivots.  Every system on the forest is a grounded_solve with unit weights.
     """
     n_x, n_y = problem.n_x, problem.n_y
-    c = problem.cost
+    c, div = problem.cost, problem.penalty
     # at the regularized optimum, ascending slack is descending plan entry
     # exp(-t kappa): the entries of largest regularized flow come first
     order = np.argsort(c - apply_A_adjoint(x, n_x), axis=None)
@@ -153,8 +147,10 @@ def minimal_entropy_plan(I0, m_star, shape):
     one root node in every connected component of I0 (as in grounded_solve).
     The root term is 0 at the minimizer exactly when m* is balanced on each
     component; ProjectionFailed is raised when m_star is not the marginal of
-    such a plan.
+    such a plan, and InvalidInput when I0 is empty.
     """
+    if len(I0) == 0:
+        raise InvalidInput("saturated set is empty")
     n_x, n_y = shape
     root = np.zeros(n_x + n_y)
     root[np.argmax(spanning_forest(I0, n_x, n_y)[1] != 0, axis=0)] = 1.0
@@ -191,16 +187,15 @@ def solve_exact(problem):
     SLACK_TOL of zero.  A crossover that finds no optimal forest raises
     CrossoverFailed, so every returned solution is converged.
     """
-    div = divergence_for(problem)
     seed = solve_dual_t(problem, SEED_T)
-    x, lam, forest, pivots = _crossover(problem, div, seed.xi.stacked)
+    x, lam, forest, pivots = _crossover(problem, seed.xi.stacked)
     xi_star = DualPotential.from_stacked(x, problem.n_x)
     kappa = problem.cost - apply_A_adjoint(x, problem.n_x)
     mask = forest | (kappa <= SLACK_TOL)
     I0 = [(int(i), int(j)) for i, j in np.argwhere(mask)]
     if not I0:
         raise DegenerateInstance("no saturated constraint at the dual optimum")
-    m_star = optimal_marginals(xi_star, div)
+    m_star = optimal_marginals(xi_star, problem.penalty)
     return ExactSolution(
         xi_star=xi_star,
         kappa=kappa,
@@ -227,15 +222,13 @@ def brute_force_primal(problem):
 
     if n_x * n_y > 9:
         raise InvalidInput("brute-force oracle is limited to 9 plan entries")
-    div = divergence_for(problem)
     c = problem.cost.ravel()
-    q = problem.q
-    ent = div.entropy
+    q, ent = problem.penalty.q, problem.penalty.entropy
 
     def objective(g):
         gamma = g.reshape(n_x, n_y)
         p = apply_A(gamma)
-        return float(c @ g) + csiszar(p, div.q, div.entropy)
+        return float(c @ g) + csiszar(p, q, ent)
 
     def grad(g):
         gamma = g.reshape(n_x, n_y)

@@ -6,8 +6,7 @@ import json
 
 import numpy as np
 
-from .core import COST_KINDS, DivergenceSpec, InvalidInput, Problem, build_cost
-from .divergence import get_entropy
+from .core import DivergenceSpec, InvalidInput, Problem, build_cost
 
 
 def problem_to_dict(problem):
@@ -47,12 +46,8 @@ def problem_from_dict(data):
         raise InvalidInput(f"malformed problem document: missing {exc}") from None
     cost_spec = _object(data, "cost", {"kind": "sqeuclidean"}, "cost")
     kind = cost_spec.get("kind", "sqeuclidean")
-    if kind not in COST_KINDS:
-        raise InvalidInput(f"unknown cost kind: {kind!r}")
     cost = build_cost(points_x, points_y, kind, matrix=cost_spec.get("matrix"))
     div_spec = _object(data, "divergence", {"kind": "kl"}, "divergence")
-    div_kind = div_spec.get("kind", "kl")
-    get_entropy(div_kind)  # raises InvalidInput on an unknown kind
     qref = div_spec.get("q")
     if qref is not None:
         qref = _object(div_spec, "q", None, "divergence.q")
@@ -60,7 +55,7 @@ def problem_from_dict(data):
             if key not in qref:
                 raise InvalidInput(f"divergence.q is missing {key!r}")
     div = DivergenceSpec(
-        kind=div_kind,
+        kind=div_spec.get("kind", "kl"),
         mu_ref=None if qref is None else np.asarray(qref["mu_ref"], float),
         nu_ref=None if qref is None else np.asarray(qref["nu_ref"], float),
     )

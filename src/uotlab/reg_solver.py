@@ -35,7 +35,7 @@ from .core import (
     check_positive_finite,
     discrete_entropy,
 )
-from .divergence import F_conj, F_conj_grad, F_conj_hess_diag, csiszar, divergence_for
+from .divergence import F_conj, F_conj_grad, F_conj_hess_diag, csiszar
 from .newton import last_point_cache, newton_minimize
 
 # exponent clamp keeping exp() representable; hit only on wild line-search
@@ -112,15 +112,15 @@ class _DualTerms(NamedTuple):
     hessian: Callable
 
 
-def _dual_terms(problem, t, div=None):
+def _dual_terms(problem, t):
     """Plan, value, gradient and Hessian of K_t, as functions of the stacked xi.
 
-    The plan at a point is computed once and reused by the others at the same
-    array.  The Hessian comes as the pair (t gamma, grad^2 F*(-xi)) standing
-    for core.bipartite_hessian of it.
+    The penalty F is problem.penalty.  The plan at a point is computed once
+    and reused by the others at the same array.  The Hessian comes as the
+    pair (t gamma, grad^2 F*(-xi)) standing for core.bipartite_hessian of it.
     """
     check_positive_finite(t, "t")
-    div = divergence_for(problem) if div is None else div
+    div = problem.penalty
     plan = last_point_cache(lambda x: clamped_exp(plan_exponent(x, t, problem)))
 
     def value(x):
@@ -135,28 +135,28 @@ def _dual_terms(problem, t, div=None):
     return _DualTerms(plan, value, gradient, hessian)
 
 
-def kantorovich_eval(xi, t, problem, div=None):
+def kantorovich_eval(xi, t, problem):
     """Value of the regularized dual objective K_t at xi."""
     problem.check_shapes(xi)
-    return _dual_terms(problem, t, div).value(xi.stacked)
+    return _dual_terms(problem, t).value(xi.stacked)
 
 
-def kantorovich_grad(xi, t, problem, div=None):
+def kantorovich_grad(xi, t, problem):
     """Gradient of K_t as a stacked vector: -grad F*(-xi) + A gamma."""
     problem.check_shapes(xi)
-    return _dual_terms(problem, t, div).gradient(xi.stacked)
+    return _dual_terms(problem, t).gradient(xi.stacked)
 
 
-def kantorovich_hess(xi, t, problem, div=None):
+def kantorovich_hess(xi, t, problem):
     """Hessian of K_t: diag(grad^2 F*(-xi)) + t A diag(gamma) A*."""
     problem.check_shapes(xi)
-    return bipartite_hessian(*_dual_terms(problem, t, div).hessian(xi.stacked))
+    return bipartite_hessian(*_dual_terms(problem, t).hessian(xi.stacked))
 
 
-def _newton_solve(problem, t, config, xi0, div):
+def _newton_solve(problem, t, config, xi0):
     # the kernel works on the stacked potential, and each trial point's plan
     # is computed once, by the value
-    terms = _dual_terms(problem, t, div)
+    terms = _dual_terms(problem, t)
     x, _, grad, iters, flags = newton_minimize(
         terms.value,
         terms.gradient,
@@ -189,20 +189,19 @@ def solve_dual_t(problem, t, config=None, init=None):
     """
     check_positive_finite(t, "t")
     config = config or RegSolveConfig()
-    div = divergence_for(problem)
     if init is not None:
         problem.check_shapes(init)
-        return _newton_solve(problem, t, config, init, div)
+        return _newton_solve(problem, t, config, init)
     xi = DualPotential.zeros(problem.n_x, problem.n_y)
     t_cur = CONTINUATION_FROM
     while t_cur < t:
-        sol = _newton_solve(problem, t_cur, config, xi, div)
+        sol = _newton_solve(problem, t_cur, config, xi)
         t_cur *= CONTINUATION_RATIO
-        xi = predicted_start(problem, sol, min(t_cur, t), div)
-    return _newton_solve(problem, t, config, xi, div)
+        xi = predicted_start(problem, sol, min(t_cur, t))
+    return _newton_solve(problem, t, config, xi)
 
 
-def ode_terms(x, t, problem, div):
+def ode_terms(x, t, problem):
     """Plan gamma, grad^2 F*(-xi) and forcing A(gamma log gamma) at a stacked xi.
 
     Differentiating the stationarity condition of K_t in t gives the
@@ -212,19 +211,18 @@ def ode_terms(x, t, problem, div):
     """
     log_g = plan_exponent(x, t, problem)
     gamma = clamped_exp(log_g)
-    return gamma, F_conj_hess_diag(-x, div), apply_A(gamma * log_g)
+    return gamma, F_conj_hess_diag(-x, problem.penalty), apply_A(gamma * log_g)
 
 
-def trajectory_tangent(problem, sol, div=None):
+def trajectory_tangent(problem, sol):
     """Stacked d xi/dt at a solved point, from the trajectory ODE.
 
     The ODE (see ode_terms) reads H xi_dot = -A(gamma log gamma) / t, with H
-    the Hessian of K_t at the solution; one Schur-complement solve on its
-    pair (t gamma, grad^2 F*(-xi)).  Raises TangentFailed when that Hessian
-    is not numerically positive definite.
+    the Hessian of K_t at the solution and F the problem's penalty; one
+    Schur-complement solve on its pair (t gamma, grad^2 F*(-xi)).  Raises
+    TangentFailed when that Hessian is not numerically positive definite.
     """
-    div = divergence_for(problem) if div is None else div
-    gamma, d, forcing = ode_terms(sol.xi.stacked, sol.t, problem, div)
+    gamma, d, forcing = ode_terms(sol.xi.stacked, sol.t, problem)
     n_x = problem.n_x
     try:
         return bipartite_solve(sol.t * gamma, d[:n_x], d[n_x:], -forcing / sol.t)
@@ -232,14 +230,14 @@ def trajectory_tangent(problem, sol, div=None):
         raise TangentFailed(sol.t, getattr(exc, "minor", None)) from exc
 
 
-def predicted_start(problem, sol, t, div=None):
-    """Warm start for t from a solution at s = sol.t.
+def predicted_start(problem, sol, t):
+    """Warm start for t from a solution at s = sol.t of the same problem.
 
     xi(t) = xi* + d/t matched to the value and tangent at s predicts
     xi(t) = xi(s) + (1 - s/t) s xi_dot(s).
     """
     s = sol.t
-    step = (1.0 - s / t) * s * trajectory_tangent(problem, sol, div)
+    step = (1.0 - s / t) * s * trajectory_tangent(problem, sol)
     return DualPotential.from_stacked(sol.xi.stacked + step, problem.n_x)
 
 
@@ -251,6 +249,8 @@ def solve_primal_t(problem, t, config=None, init=None):
 
 def primal_objective(gamma, problem, t=None):
     """Transport cost plus marginal penalty, plus the entropy term when t is given."""
+    if t is not None:
+        check_positive_finite(t, "t")
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != problem.cost.shape:
         raise InvalidInput(
@@ -258,7 +258,7 @@ def primal_objective(gamma, problem, t=None):
         )
     if not np.all(np.isfinite(gamma)):
         raise InvalidInput("plan entries must be finite")
-    div = divergence_for(problem)
+    div = problem.penalty
     p = apply_A(gamma)
     val = float(np.sum(problem.cost * gamma)) + csiszar(p, div.q, div.entropy)
     if t is not None:

@@ -23,7 +23,6 @@ from .asymptotics import (
     xi_dot_log_grid,
 )
 from .core import InvalidInput, discrete_entropy
-from .divergence import divergence_for
 from .exact_solver import solve_exact
 from .reg_solver import RegSolveConfig, plan_exponent, predicted_start, solve_dual_t
 
@@ -67,7 +66,6 @@ def run_sweep(problem, config=None, exact=None):
     config = config or SweepConfig()
     if exact is None:
         exact = solve_exact(problem)
-    div = divergence_for(problem)
     shape = (problem.n_x, problem.n_y)
     gamma_star = exact.gamma_star
     off_mask = np.ones(shape, dtype=bool)
@@ -78,7 +76,7 @@ def run_sweep(problem, config=None, exact=None):
     grid = t_grid(config)
     sols = [solve_dual_t(problem, float(grid[0]), reg_cfg)]
     for t in grid[1:]:
-        init = predicted_start(problem, sols[-1], float(t), div)
+        init = predicted_start(problem, sols[-1], float(t))
         sols.append(solve_dual_t(problem, float(t), reg_cfg, init=init))
 
     points = []
@@ -90,7 +88,7 @@ def run_sweep(problem, config=None, exact=None):
         resid = float("nan")
         if 0 < k < len(grid) - 1:
             xd = xi_dot_log_grid(grid, [s.xi for s in sols], k)
-            resid = ode_residual(xi, xd, t, problem, div)
+            resid = ode_residual(xi, xd, t, problem)
         log_g = plan_exponent(xi.stacked, t, problem)
         off_max = float(log_g[off_mask].max()) if off_mask.any() else float("nan")
         points.append(
@@ -113,7 +111,7 @@ def run_sweep(problem, config=None, exact=None):
     usable = [p for p in points if p.converged]
     dual_fit = fit_rate([(p.t, p.dual_err) for p in usable])
     primal_fit = fit_rate([(p.t, p.primal_err) for p in usable])
-    d_star = solve_d_star(exact, div, shape)
+    d_star = solve_d_star(exact, problem.penalty, shape)
     dim_e0, e0_res = e0_diagnostics(exact, shape)
     off_slope = None
     if off_mask.any():

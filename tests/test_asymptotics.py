@@ -331,3 +331,19 @@ def test_entropy_inequality_along_sweep():
     h_star = discrete_entropy(res.exact.gamma_star)
     for pt in res.points:
         assert pt.entropy_val <= h_star + 1e-9
+
+
+def test_solvers_build_no_penalty_of_their_own(monkeypatch):
+    # the problem builds its DivergenceF once; the exact pipeline and the
+    # sweep only read problem.penalty
+    p = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence="kl"))
+    built = []
+    init = DivergenceF.__post_init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(DivergenceF, "__post_init__", counting)
+    run_sweep(p, SweepConfig(n_points=20), exact=solve_exact(p))
+    assert len(built) == 0

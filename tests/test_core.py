@@ -281,6 +281,36 @@ def test_problem_rejects_reference_weights_of_wrong_length(mu_ref, nu_ref, name)
         )
 
 
+@pytest.mark.parametrize(
+    "mu, nu",
+    [([[1.0]], [[1.0]]), ([[1.0, 2.0]], [1.0]), (1.0, [1.0])],
+    ids=["column-weights", "row-of-weights", "scalar-weight"],
+)
+def test_problem_rejects_weights_that_are_not_vectors(mu, nu):
+    # these died with numpy's ValueError: column weights built a (2, 1) q
+    # that failed at the first solve, the others failed in a concatenate
+    n_x, n_y = np.size(mu), np.size(nu)
+    with pytest.raises(InvalidInput, match="1-dimensional"):
+        Problem(np.zeros((n_x, 1)), np.zeros((n_y, 1)), mu, nu,
+                np.ones((n_x, n_y)), cost_kind="explicit")
+
+
+def test_problem_rejects_an_unknown_divergence_at_construction():
+    # a zero reference weight is rejected here too (test_input_validation)
+    with pytest.raises(InvalidInput, match="unknown divergence kind"):
+        Problem([[0.0]], [[0.0]], [1.0], [1.0], [[1.0]],
+                divergence=DivergenceSpec(kind="total-variation"),
+                cost_kind="explicit")
+
+
+def test_problem_penalty_is_not_an_argument():
+    p = Problem([[0.0]], [[0.0]], [1.0], [2.0], [[1.0]], cost_kind="explicit")
+    assert p.penalty.entropy.name == "kl"
+    assert np.array_equal(p.penalty.q, [1.0, 2.0])
+    with pytest.raises(TypeError):
+        Problem([[0.0]], [[0.0]], [1.0], [2.0], [[1.0]], penalty=p.penalty)
+
+
 def test_dual_potential_rejects_nonfinite():
     with pytest.raises(InvalidInput):
         DualPotential([np.inf], [0.0])

@@ -28,6 +28,11 @@ def test_empty_or_negative_clouds_rejected(make):
         make()
 
 
+def test_unknown_divergence_rejected_when_generated():
+    with pytest.raises(InvalidInput, match="unknown divergence kind"):
+        gen_dataset(DatasetSpec(divergence="bogus"))
+
+
 def test_gaussian_masses_exact():
     p = gen_dataset(DatasetSpec(kind="gaussians-1d", seed=0))
     assert p.mu.sum() == pytest.approx(11.0, abs=1e-12)

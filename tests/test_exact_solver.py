@@ -9,6 +9,7 @@ from uotlab import exact_solver
 from uotlab.core import (
     DivergenceSpec,
     DualPotential,
+    InvalidInput,
     Problem,
     apply_A,
     spanning_forest,
@@ -73,7 +74,7 @@ def test_saturated_set_hand_instance():
 def test_crossover_repairs_an_infeasible_start():
     # slack -3 at the start: the crossover enters the entry and lands on xi*
     p = make_1x1(c=1.0)
-    x, lam, forest, _ = _crossover(p, divergence_for(p), np.array([2.0, 2.0]))
+    x, lam, forest, _ = _crossover(p, np.array([2.0, 2.0]))
     assert np.allclose(x, 0.5, atol=1e-14)
     assert forest.tolist() == [[True]]
     assert lam[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-14)
@@ -115,6 +116,11 @@ def test_minimal_entropy_plan_rejects_marginals_off_the_span():
         minimal_entropy_plan([(0, 0)], m, (1, 1))
     assert isinstance(info.value, RuntimeError)
     assert info.value.residual > 0.1
+
+
+def test_minimal_entropy_plan_rejects_an_empty_saturated_set():
+    with pytest.raises(InvalidInput, match="saturated set is empty"):
+        minimal_entropy_plan([], np.array([1.0, 1.0]), (1, 1))
 
 
 def test_minimal_entropy_plan_two_components():
@@ -198,7 +204,7 @@ def test_crossover_drops_an_unsaturated_entry():
         kappa0 = p.cost - (x0[:3, None] + x0[None, 3:])
         order = np.column_stack(np.unravel_index(np.argsort(kappa0, axis=None), (3, 3)))
         start = {tuple(e) for e in order[spanning_forest(order, 3, 3)[0]]}
-        x, lam, forest, _ = _crossover(p, divergence_for(p), x0)
+        x, lam, forest, _ = _crossover(p, x0)
         assert np.max(np.abs(x - ex.xi_star.stacked)) <= 1e-12
         assert np.all(lam[~forest] == 0.0) and np.all(lam >= 0.0)
         dropped += bool(start - set(ex.I0))
@@ -222,7 +228,7 @@ def test_crossover_ratio_test_on_a_cycle(monkeypatch):
         return spanning_forest(entries, n_x, n_y)
 
     monkeypatch.setattr(exact_solver, "spanning_forest", recording)
-    x, _, forest, _ = _crossover(p, divergence_for(p), np.array([0.5, -1.0, 0.5, -1.0]))
+    x, _, forest, _ = _crossover(p, np.array([0.5, -1.0, 0.5, -1.0]))
     assert forests[1] == {(0, 0), (0, 1), (1, 0)}
     assert len(forests[2]) == 3 and {(0, 0), (1, 1)} <= forests[2]
     assert np.allclose(x, 0.5, atol=1e-14)

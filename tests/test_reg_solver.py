@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from uotlab import reg_solver
-from uotlab.core import DivergenceSpec, DualPotential, InvalidInput, Problem
+from uotlab.core import DivergenceSpec, DualPotential, InvalidInput, Problem, apply_A
 from uotlab.datasets import DatasetSpec, gen_dataset
-from uotlab.divergence import divergence_for
+from uotlab.divergence import csiszar, divergence_for
 from uotlab.reg_solver import (
     EXP_MAX,
     EXP_MIN,
@@ -49,7 +49,7 @@ def test_eval_penalty_bound_at_feasible_point():
             np.full(p.n_x, -1.0), np.full(p.n_y, -1.0)
         )  # A* xi = -2 < c
         for t in (1.0, 10.0, 100.0):
-            val = kantorovich_eval(xi, t, p, div)
+            val = kantorovich_eval(xi, t, p)
             conj = float(
                 np.sum(div.q * np.asarray(div.entropy.phi_conj(-xi.stacked)))
             )
@@ -232,13 +232,12 @@ def test_input_validation():
     for t in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(InvalidInput):
             solve_dual_t(p, t)
-    zero_ref = Problem(
-        [[0.0]], [[0.0]], [1.0], [1.0], [[1.0]],
-        divergence=DivergenceSpec(kind="kl", mu_ref=[0.0], nu_ref=[1.0]),
-        cost_kind="explicit",
-    )
     with pytest.raises(InvalidInput):
-        solve_dual_t(zero_ref, 1.0)
+        Problem(
+            [[0.0]], [[0.0]], [1.0], [1.0], [[1.0]],
+            divergence=DivergenceSpec(kind="kl", mu_ref=[0.0], nu_ref=[1.0]),
+            cost_kind="explicit",
+        )
     for tol in (0.0, np.inf, np.nan):
         with pytest.raises(InvalidInput):
             RegSolveConfig(grad_tol=tol)
@@ -251,6 +250,19 @@ def test_primal_objective_rejects_bad_plans():
     for gamma in (np.ones(6), np.ones((3, 2)), np.ones((1, 3)), nan_plan):
         with pytest.raises(InvalidInput):
             primal_objective(gamma, p)
+
+
+def test_primal_objective_checks_t():
+    p = random_problem(np.random.default_rng(7), n_x=2, n_y=3)
+    gamma = np.full((2, 3), 0.5)
+    for t in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInput, match="t must be positive"):
+            primal_objective(gamma, p, t)
+    # t=None leaves the entropy term out: cost plus marginal penalty
+    penalty = csiszar(apply_A(gamma), p.penalty.q, p.penalty.entropy)
+    expected = float(np.sum(p.cost * gamma)) + penalty
+    assert primal_objective(gamma, p) == expected
+    assert primal_objective(gamma, p, t=None) == expected
 
 
 def test_warm_start_shape_checked():
