@@ -89,10 +89,9 @@ def solve_d_star(exact, div, shape):
     G = np.zeros(shape)
     G[tuple(np.asarray(exact.I0, dtype=int).T)] = 1.0
     z0 = grounded_solve(G, N, apply_A(np.log(np.where(G > 0, exact.gamma_star, 1.0))))
-    # minimal weighted norm over z0 + (orthogonal complement of the span)
+    # minimal weighted norm over z0 + range(N): disjoint columns, diagonal system
     weights = F_conj_hess_diag(-exact.xi_star.stacked, div)
-    u = np.linalg.solve(N.T @ (weights[:, None] * N), -N.T @ (weights * z0))
-    return z0 + N @ u
+    return z0 + N @ (-(N.T @ (weights * z0)) / (weights @ N**2))
 
 
 def ode_residual(xi, xi_dot, t, problem):

@@ -183,13 +183,13 @@ def cli_main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
         return _COMMANDS[args.command](args)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # CrossoverFailed, TangentFailed, ...; first, as a LinAlgError is a ValueError
+        print(f"non-convergence: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGED
     except (InvalidInput, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except RuntimeError as exc:
-        # DegenerateInstance, CrossoverFailed, ProjectionFailed, ...
-        print(f"non-convergence: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
 
 
 def main():

@@ -303,14 +303,20 @@ def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
     return np.concatenate([s_b, s_a] if flip else [s_a, s_b])
 
 
+def component_roots(N):
+    """0/1 indicator of each component's root, the first node of its column of N."""
+    root = np.zeros(N.shape[0])
+    root[np.argmax(N != 0, axis=0)] = 1.0
+    return root
+
+
 def grounded_solve(G, N, rhs):
     """Solve bipartite_hessian(G, 0) y = rhs, grounded at one root per component.
 
-    N is the null basis of spanning_forest on G's support; the root of a
-    component is the first node of its column.  A unit diagonal there makes
-    the system definite, and for rhs orthogonal to N the solution is 0 at the
-    roots and solves the singular system (the network-simplex grounding).
+    N is the null basis of spanning_forest on G's support; the roots are its
+    component_roots.  A unit diagonal there makes the system definite, and
+    for rhs orthogonal to N the solution is 0 at the roots and solves the
+    singular system (the network-simplex grounding).
     """
-    d = np.zeros(N.shape[0])
-    d[np.argmax(N != 0, axis=0)] = 1.0
+    d = component_roots(N)
     return bipartite_solve(G, d[:G.shape[0]], d[G.shape[0]:], rhs)

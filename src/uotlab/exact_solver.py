@@ -22,6 +22,7 @@ from .core import (
     InvalidInput,
     apply_A,
     apply_A_adjoint,
+    component_roots,
     grounded_solve,
     spanning_forest,
 )
@@ -89,7 +90,9 @@ def _crossover(problem, x):
     decreasing cycle edge of least flow leaves (the network-simplex ratio
     test).  Returns the point, the flows, the forest and the number of pivots
     once neither rule applies.  Any start works; one near xi* needs few
-    pivots.  Every system on the forest is a grounded_solve with unit weights.
+    pivots.  Every system on the forest is a grounded_solve with unit weights,
+    and the face Hessian N^T diag(h) N is the diagonal h @ N**2, since the
+    columns of N share no node.
     """
     n_x, n_y = problem.n_x, problem.n_y
     c, div = problem.cost, problem.penalty
@@ -108,7 +111,7 @@ def _crossover(problem, x):
         u, *_ = newton_minimize(
             lambda u: F_conj(-(x + N @ u), div),
             lambda u: -N.T @ F_conj_grad(-(x + N @ u), div),
-            lambda u: N.T @ (F_conj_hess_diag(-(x + N @ u), div)[:, None] * N),
+            lambda u: F_conj_hess_diag(-(x + N @ u), div) @ N**2,
             np.zeros(N.shape[1]), tol, MAX_INNER_ITERS,
         )
         x = x + N @ u
@@ -134,17 +137,12 @@ def _crossover(problem, x):
         forest[enter] = True
 
 
-def optimal_marginals(xi_star, div):
-    """Common stacked marginals of every primal optimizer: grad F*(-xi*)."""
-    return F_conj_grad(-xi_star.stacked, div)
-
-
 def minimal_entropy_plan(I0, m_star, shape):
     """Entropy-minimal plan with stacked marginals m_star supported on I0.
 
     The plan is exp(A* z) on I0, where z minimizes the strictly convex
     functional sum_{I0} exp((A* z)_xy) - <m*|z> + (1/2) sum_roots z^2, with
-    one root node in every connected component of I0 (as in grounded_solve).
+    one root node in every connected component of I0 (core.component_roots).
     The root term is 0 at the minimizer exactly when m* is balanced on each
     component; ProjectionFailed is raised when m_star is not the marginal of
     such a plan, and InvalidInput when I0 is empty.
@@ -152,8 +150,7 @@ def minimal_entropy_plan(I0, m_star, shape):
     if len(I0) == 0:
         raise InvalidInput("saturated set is empty")
     n_x, n_y = shape
-    root = np.zeros(n_x + n_y)
-    root[np.argmax(spanning_forest(I0, n_x, n_y)[1] != 0, axis=0)] = 1.0
+    root = component_roots(spanning_forest(I0, n_x, n_y)[1])
     rows, cols = np.asarray(I0, dtype=int).T
     m = np.maximum(m_star, 0.0)
 
@@ -195,7 +192,7 @@ def solve_exact(problem):
     I0 = [(int(i), int(j)) for i, j in np.argwhere(mask)]
     if not I0:
         raise DegenerateInstance("no saturated constraint at the dual optimum")
-    m_star = optimal_marginals(xi_star, problem.penalty)
+    m_star = F_conj_grad(-x, problem.penalty)  # common to every primal optimizer
     return ExactSolution(
         xi_star=xi_star,
         kappa=kappa,

@@ -22,10 +22,9 @@ def problem_to_dict(problem):
         out["cost"]["matrix"] = problem.cost.tolist()
     div = problem.divergence
     if div.mu_ref is not None or div.nu_ref is not None:
-        out["divergence"]["q"] = {
-            "mu_ref": np.asarray(div.mu_ref).tolist(),
-            "nu_ref": np.asarray(div.nu_ref).tolist(),
-        }
+        # a weight left unset defaults to the problem's own; write both
+        mu_ref, nu_ref = np.split(problem.q, [problem.n_x])
+        out["divergence"]["q"] = {"mu_ref": mu_ref.tolist(), "nu_ref": nu_ref.tolist()}
     return out
 
 

@@ -1,19 +1,17 @@
 """Damped Newton minimization shared by every smooth solve in the lab.
 
 One loop serves the regularized dual, the face solves of the exact
-reference's crossover and the limit-plan functional: Cholesky steps
-with a ridge retry, Armijo backtracking, and an exit at the objective's
-rounding floor.  Transport-shaped Hessians, those of the regularized dual
-and the limit plan, take a Schur-complement step (`core.bipartite_solve`);
-dense steps serve only the crossover's face solves.  Every step, Schur or
-dense, factors through `core.cholesky_solve`.
+reference's crossover and the limit-plan functional: Newton steps with a
+ridge retry, Armijo backtracking, and an exit at the objective's rounding
+floor.  The dual and the limit plan have transport-shaped Hessians and take
+Schur steps (`core.bipartite_solve`); the face solves have diagonal ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import bipartite_solve, cholesky_solve
+from .core import bipartite_solve
 
 # Armijo sufficient-decrease fraction and step shrink factor of the line search
 ARMIJO_SLOPE = 1e-4
@@ -40,16 +38,16 @@ def last_point_cache(fn):
 
 
 def _solve(H, rhs, lam):
-    """Solve (H + lam I) s = rhs by Cholesky; see newton_minimize for H."""
+    """Solve (H + lam I) s = rhs; see newton_minimize for H."""
     if isinstance(H, tuple):
         G, d = H
         n_x = G.shape[0]
         return bipartite_solve(G, d[:n_x], d[n_x:], rhs, lam)
-    # cholesky_solve may overwrite its matrix, and H is factored again on a ridge retry
-    Hr = H.copy() if lam == 0 else H + lam * np.eye(H.shape[0])
-    step = cholesky_solve(Hr, rhs)
-    if not np.all(np.isfinite(step)):
-        # a NaN gradient passes the factorization; fail as a NaN pivot does
+    h = H + lam
+    if not np.all(h > 0):  # NaN fails too, as a NaN pivot does
+        raise np.linalg.LinAlgError("diagonal Hessian is not positive")
+    step = rhs / h
+    if not np.all(np.isfinite(step)):  # a NaN gradient passes the test above
         raise np.linalg.LinAlgError("Newton step is not finite")
     return step
 
@@ -58,7 +56,7 @@ def _mean_diagonal(H):
     if isinstance(H, tuple):
         G, d = H
         return (2 * G.sum() + d.sum()) / d.size
-    return np.trace(H) / H.shape[0]
+    return H.mean()
 
 
 def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters):
@@ -69,9 +67,9 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters):
     points like any other failed Armijo test.  Stops when max|gradient| <=
     grad_tol, after max_iters steps, at numerical stationarity, or when
     backtracking stalls (flag "linesearch-stalled").  `hessian` returns a
-    dense matrix, or a pair (G, d) standing for the transport-shaped
-    `core.bipartite_hessian(G, d)`.  A Hessian that fails to factor is
-    retried with a growing ridge (flag "ridge").
+    pair (G, d) standing for the transport-shaped `core.bipartite_hessian(G,
+    d)`, or a 1-D vector standing for a diagonal Hessian.  A Hessian that
+    is not positive definite is retried with a growing ridge (flag "ridge").
     """
     x = x0
     flags = []

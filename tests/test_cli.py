@@ -7,8 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from uotlab import exact_solver
+from uotlab import exact_solver, io
 from uotlab.cli import EXIT_INVALID, EXIT_NONCONVERGED, EXIT_OK, cli_main
+from uotlab.datasets import DatasetSpec, gen_dataset
 
 
 def test_gen_then_sweep_exit_zero(tmp_path):
@@ -79,6 +80,19 @@ def test_exact_names_a_crossover_failure(tmp_path, capsys, monkeypatch):
     assert cli_main(["exact", "--problem", str(prob), "--out", str(out)]) \
         == EXIT_NONCONVERGED
     assert "CrossoverFailed" in capsys.readouterr().err
+
+
+def test_exact_names_a_numerical_failure(tmp_path, capsys):
+    # masses of 1e-49 make the seed solve's tangent singular; TangentFailed
+    # is a LinAlgError, hence a ValueError, yet it is a failed reference
+    # rather than invalid input
+    prob = tmp_path / "p.json"
+    io.save_problem(gen_dataset(DatasetSpec(kind="point-clouds", seed=4,
+                                            mass_x=13e-50, mass_y=15e-50)), prob)
+    out = tmp_path / "exact.json"
+    assert cli_main(["exact", "--problem", str(prob), "--out", str(out)]) \
+        == EXIT_NONCONVERGED
+    assert "TangentFailed" in capsys.readouterr().err
 
 
 def test_solve_writes_solution(tmp_path):

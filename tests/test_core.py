@@ -15,6 +15,7 @@ from uotlab.core import (
     bipartite_solve,
     build_cost,
     cholesky_solve,
+    component_roots,
     discrete_entropy,
     grounded_solve,
     spanning_forest,
@@ -92,19 +93,32 @@ def test_cholesky_solve_rejects_indefinite_and_nan_pivots():
         cholesky_solve(S, np.ones(3))
 
 
-def test_newton_dense_ridge_retry_leaves_hessian_unchanged():
-    # the singular Hessian fails to factor and is retried with a ridge; the
-    # factorization overwrites a Fortran-ordered matrix in place, so the
-    # caller's Hessian survives only if the Newton step factors a copy
-    H = np.asfortranarray([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    H0 = H.copy()
-    b = np.array([1.0, 1.0, 1.0])
+def test_newton_diagonal_step_and_ridge_flag():
+    # on a separable quadratic a diagonal Hessian gives the exact minimizer in
+    # one step; a zero entry is retried with a ridge and flagged, and the
+    # ridge leaves the caller's vector unchanged
+    h = np.array([2.0, 0.5, 4.0])
+    b = np.array([1.0, -3.0, 2.0])
+    x, _, _, iters, flags = newton_minimize(
+        lambda x: 0.5 * h @ x**2 - b @ x, lambda x: h * x - b,
+        lambda x: h, np.zeros(3), 1e-12, 5,
+    )
+    assert np.allclose(x, b / h, rtol=0, atol=1e-15)
+    assert iters == 1 and flags == []
+    singular = np.array([2.0, 0.0, 4.0])
     *_, flags = newton_minimize(
-        lambda x: 0.5 * x @ H0 @ x - b @ x, lambda x: H0 @ x - b,
-        lambda x: H, np.zeros(3), 1e-12, 1,
+        lambda x: 0.5 * h @ x**2 - b @ x, lambda x: h * x - b,
+        lambda x: singular, np.zeros(3), 1e-12, 1,
     )
     assert "ridge" in flags
-    assert np.array_equal(H, H0)
+    assert np.array_equal(singular, [2.0, 0.0, 4.0])
+    # a NaN gradient passes the positivity test but gives a NaN step; the
+    # ridge cannot mend it, so the retry ends with LinAlgError
+    with pytest.raises(np.linalg.LinAlgError):
+        newton_minimize(
+            lambda x: float(x @ x), lambda x: np.full(2, np.nan),
+            lambda x: np.ones(2), np.ones(2), 1e-12, 5,
+        )
 
 
 def test_newton_bipartite_step_and_ridge_flag():
@@ -136,12 +150,12 @@ def test_newton_nan_hessian_raises():
             lambda x: float(x @ x), lambda x: 2 * x,
             lambda x: (np.full((1, 1), np.nan), np.ones(2)), np.ones(2), 1e-12, 5,
         )
-    # a dense NaN Hessian must fail the same way rather than stall the line
+    # a NaN diagonal Hessian must fail the same way rather than stall the line
     # search at the start point
     with pytest.raises(np.linalg.LinAlgError):
         newton_minimize(
             lambda x: float(x @ x), lambda x: 2 * x,
-            lambda x: np.full((2, 2), np.nan), np.ones(2), 1e-12, 5,
+            lambda x: np.full(2, np.nan), np.ones(2), 1e-12, 5,
         )
 
 
@@ -370,7 +384,7 @@ def test_grounded_solve_matches_laplacian_and_least_squares():
         y = grounded_solve(G, N, rhs)
         residual = bipartite_hessian(G, np.zeros(n_x + n_y)) @ y - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
-        assert np.max(np.abs(y[np.argmax(N != 0, axis=0)])) <= 1e-12
+        assert np.max(np.abs(y[component_roots(N) == 1])) <= 1e-12
         if len(kept) == len(entries):
             forests += 1
             lam = np.linalg.lstsq(B, rhs, rcond=None)[0]

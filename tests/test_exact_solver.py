@@ -8,7 +8,6 @@ import pytest
 from uotlab import exact_solver
 from uotlab.core import (
     DivergenceSpec,
-    DualPotential,
     InvalidInput,
     Problem,
     apply_A,
@@ -23,7 +22,6 @@ from uotlab.exact_solver import (
     _crossover,
     brute_force_primal,
     minimal_entropy_plan,
-    optimal_marginals,
     solve_exact,
 )
 from uotlab.io import problem_from_dict, problem_to_dict
@@ -89,9 +87,8 @@ def test_empty_saturated_set_degenerate():
 
 
 def test_optimal_marginals_reference():
-    p = make_1x1(c=1.0, kind="kl")
-    div = divergence_for(p)
-    m = optimal_marginals(DualPotential([0.5], [0.5]), div)
+    # xi* = (1/2, 1/2), so m* = grad F*(-xi*) = exp(-1/2) on both sides
+    m = solve_exact(make_1x1(c=1.0, kind="kl")).m_star
     assert np.allclose(m, np.exp(-0.5))
 
 

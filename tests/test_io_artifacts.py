@@ -63,14 +63,18 @@ def test_problem_json_schema_fields(rng):
 
 
 def test_problem_json_reference_weights_round_trip():
-    p = Problem(
-        [[0.0]], [[1.0]], [1.0], [2.0], [[1.0]],
-        divergence=DivergenceSpec(kind="kl", mu_ref=np.array([0.5]),
-                                  nu_ref=np.array([0.25])),
-        cost_kind="explicit",
-    )
-    q = problem_from_dict(problem_to_dict(p))
-    assert np.allclose(q.q, [0.5, 0.25])
+    # both weights set, and one set with the other left to default to nu
+    for mu_ref, nu_ref, expected in (
+        (np.array([0.5]), np.array([0.25]), [0.5, 0.25]),
+        (np.array([0.5]), None, [0.5, 2.0]),
+    ):
+        p = Problem(
+            [[0.0]], [[1.0]], [1.0], [2.0], [[1.0]],
+            divergence=DivergenceSpec(kind="kl", mu_ref=mu_ref, nu_ref=nu_ref),
+            cost_kind="explicit",
+        )
+        q = problem_from_dict(problem_to_dict(p))
+        assert np.allclose(q.q, expected)
 
 
 def test_problem_json_defaults_and_errors():
