@@ -101,7 +101,7 @@ def ode_residual(xi, xi_dot, t, problem):
     """
     check_positive_finite(t, "t")
     dot = np.asarray(xi_dot, dtype=float)
-    if dot.shape != (problem.n_x + problem.n_y,) or not np.all(np.isfinite(dot)):
+    if dot.shape != (problem.n_x + problem.n_y,) or not np.isfinite(dot).all():
         raise InvalidInput(
             f"xi_dot must be {problem.n_x + problem.n_y} finite stacked entries"
         )
@@ -111,7 +111,7 @@ def ode_residual(xi, xi_dot, t, problem):
         + hess * dot / t
         + forcing / (t * t)
     )
-    return float(np.max(np.abs(lhs)))
+    return float(np.abs(lhs).max())
 
 
 def ode_inhomogeneous_norm(xi, t, problem):

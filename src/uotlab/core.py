@@ -73,7 +73,7 @@ class DualPotential:
     def __post_init__(self):
         object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))
-        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.psi))):
+        if not (np.isfinite(self.phi).all() and np.isfinite(self.psi).all()):
             raise InvalidInput("dual potential entries must be finite")
 
     @property
@@ -107,13 +107,13 @@ def apply_A_adjoint(x, n_x):
 def discrete_entropy(gamma):
     """Sum of gamma * (log gamma - 1) with the 0 log 0 = 0 convention."""
     gamma = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(gamma)):
+    if not np.isfinite(gamma).all():
         raise InvalidInput("entropy requires finite plan entries")
-    if np.any(gamma < 0):
+    if (gamma < 0).any():
         raise InvalidInput("entropy requires a nonnegative plan")
     pos = gamma > 0
     g = gamma[pos]
-    return float(np.sum(g * (np.log(g) - 1.0)))
+    return float((g * (np.log(g) - 1.0)).sum())
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
     flip = n_x < n_y
     if flip:
         G, a, b, r_a, r_b = G.T, b, a, r_b, r_a
-    if not np.all(a > 0):
+    if not (a > 0).all():
         raise np.linalg.LinAlgError("eliminated diagonal is not positive")
     W = G / np.sqrt(a)[:, None]
     S = -(W.T @ W)

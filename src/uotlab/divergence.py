@@ -137,7 +137,7 @@ def csiszar(p, q, entropy):
 def F_conj(arg, div):
     """Separable conjugate sum q_z phi*(arg_z); overflow saturates at EXP_CLAMP."""
     arg = np.minimum(arg, EXP_CLAMP)
-    return float(np.sum(div.q * np.asarray(div.entropy.phi_conj(arg))))
+    return float((div.q * np.asarray(div.entropy.phi_conj(arg))).sum())
 
 
 def F_conj_grad(arg, div):

@@ -161,7 +161,7 @@ def minimal_entropy_plan(I0, m_star, shape):
         return gamma
 
     z, *_ = newton_minimize(
-        lambda z: float(np.sum(plan(z)) - m @ z + 0.5 * root @ z**2),
+        lambda z: float(plan(z).sum() - m @ z + 0.5 * root @ z**2),
         lambda z: apply_A(plan(z)) - m + root * z,
         lambda z: (plan(z), root),
         np.zeros(n_x + n_y),

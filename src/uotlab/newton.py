@@ -5,6 +5,13 @@ reference's crossover and the limit-plan functional: Newton steps with a
 ridge retry, Armijo backtracking, and an exit at the objective's rounding
 floor.  The dual and the limit plan have transport-shaped Hessians and take
 Schur steps (`core.bipartite_solve`); the face solves have diagonal ones.
+
+For a sum of exponentials the full Newton step can raise some exponents far
+past their targets, and each later step then lowers them by about one.  A
+caller that can bound the rise of its exponents along a step passes that
+bound, and the line search starts from a step that raises none of them by
+more than RISE_MAX (the damping of generalized self-concordant objectives,
+Sun & Tran-Dinh 2019).
 """
 
 from __future__ import annotations
@@ -16,6 +23,9 @@ from .core import bipartite_solve
 # Armijo sufficient-decrease fraction and step shrink factor of the line search
 ARMIJO_SLOPE = 1e-4
 BACKTRACK = 0.5
+# largest rise of an exponent that one step of a bounded line search allows;
+# the size-ladder iteration counts are flat between 3 and 5
+RISE_MAX = 4.0
 
 
 def last_point_cache(fn):
@@ -44,10 +54,10 @@ def _solve(H, rhs, lam):
         n_x = G.shape[0]
         return bipartite_solve(G, d[:n_x], d[n_x:], rhs, lam)
     h = H + lam
-    if not np.all(h > 0):  # NaN fails too, as a NaN pivot does
+    if not (h > 0).all():  # NaN fails too, as a NaN pivot does
         raise np.linalg.LinAlgError("diagonal Hessian is not positive")
     step = rhs / h
-    if not np.all(np.isfinite(step)):  # a NaN gradient passes the test above
+    if not np.isfinite(step).all():  # a NaN gradient passes the test above
         raise np.linalg.LinAlgError("Newton step is not finite")
     return step
 
@@ -59,7 +69,7 @@ def _mean_diagonal(H):
     return H.mean()
 
 
-def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters):
+def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None):
     """Minimize a smooth strictly convex function from x0.
 
     Returns (x, value, gradient, iterations, flags).  `value` may return
@@ -70,6 +80,11 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters):
     pair (G, d) standing for the transport-shaped `core.bipartite_hessian(G,
     d)`, or a 1-D vector standing for a diagonal Hessian.  A Hessian that
     is not positive definite is retried with a growing ridge (flag "ridge").
+
+    `rise`, when given, maps a Newton step to the largest increase the full
+    step causes in any exponent of the objective; the Armijo search then
+    starts from alpha = min(1, RISE_MAX / rise(step)) instead of 1, so no
+    step raises an exponent by more than RISE_MAX.
     """
     x = x0
     flags = []
@@ -77,7 +92,7 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters):
     grad = gradient(x)
     iters = 0
     for iters in range(1, max_iters + 1):
-        gnorm = float(np.max(np.abs(grad), initial=0.0))
+        gnorm = float(np.abs(grad).max(initial=0.0))
         if gnorm <= grad_tol:
             iters -= 1
             break
@@ -101,12 +116,16 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters):
             # still reduce the gradient, then stop at numerical stationarity
             trial = x + step
             tgrad = gradient(trial)
-            if float(np.max(np.abs(tgrad))) < gnorm:
+            if float(np.abs(tgrad).max()) < gnorm:
                 x, grad = trial, tgrad
                 val = value(x)
                 continue
             break
         alpha = 1.0
+        if rise is not None:
+            r = rise(step)
+            if r > RISE_MAX:  # a NaN rise leaves alpha = 1
+                alpha = RISE_MAX / r
         for _ in range(60):
             trial = x + alpha * step
             tval = value(trial)

@@ -15,6 +15,10 @@ As t grows, the plan entries off the saturated set decay like exp(-t kappa).
 Entries with an exponent below EXP_MIN are flushed to exact zeros: they are
 far below every tolerance, and computed they would sink into the subnormal
 range, where arithmetic is 10-100x slower.
+
+Each Newton step raises the plan exponent t (A* xi - c) by at most
+t (max step_x + max step_y); newton_minimize shortens the step so that this
+rise stays below its RISE_MAX, which keeps a warm start from overshooting.
 """
 
 from __future__ import annotations
@@ -41,10 +45,14 @@ from .newton import last_point_cache, newton_minimize
 # exponent clamp keeping exp() representable; hit only on wild line-search
 # trial points, never at accepted iterates of a warm-started sweep
 EXP_MAX = 690.0
-# exponents below this give exact zeros: a kept entry is at least exp(-300),
-# so products of two kept entries (the Schur complement W^T W) stay normal
-# doubles, and a dropped one is ~1e110 below any gradient tolerance
-EXP_MIN = -300.0
+# exponents below this give exact zeros.  What must stay normal is the
+# Cholesky factor of the Schur complement, not only W^T W: its fill-in
+# multiplies small entries along paths of the plan's support.  With kept
+# entries of at least exp(-100) ~ 3.7e-44, about 2 in 10^5 factor entries
+# on the size ladder are subnormal (5 in 10^4 at exp(-300), where dpotrf ran
+# 1.5x slower); a dropped entry is more than 20 orders below the gradient
+# tolerance even at masses of 1e-9
+EXP_MIN = -100.0
 # cold starts at large t go through the continuation chain
 # t = CONTINUATION_FROM * CONTINUATION_RATIO**k below the target t
 CONTINUATION_FROM = 1.0
@@ -110,6 +118,7 @@ class _DualTerms(NamedTuple):
     value: Callable
     gradient: Callable
     hessian: Callable
+    rise: Callable
 
 
 def _dual_terms(problem, t):
@@ -118,13 +127,15 @@ def _dual_terms(problem, t):
     The penalty F is problem.penalty.  The plan at a point is computed once
     and reused by the others at the same array.  The Hessian comes as the
     pair (t gamma, grad^2 F*(-xi)) standing for core.bipartite_hessian of it.
+    `rise` maps a step to the largest increase it causes in a plan exponent,
+    in O(n) and with no pass over the plan.
     """
     check_positive_finite(t, "t")
-    div = problem.penalty
+    div, n_x = problem.penalty, problem.n_x
     plan = last_point_cache(lambda x: clamped_exp(plan_exponent(x, t, problem)))
 
     def value(x):
-        return F_conj(-x, div) + float(np.sum(plan(x))) / t
+        return F_conj(-x, div) + float(plan(x).sum()) / t
 
     def gradient(x):
         return -F_conj_grad(-x, div) + apply_A(plan(x))
@@ -132,7 +143,10 @@ def _dual_terms(problem, t):
     def hessian(x):
         return t * plan(x), F_conj_hess_diag(-x, div)
 
-    return _DualTerms(plan, value, gradient, hessian)
+    def rise(step):
+        return t * (step[:n_x].max() + step[n_x:].max())
+
+    return _DualTerms(plan, value, gradient, hessian, rise)
 
 
 def kantorovich_eval(xi, t, problem):
@@ -164,9 +178,10 @@ def _newton_solve(problem, t, config, xi0):
         xi0.stacked,
         config.grad_tol,
         MAX_NEWTON_ITERS,
+        rise=terms.rise,
     )
-    gnorm = float(np.max(np.abs(grad)))
-    if np.any(plan_exponent(x, t, problem) > EXP_MAX):
+    gnorm = float(np.abs(grad).max())
+    if (plan_exponent(x, t, problem) > EXP_MAX).any():
         flags.append("exp-clamped")
     return RegSolution(
         t=t,

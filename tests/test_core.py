@@ -20,7 +20,7 @@ from uotlab.core import (
     grounded_solve,
     spanning_forest,
 )
-from uotlab.newton import newton_minimize
+from uotlab.newton import RISE_MAX, newton_minimize
 
 from conftest import marginal_matrix
 
@@ -140,6 +140,35 @@ def test_newton_bipartite_step_and_ridge_flag():
         lambda x: (G, np.full(7, -0.1)), np.zeros(7), 1e-12, 1,
     )
     assert "ridge" in flags
+
+
+def test_newton_rise_bound_limits_each_step():
+    # e^x - c x from x0 = log c - 20: the full Newton step e^20 - 1 overshoots
+    # the minimizer log c by far; with the rise bound no accepted step raises
+    # x by more than RISE_MAX, and the solve still converges
+    c = 3.0
+
+    def run(rise):
+        accepted = []  # the Hessian is evaluated at accepted iterates only
+
+        def hessian(x):
+            accepted.append(x[0])
+            return np.exp(x)
+
+        with np.errstate(over="ignore"):  # the unbounded trial points overflow
+            x, _, grad, _, flags = newton_minimize(
+                lambda x: float((np.exp(x) - c * x).sum()),
+                lambda x: np.exp(x) - c, hessian,
+                np.array([np.log(c) - 20.0]), 1e-12, 100, rise=rise,
+            )
+        assert flags == [] and abs(grad[0]) <= 1e-12
+        assert x[0] == pytest.approx(np.log(c), abs=1e-14)
+        return np.diff(accepted + [x[0]])
+
+    rises = run(lambda step: step.max())
+    assert rises.max() <= RISE_MAX * (1 + 1e-15)
+    # without the bound the first accepted step overshoots past log c
+    assert run(None).max() > 10.0
 
 
 def test_newton_nan_hessian_raises():

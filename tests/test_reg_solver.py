@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uotlab import reg_solver
+from uotlab import core, reg_solver
 from uotlab.core import DivergenceSpec, DualPotential, InvalidInput, Problem, apply_A
 from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.divergence import csiszar, divergence_for
@@ -294,11 +294,11 @@ def test_clamped_exp_flushes_below_exp_min():
     assert np.all(g[~kept] == 0.0)
 
 
-def _ladder_chain(div):
-    """Solutions of the warm-started chain on the n_x = 60 size-ladder instance."""
+def _ladder_chain(div, n_x=60):
+    """Solutions of the warm-started chain on the size-ladder instance of size n_x."""
     p = gen_dataset(DatasetSpec(
-        kind="point-clouds", seed=4, n_x=60, n_y=62, mass_x=60.0, mass_y=62.0,
-        divergence=div,
+        kind="point-clouds", seed=4, n_x=n_x, n_y=n_x + 2, mass_x=float(n_x),
+        mass_y=float(n_x + 2), divergence=div,
     ))
     cfg = RegSolveConfig(grad_tol=1e-12)
     sols, init = [], None
@@ -308,6 +308,34 @@ def _ladder_chain(div):
         sols.append(sol)
         init = sol.xi
     return sols
+
+
+@pytest.mark.parametrize("div, total", [("kl", 131), ("quadratic", 123)])
+def test_warm_chain_iterations_pinned(div, total):
+    # the rise bound of the line search keeps a warm start from overshooting
+    # the plan exponents; unbounded steps took 174 (kl) and 138 (quadratic)
+    assert sum(sol.iters for sol in _ladder_chain(div)) == total
+
+
+def test_schur_factors_of_the_240_chain_keep_subnormal_fill_in_rare(monkeypatch):
+    # EXP_MIN keeps every entry of the Schur complement a normal double, but
+    # Cholesky fill-in multiplies small entries along paths and can still sink
+    # below the normal range, where dpotrf slows down.  With EXP_MIN = -300
+    # about 5 in 10^4 factor entries of this chain were subnormal; now 2 in 10^5
+    factors = []
+
+    def capture(*args, **kwargs):
+        U, info = dpotrf(*args, **kwargs)
+        factors.append(np.triu(U))  # the lower triangle is left as it was
+        return U, info
+
+    dpotrf = core.dpotrf
+    monkeypatch.setattr(core, "dpotrf", capture)
+    _ladder_chain("kl", n_x=240)
+    tiny = np.finfo(float).tiny
+    subnormal = sum(int(((U != 0) & (np.abs(U) < tiny)).sum()) for U in factors)
+    entries = sum(int(np.count_nonzero(U)) for U in factors)
+    assert subnormal < 1e-4 * entries
 
 
 @pytest.mark.parametrize("div", ["kl", "quadratic"])
