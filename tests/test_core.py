@@ -167,7 +167,7 @@ def test_newton_rise_bound_limits_each_step():
 
     rises = run(lambda step: step.max())
     assert rises.max() <= RISE_MAX * (1 + 1e-15)
-    # without the bound the first accepted step overshoots past log c
+    # without the bound the first accepted step raises x by more than 14
     assert run(None).max() > 10.0
 
 
