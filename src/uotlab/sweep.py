@@ -1,7 +1,10 @@
 """t-sweeps with warm starts, error diagnostics and CSV emission.
 
-Each sweep point starts from the previous solution moved along the trajectory
-tangent (`reg_solver.predicted_start`); only the first point is solved cold.
+Only the first point (index 0) is solved cold. The expansion
+xi(t) = xi* + d*/t + ... makes the trajectory smooth in u = 1/t, so from index
+HISTORY on each start is the Lagrange extrapolation in u through the last
+HISTORY solved points; points 1 to HISTORY - 1 start from the trajectory
+tangent of the previous solution (`reg_solver.predicted_start`).
 """
 
 from __future__ import annotations
@@ -22,13 +25,15 @@ from .asymptotics import (
     solve_d_star,
     xi_dot_log_grid,
 )
-from .core import InvalidInput, discrete_entropy
+from .core import DualPotential, InvalidInput, discrete_entropy
 from .exact_solver import solve_exact
 from .reg_solver import RegSolveConfig, plan_exponent, predicted_start, solve_dual_t
 
 CSV_HEADER = "t,dual_err,primal_err,ode_residual,entropy,iters,flags"
 # gradient tolerance of the sweep's solves (the CLI `solve` default is 1e-10)
 GRAD_TOL = 1e-12
+# solved points through which each later start is extrapolated (degree 4 in 1/t)
+HISTORY = 5
 
 
 @dataclass
@@ -40,6 +45,10 @@ class SweepConfig:
     def __post_init__(self):
         if not 0 < self.t_min < self.t_max < math.inf:
             raise InvalidInput("need 0 < t_min < t_max < inf")
+        if isinstance(self.n_points, bool) or not isinstance(
+            self.n_points, (int, np.integer)
+        ):
+            raise InvalidInput(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 8:
             raise InvalidInput("sweep needs at least 8 points")
 
@@ -60,9 +69,26 @@ def t_grid(config):
     return np.geomspace(config.t_min, config.t_max, config.n_points)
 
 
+def extrapolation_weights(u):
+    """Weights w with p(u[-1]) = sum_i w_i p(u[i]) over i < len(u) - 1, for
+    every polynomial p of degree below len(u) - 1 (Lagrange extrapolation)."""
+    nodes, target = u[:-1], u[-1]
+    w = np.ones(len(nodes))
+    for i, ui in enumerate(nodes):
+        for m, um in enumerate(nodes):
+            if m != i:
+                w[i] *= (target - um) / (ui - um)
+    return w
+
+
 def run_sweep(problem, config=None, exact=None):
-    """Solve exact once, then warm-start the regularized solves up the grid,
-    each from the tangent prediction of the previous solution."""
+    """Solve exact once, then warm-start the regularized solves up the grid.
+
+    Points 1 to HISTORY - 1 start from the tangent prediction of the previous
+    solution; every later point from the extrapolation in 1/t through the last
+    HISTORY solutions. The grid is geometric, so the weights are the same at
+    every point and are computed once.
+    """
     config = config or SweepConfig()
     if exact is None:
         exact = solve_exact(problem)
@@ -74,10 +100,16 @@ def run_sweep(problem, config=None, exact=None):
 
     reg_cfg = RegSolveConfig(grad_tol=GRAD_TOL)
     grid = t_grid(config)
+    weights = extrapolation_weights(1.0 / grid[: HISTORY + 1])
     sols = [solve_dual_t(problem, float(grid[0]), reg_cfg)]
-    for t in grid[1:]:
-        init = predicted_start(problem, sols[-1], float(t))
-        sols.append(solve_dual_t(problem, float(t), reg_cfg, init=init))
+    for k in range(1, len(grid)):
+        t = float(grid[k])
+        if k < HISTORY:
+            init = predicted_start(problem, sols[-1], t)
+        else:
+            past = np.array([s.xi.stacked for s in sols[-HISTORY:]])
+            init = DualPotential.from_stacked(weights @ past, problem.n_x)
+        sols.append(solve_dual_t(problem, t, reg_cfg, init=init))
 
     points = []
     for k, (t, sol) in enumerate(zip(grid, sols)):

@@ -1,6 +1,13 @@
 """Shared fixtures: tiny closed-form instances and random problem factories."""
 
-import numpy as np
+import os
+
+# one BLAS thread, set before numpy loads BLAS: on a small machine several
+# threads make the n_x = 240 factorizations several times slower
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from uotlab.core import DivergenceSpec, Problem, apply_A_adjoint

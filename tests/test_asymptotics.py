@@ -20,7 +20,15 @@ from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.divergence import DivergenceF, divergence_for, get_entropy
 from uotlab.exact_solver import ExactSolution, ProjectionFailed, solve_exact
 from uotlab.reg_solver import RegSolveConfig, solve_dual_t, trajectory_tangent
-from uotlab.sweep import GRAD_TOL, SweepConfig, run_sweep, t_grid
+from uotlab import sweep
+from uotlab.sweep import (
+    GRAD_TOL,
+    HISTORY,
+    SweepConfig,
+    extrapolation_weights,
+    run_sweep,
+    t_grid,
+)
 
 from conftest import make_1x1, random_problem
 
@@ -105,14 +113,14 @@ def test_d_star_relabel_invariance(kind, seed, div):
         assert np.max(np.abs(d_q - expected)) <= 1e-10, r
 
 
-# Newton iteration totals of the shipped sweeps with tangent-predicted warm
-# starts, and their fitted slopes as computed with dense Newton steps from
-# plain warm starts; neither the step nor the start may move the slopes
+# Newton iteration totals of the shipped sweeps with extrapolated warm starts,
+# and their fitted slopes as computed with dense Newton steps from plain warm
+# starts; neither the step nor the start may move the slopes
 SHIPPED_SWEEP_PINS = {
-    ("point-clouds", "kl"): (168, -0.9894244806743488, -1.2134520753070839),
-    ("point-clouds", "quadratic"): (168, -0.9453401119750642, -1.156970529515693),
-    ("gaussians-1d", "kl"): (163, -0.9699561918935524, -1.2767521776191866),
-    ("gaussians-1d", "quadratic"): (165, -0.9882888702126001, -1.3298494120205395),
+    ("point-clouds", "kl"): (136, -0.9894244806743488, -1.2134520753070839),
+    ("point-clouds", "quadratic"): (137, -0.9453401119750642, -1.156970529515693),
+    ("gaussians-1d", "kl"): (118, -0.9699561918935524, -1.2767521776191866),
+    ("gaussians-1d", "quadratic"): (121, -0.9882888702126001, -1.3298494120205395),
 }
 
 
@@ -143,6 +151,53 @@ def test_predicted_starts_keep_the_trajectory(kind, seed, div):
     for pt, sol in zip(res.points, plain):
         assert np.max(np.abs(pt.xi.stacked - sol.xi.stacked)) <= 1e-10, pt.t
     assert sum(pt.iters for pt in res.points) < sum(s.iters for s in plain)
+
+
+def test_extrapolation_weights_reproduce_quartics_in_inverse_t():
+    u = 1.0 / t_grid(SweepConfig())
+    w = extrapolation_weights(u[: HISTORY + 1])
+    assert w.shape == (HISTORY,)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    rng = np.random.default_rng(5)
+    for k in (HISTORY, 30, len(u) - 1):
+        window = u[k - HISTORY : k + 1]
+        # the grid is geometric: every window has the weights of the first
+        assert np.max(np.abs(extrapolation_weights(window) - w)) <= 1e-9
+        for degree in range(HISTORY):
+            coef = rng.standard_normal(degree + 1)
+            values = np.polyval(coef, window)
+            scale = np.abs(w) @ np.abs(values[:-1])
+            assert abs(w @ values[:-1] - values[-1]) <= 1e-13 * scale, (k, degree)
+
+
+def test_sweep_uses_the_tangent_only_before_its_history(monkeypatch):
+    calls = []
+    tangent_start = sweep.predicted_start
+
+    def counting(problem, sol, t):
+        calls.append(t)
+        return tangent_start(problem, sol, t)
+
+    monkeypatch.setattr(sweep, "predicted_start", counting)
+    p = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence="kl"))
+    res = run_sweep(p, SweepConfig(n_points=60))
+    assert len(calls) == HISTORY - 1
+    assert calls == [pt.t for pt in res.points[1:HISTORY]]
+
+
+@pytest.mark.parametrize("div", ["kl", "quadratic"])
+def test_coarse_sweep_at_scale_converges(div):
+    # 20 points to t = 1e4 step t by 1.62x (the seed-ladder and CLI grid),
+    # where the extrapolated start lies furthest from the next point
+    n_x = 120
+    p = gen_dataset(DatasetSpec(
+        kind="point-clouds", seed=4, n_x=n_x, n_y=n_x + 2, mass_x=float(n_x),
+        mass_y=float(n_x + 2), divergence=div,
+    ))
+    res = run_sweep(p, SweepConfig(n_points=20))
+    assert all(pt.converged for pt in res.points), [
+        pt.t for pt in res.points if not pt.converged
+    ]
 
 
 def test_trajectory_tangent_closed_form_1x1():
@@ -296,6 +351,12 @@ def test_fit_rate_excludes_floor_and_needs_points():
 def test_sweep_config_rejects_bad_range(t_min, t_max):
     with pytest.raises(InvalidInput):
         SweepConfig(t_min=t_min, t_max=t_max)
+
+
+@pytest.mark.parametrize("n_points", [60.5, "60"])
+def test_sweep_config_rejects_non_integer_points(n_points):
+    with pytest.raises(InvalidInput):
+        SweepConfig(n_points=n_points)
 
 
 def test_fit_linear_decay():
