@@ -7,11 +7,11 @@ diagnostics JSON and the two-panel log-log SVG into the output directory.
 """
 
 import argparse
-import json
 import os
 import sys
 
 from uotlab.datasets import DatasetSpec, gen_dataset
+from uotlab.io import save_json
 from uotlab.plots import emit_svg
 from uotlab.sweep import SweepConfig, diagnostics_dict, emit_csv, run_sweep
 
@@ -32,9 +32,7 @@ def run_job(job, outdir):
     stem = os.path.join(outdir, f"{kind}_{div}")
     emit_csv(result.points, stem + ".csv")
     emit_svg(result.points, stem + ".svg", title=f"{kind} / {div}")
-    with open(stem + ".json", "w", encoding="utf-8") as fh:
-        json.dump(diagnostics_dict(result), fh, indent=1)
-        fh.write("\n")
+    save_json(diagnostics_dict(result), stem + ".json")
     return (
         f"{kind}/{div}: dual slope {result.dual_fit.slope:.3f}, "
         f"primal slope {result.primal_fit.slope:.3f}, "

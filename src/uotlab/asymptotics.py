@@ -121,40 +121,30 @@ def ode_inhomogeneous_norm(xi, t, problem):
     return float(np.max(np.abs(forcing / (t * t))))
 
 
-def xi_dot_log_grid(ts, xis, k):
-    """High-order derivative estimate d xi / dt at grid index k.
+def xi_dot_log_grid(ts, xs):
+    """High-order derivative estimates d xi / dt at every interior grid point.
 
     ts must be geometric with at least 5 points, so log t is uniformly
-    spaced; differentiates in log t with a fourth-order central stencil where
-    the five-point window fits, and third-order one-sided at the first and
-    last interior indices.
+    spaced; xs holds one stacked potential per grid point, as rows. Row j of
+    the result is the estimate at ts[j + 1]: differentiated in log t with a
+    fourth-order central stencil where the five-point window fits, and
+    third-order one-sided at the first and last interior points.
     """
+    ts = np.asarray(ts, dtype=float)
+    xs = np.asarray(xs, dtype=float)
     n = len(ts)
-    if not 0 < k < n - 1:
-        raise InvalidInput("derivative estimate needs an interior index")
     if n < 5:
         raise InvalidInput("derivative estimate needs at least 5 grid points")
-    s = np.log(np.asarray(ts, dtype=float))
-    steps = np.diff(s)
+    if xs.ndim != 2 or len(xs) != n:
+        raise InvalidInput(f"derivative estimate needs {n} stacked potentials as rows")
+    steps = np.diff(np.log(ts))
     h = float(steps.mean())
     if float(np.max(np.abs(steps - h))) > 1e-8 * h:
         raise InvalidInput("derivative estimate needs a geometric grid")
-
-    # stack only the potentials the stencil reads
-    def at(i):
-        return xis[i].stacked
-
-    if 2 <= k <= n - 3:
-        ds = (
-            at(k - 2) - 8.0 * at(k - 1) + 8.0 * at(k + 1) - at(k + 2)
-        ) / (12.0 * h)
-    elif k == 1:
-        ds = (-2.0 * at(0) - 3.0 * at(1) + 6.0 * at(2) - at(3)) / (6.0 * h)
-    else:  # k == n - 2
-        ds = (
-            2.0 * at(n - 1) + 3.0 * at(n - 2) - 6.0 * at(n - 3) + at(n - 4)
-        ) / (6.0 * h)
-    return ds / ts[k]
+    first = (-2.0 * xs[0] - 3.0 * xs[1] + 6.0 * xs[2] - xs[3]) / (6.0 * h)
+    central = (xs[:-4] - 8.0 * xs[1:-3] + 8.0 * xs[3:-1] - xs[4:]) / (12.0 * h)
+    last = (2.0 * xs[-1] + 3.0 * xs[-2] - 6.0 * xs[-3] + xs[-4]) / (6.0 * h)
+    return np.vstack([first, central, last]) / ts[1:-1, None]
 
 
 def fit_rate(series):

@@ -62,9 +62,7 @@ def problem_from_dict(data):
 
 
 def save_problem(problem, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=1)
-        fh.write("\n")
+    save_json(problem_to_dict(problem), path)
 
 
 def load_problem(path):

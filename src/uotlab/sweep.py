@@ -10,6 +10,7 @@ tangent of the previous solution (`reg_solver.predicted_start`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +44,16 @@ class SweepConfig:
     n_points: int = 60
 
     def __post_init__(self):
+        for name, kind, what in (
+            ("t_min", numbers.Real, "a real number"),
+            ("t_max", numbers.Real, "a real number"),
+            ("n_points", numbers.Integral, "an integer"),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InvalidInput(f"{name} must be {what}, got {value!r}")
         if not 0 < self.t_min < self.t_max < math.inf:
             raise InvalidInput("need 0 < t_min < t_max < inf")
-        if isinstance(self.n_points, bool) or not isinstance(
-            self.n_points, (int, np.integer)
-        ):
-            raise InvalidInput(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 8:
             raise InvalidInput("sweep needs at least 8 points")
 
@@ -84,10 +89,12 @@ def extrapolation_weights(u):
 def run_sweep(problem, config=None, exact=None):
     """Solve exact once, then warm-start the regularized solves up the grid.
 
-    Points 1 to HISTORY - 1 start from the tangent prediction of the previous
-    solution; every later point from the extrapolation in 1/t through the last
-    HISTORY solutions. The grid is geometric, so the weights are the same at
-    every point and are computed once.
+    The trajectory is one array xs, whose row k is the stacked solution at
+    grid[k]. Points 1 to HISTORY - 1 start from the tangent prediction of the
+    previous solution; every later point from the extrapolation in 1/t through
+    the last HISTORY rows. The grid is geometric, so the weights are the same
+    at every point and are computed once, and one xi_dot_log_grid call over xs
+    gives the derivative for every interior point's ODE residual.
     """
     config = config or SweepConfig()
     if exact is None:
@@ -101,27 +108,30 @@ def run_sweep(problem, config=None, exact=None):
     reg_cfg = RegSolveConfig(grad_tol=GRAD_TOL)
     grid = t_grid(config)
     weights = extrapolation_weights(1.0 / grid[: HISTORY + 1])
-    sols = [solve_dual_t(problem, float(grid[0]), reg_cfg)]
-    for k in range(1, len(grid)):
-        t = float(grid[k])
-        if k < HISTORY:
+    xs = np.empty((len(grid), problem.n_x + problem.n_y))
+    sols = []
+    for k, t in enumerate(grid.tolist()):
+        if k == 0:
+            init = None
+        elif k < HISTORY:
             init = predicted_start(problem, sols[-1], t)
         else:
-            past = np.array([s.xi.stacked for s in sols[-HISTORY:]])
+            past = xs[k - HISTORY : k]
             init = DualPotential.from_stacked(weights @ past, problem.n_x)
         sols.append(solve_dual_t(problem, t, reg_cfg, init=init))
+        xs[k] = sols[-1].xi.stacked
+    xi_dots = xi_dot_log_grid(grid, xs)
 
     points = []
     for k, (t, sol) in enumerate(zip(grid, sols)):
         xi = sol.xi
         d = compute_d(xi, exact.xi_star, t)
-        dual_err = float(np.linalg.norm(xi.stacked - exact.xi_star.stacked))
+        dual_err = float(np.linalg.norm(xs[k] - exact.xi_star.stacked))
         primal_err = float(np.linalg.norm(sol.gamma - gamma_star))
         resid = float("nan")
         if 0 < k < len(grid) - 1:
-            xd = xi_dot_log_grid(grid, [s.xi for s in sols], k)
-            resid = ode_residual(xi, xd, t, problem)
-        log_g = plan_exponent(xi.stacked, t, problem)
+            resid = ode_residual(xi, xi_dots[k - 1], t, problem)
+        log_g = plan_exponent(xs[k], t, problem)
         off_max = float(log_g[off_mask].max()) if off_mask.any() else float("nan")
         points.append(
             TrajectoryPoint(

@@ -267,31 +267,59 @@ def test_ode_residual_finite_difference_ratio_105():
     cfg = RegSolveConfig(grad_tol=1e-13)
     sols = [solve_dual_t(p, float(t), cfg) for t in ts]
     forcing = ode_inhomogeneous_norm(sols[2].xi, ts[2], p)
-    xd5 = xi_dot_log_grid(ts, [s.xi for s in sols], 2)
+    xd5 = xi_dot_log_grid(ts, np.array([s.xi.stacked for s in sols]))[1]
     assert ode_residual(sols[2].xi, xd5, ts[2], p) <= 1e-4 * forcing
 
 
 def test_xi_dot_high_order_stencil():
     # derivative of the closed-form trajectory on a geometric grid
     ts = np.geomspace(50.0, 50.0 * 1.05 ** 9, 10)
-    xis = [xi_1x1(t) for t in ts]
+    xs = np.array([xi_1x1(t).stacked for t in ts])
+    est = xi_dot_log_grid(ts, xs)
+    assert est.shape == (8, 2)
     for k in range(1, 9):
-        est = xi_dot_log_grid(ts, xis, k)
         true = np.full(2, 1.0 / (1.0 + 2.0 * ts[k]) ** 2)
         # the one-sided stencils at the edges are one order lower
         tol = 1e-6 if 2 <= k <= 7 else 1e-4
-        assert np.max(np.abs(est - true)) <= tol * np.max(np.abs(true))
-    with pytest.raises(InvalidInput):
-        xi_dot_log_grid(ts, xis, 0)
+        assert np.max(np.abs(est[k - 1] - true)) <= tol * np.max(np.abs(true))
+    for rows in (xs[:-1], np.vstack([xs, xs[-1:]]), xs[:, 0]):
+        with pytest.raises(InvalidInput, match="stacked potentials"):
+            xi_dot_log_grid(ts, rows)
 
 
 def test_xi_dot_rejects_short_or_nongeometric_grid():
     ts = np.geomspace(50.0, 100.0, 10)
-    xis = [xi_1x1(t) for t in ts]
+    xs = np.array([xi_1x1(t).stacked for t in ts])
     with pytest.raises(InvalidInput, match="geometric"):
-        xi_dot_log_grid(np.linspace(50.0, 100.0, 10), xis, 4)
+        xi_dot_log_grid(np.linspace(50.0, 100.0, 10), xs)
     with pytest.raises(InvalidInput, match="5 grid points"):
-        xi_dot_log_grid(ts[:4], xis[:4], 1)
+        xi_dot_log_grid(ts[:4], xs[:4])
+
+
+def test_xi_dot_interior_rows_are_the_five_point_stencil():
+    # the sliced stencils take each interior row in the pointwise order
+    rng = np.random.default_rng(11)
+    ts = np.geomspace(2.0, 3e3, 13)
+    xs = rng.standard_normal((len(ts), 7))
+    est = xi_dot_log_grid(ts, xs)
+    h = float(np.diff(np.log(ts)).mean())
+    for k in range(2, len(ts) - 2):
+        row = (xs[k - 2] - 8.0 * xs[k - 1] + 8.0 * xs[k + 1] - xs[k + 2]) / (12.0 * h)
+        assert (est[k - 1] == row / ts[k]).all(), k
+
+
+def test_sweep_differentiates_its_trajectory_once(monkeypatch):
+    calls = []
+    differentiate = sweep.xi_dot_log_grid
+
+    def counting(ts, xs):
+        calls.append(xs.shape)
+        return differentiate(ts, xs)
+
+    monkeypatch.setattr(sweep, "xi_dot_log_grid", counting)
+    p = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence="kl"))
+    run_sweep(p, SweepConfig(n_points=60))
+    assert calls == [(60, p.n_x + p.n_y)]
 
 
 def test_e0_1x1():
@@ -357,6 +385,14 @@ def test_sweep_config_rejects_bad_range(t_min, t_max):
 def test_sweep_config_rejects_non_integer_points(n_points):
     with pytest.raises(InvalidInput):
         SweepConfig(n_points=n_points)
+
+
+@pytest.mark.parametrize("field", ["t_min", "t_max"])
+@pytest.mark.parametrize("value", ["1", None, True], ids=["str", "None", "bool"])
+def test_sweep_config_rejects_non_real_range(field, value):
+    # t_min = 0.5 puts True (1.0) inside the range on either field
+    with pytest.raises(InvalidInput, match=field):
+        SweepConfig(**{"t_min": 0.5, field: value})
 
 
 def test_fit_linear_decay():
