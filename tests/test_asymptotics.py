@@ -300,12 +300,17 @@ def test_xi_dot_interior_rows_are_the_five_point_stencil():
     # the sliced stencils take each interior row in the pointwise order
     rng = np.random.default_rng(11)
     ts = np.geomspace(2.0, 3e3, 13)
-    xs = rng.standard_normal((len(ts), 7))
+    n = len(ts)
+    xs = rng.standard_normal((n, 7))
     est = xi_dot_log_grid(ts, xs)
     h = float(np.diff(np.log(ts)).mean())
-    for k in range(2, len(ts) - 2):
+    for k in range(2, n - 2):
         row = (xs[k - 2] - 8.0 * xs[k - 1] + 8.0 * xs[k + 1] - xs[k + 2]) / (12.0 * h)
         assert (est[k - 1] == row / ts[k]).all(), k
+    first = (-2.0 * xs[0] - 3.0 * xs[1] + 6.0 * xs[2] - xs[3]) / (6.0 * h)
+    last = (2.0 * xs[n - 1] + 3.0 * xs[n - 2] - 6.0 * xs[n - 3] + xs[n - 4]) / (6.0 * h)
+    assert (est[0] == first / ts[1]).all()
+    assert (est[-1] == last / ts[n - 2]).all()
 
 
 def test_sweep_differentiates_its_trajectory_once(monkeypatch):
