@@ -49,10 +49,19 @@ class RateFit:
     n_points: int
 
 
+def _stacked(xi):
+    """The stacked array of a DualPotential; arrays of stacked rows pass through."""
+    return xi.stacked if isinstance(xi, DualPotential) else np.asarray(xi, dtype=float)
+
+
 def compute_d(xi_t, xi_star, t):
-    """Rescaled dual deviation t (xi(t) - xi*), stacked over both clouds."""
+    """Rescaled dual deviation t (xi(t) - xi*), stacked over both clouds.
+
+    xi_t is a DualPotential or stacked potentials; rows of them, with t an
+    array of one value per row (a grid), give one deviation per row.
+    """
     check_positive_finite(t, "t")
-    return t * (xi_t.stacked - xi_star.stacked)
+    return np.asarray(t)[..., None] * (_stacked(xi_t) - xi_star.stacked)
 
 
 def _span_residual(N, m):
@@ -94,24 +103,32 @@ def solve_d_star(exact, div, shape):
     return z0 + N @ (-(N.T @ (weights * z0)) / (weights @ N**2))
 
 
-def ode_residual(xi, xi_dot, t, problem):
+def ode_residual(xi, xi_dot, t, problem, plan=None, exponent=None):
     """Sup-norm of the trajectory ODE left-hand side at (xi, xi_dot, t).
 
-    The penalty in the ODE's terms is problem.penalty (see reg_solver.ode_terms).
+    xi is a DualPotential or stacked potentials.  Rows of them, with xi_dot
+    of the same shape and t an array of one value per row (a grid), give an
+    array of one residual per row; one point gives a float.  The penalty in
+    the ODE's terms is problem.penalty, and `plan` and `exponent` are passed
+    on to reg_solver.ode_terms: a caller that holds the plans or their
+    exponents saves recomputing them, and `exponent` is overwritten.
     """
     check_positive_finite(t, "t")
+    x = _stacked(xi)
     dot = np.asarray(xi_dot, dtype=float)
-    if dot.shape != (problem.n_x + problem.n_y,) or not np.isfinite(dot).all():
-        raise InvalidInput(
-            f"xi_dot must be {problem.n_x + problem.n_y} finite stacked entries"
-        )
-    gamma, hess, forcing = ode_terms(xi.stacked, t, problem)
-    lhs = (
-        apply_A(gamma * apply_A_adjoint(dot, problem.n_x))
-        + hess * dot / t
-        + forcing / (t * t)
-    )
-    return float(np.abs(lhs).max())
+    n = problem.n_x + problem.n_y
+    if dot.shape != x.shape or dot.shape[-1:] != (n,) or not np.isfinite(dot).all():
+        raise InvalidInput(f"xi_dot must be {n} finite stacked entries per point")
+    if np.shape(t) not in ((), x.shape[:-1]):
+        raise InvalidInput("t must be one value, or one value per point")
+    gamma, hess, forcing = ode_terms(x, t, problem, plan, exponent)
+    # the forcing is done with the exponent, so A* xi_dot may reuse it
+    flow = apply_A_adjoint(dot, problem.n_x, out=exponent)
+    flow *= gamma
+    t = np.asarray(t)[..., None]
+    lhs = apply_A(flow) + hess * dot / t + forcing / (t * t)
+    sup = np.abs(lhs).max(axis=-1)
+    return float(sup) if sup.ndim == 0 else sup
 
 
 def ode_inhomogeneous_norm(xi, t, problem):

@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
+
+
+_SMALLEST_SUBNORMAL = np.nextafter(0.0, 1.0)
 
 
 class InvalidInput(ValueError):
@@ -21,8 +24,15 @@ class InvalidInput(ValueError):
 
 
 def check_positive_finite(value, name):
-    """Raise InvalidInput unless 0 < value < inf; NaN fails too."""
-    if not 0 < value < math.inf:
+    """Raise InvalidInput unless 0 < value < inf; NaN fails too.
+
+    An array passes when every entry does.
+    """
+    if isinstance(value, np.ndarray):
+        ok = bool(((0 < value) & (value < math.inf)).all())
+    else:
+        ok = 0 < value < math.inf
+    if not ok:
         raise InvalidInput(f"{name} must be positive and finite")
 
 
@@ -94,26 +104,42 @@ class DualPotential:
 def apply_A(gamma):
     """Marginal operator A: a plan's row sums stacked over its column sums.
 
+    A stack of plans (leading grid axes) gives one stacked vector per plan.
     No input checks; primal_objective checks a plan that comes from outside.
     """
-    return np.concatenate([gamma.sum(axis=1), gamma.sum(axis=0)])
+    return np.concatenate([gamma.sum(axis=-1), gamma.sum(axis=-2)], axis=-1)
 
 
-def apply_A_adjoint(x, n_x):
-    """Adjoint A* of the marginal operator: stacked (phi, psi) -> matrix phi_x + psi_y."""
-    return x[:n_x, None] + x[None, n_x:]
+def apply_A_adjoint(x, n_x, out=None):
+    """Adjoint A* of the marginal operator: stacked (phi, psi) -> matrix phi_x + psi_y.
+
+    Rows of stacked potentials (leading grid axes) give one matrix per row.
+    `out`, when given, receives the result, as in numpy's ufuncs.
+    """
+    return np.add(x[..., :n_x, None], x[..., None, n_x:], out=out)
 
 
 def discrete_entropy(gamma):
-    """Sum of gamma * (log gamma - 1) with the 0 log 0 = 0 convention."""
+    """Sum of gamma * (log gamma - 1) with the 0 log 0 = 0 convention.
+
+    A stack of plans (leading grid axes) gives one value per plan, as an array.
+    """
     gamma = np.asarray(gamma, dtype=float)
-    if not np.isfinite(gamma).all():
+    # min and max propagate NaN, and neither makes a temporary
+    lo, hi = gamma.min(initial=0.0), gamma.max(initial=0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInput("entropy requires finite plan entries")
-    if (gamma < 0).any():
+    if lo < 0:
         raise InvalidInput("entropy requires a nonnegative plan")
-    pos = gamma > 0
-    g = gamma[pos]
-    return float((g * (np.log(g) - 1.0)).sum())
+    # a zero entry takes the log of the smallest subnormal, which it then
+    # multiplies to 0; a positive entry is at least that, so max keeps it
+    terms = np.maximum(gamma, _SMALLEST_SUBNORMAL)
+    np.log(terms, out=terms)
+    terms -= 1.0
+    terms *= gamma
+    if gamma.ndim <= 2:
+        return float(terms.sum())
+    return terms.sum(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -257,12 +283,13 @@ def cholesky_solve(S, rhs):
     """Solve S s = rhs for symmetric positive definite S by LAPACK Cholesky.
 
     Only the upper triangle of S is read, and S itself may be overwritten
-    (it is when Fortran-ordered), so pass a temporary.  Raises
-    NotPositiveDefinite, a numpy.linalg.LinAlgError, at the first pivot that
-    is not positive or is NaN.  Nothing else is checked for finiteness: a NaN
-    or inf in rhs reaches the solution.
+    (it is when Fortran-ordered), so pass a temporary.  One LAPACK dposv call
+    factors and solves.  Raises NotPositiveDefinite, a
+    numpy.linalg.LinAlgError, at the first pivot that is not positive or is
+    NaN.  Nothing else is checked for finiteness: a NaN or inf in rhs reaches
+    the solution.
     """
-    U, info = dpotrf(S, lower=0, clean=0, overwrite_a=1)
+    U, s, info = dposv(S, rhs, lower=0, overwrite_a=1)
     if info == 0 and math.isnan(U.diagonal().sum()):
         # reference LAPACK stops at a NaN pivot, OpenBLAS passes it through;
         # the pivots are nonnegative, so their sum is NaN only if one is
@@ -270,10 +297,7 @@ def cholesky_solve(S, rhs):
     if info > 0:
         raise NotPositiveDefinite(info)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    s, info = dpotrs(U, rhs, lower=0)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        raise ValueError(f"illegal value in argument {-info} of dposv")
     return s
 
 

@@ -23,6 +23,9 @@ from .core import bipartite_solve
 # Armijo sufficient-decrease fraction and step shrink factor of the line search
 ARMIJO_SLOPE = 1e-4
 BACKTRACK = 0.5
+# relative rounding floor of an objective value: a predicted decrease below
+# ROUNDING_FLOOR * (1 + |value|) is too small for an Armijo test to certify
+ROUNDING_FLOOR = 16 * np.finfo(float).eps
 # largest rise of an exponent that one step of a bounded line search allows;
 # the size-ladder iteration counts are flat between 3 and 5
 RISE_MAX = 4.0
@@ -110,7 +113,7 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
                 if not lam <= 1e8:
                     raise
         slope = float(grad @ step)
-        if -slope <= 16 * np.finfo(float).eps * (1.0 + abs(val)):
+        if -slope <= ROUNDING_FLOOR * (1.0 + abs(val)):
             # predicted decrease is below the objective's rounding floor, so
             # Armijo can't certify progress; take full Newton steps while they
             # still reduce the gradient, then stop at numerical stationarity

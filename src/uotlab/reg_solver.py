@@ -49,9 +49,9 @@ EXP_MAX = 690.0
 # Cholesky factor of the Schur complement, not only W^T W: its fill-in
 # multiplies small entries along paths of the plan's support.  With kept
 # entries of at least exp(-100) ~ 3.7e-44, about 2 in 10^5 factor entries
-# on the size ladder are subnormal (5 in 10^4 at exp(-300), where dpotrf ran
-# 1.5x slower); a dropped entry is more than 20 orders below the gradient
-# tolerance even at masses of 1e-9
+# on the size ladder are subnormal (5 in 10^4 at exp(-300), where the
+# factorization ran 1.5x slower); a dropped entry is more than 20 orders
+# below the gradient tolerance even at masses of 1e-9
 EXP_MIN = -100.0
 # cold starts at large t go through the continuation chain
 # t = CONTINUATION_FROM * CONTINUATION_RATIO**k below the target t
@@ -94,8 +94,15 @@ class RegSolution:
 
 
 def plan_exponent(x, t, problem):
-    """Exponent t (A* xi - c) of the plan at a stacked potential."""
-    return t * (apply_A_adjoint(x, problem.n_x) - problem.cost)
+    """Exponent t (A* xi - c) of the plan at a stacked potential.
+
+    Rows of stacked potentials, with t an array of one value per row (a
+    grid), give one exponent matrix per row.
+    """
+    exponent = apply_A_adjoint(x, problem.n_x)
+    exponent -= problem.cost
+    exponent *= np.asarray(t)[..., None, None]
+    return exponent
 
 
 def clamped_exp(exponent):
@@ -119,6 +126,7 @@ class _DualTerms(NamedTuple):
     gradient: Callable
     hessian: Callable
     rise: Callable
+    clamped: Callable
 
 
 def _dual_terms(problem, t):
@@ -128,11 +136,21 @@ def _dual_terms(problem, t):
     and reused by the others at the same array.  The Hessian comes as the
     pair (t gamma, grad^2 F*(-xi)) standing for core.bipartite_hessian of it.
     `rise` maps a step to the largest increase it causes in a plan exponent,
-    in O(n) and with no pass over the plan.
+    in O(n) and with no pass over the plan.  `clamped` tells whether some
+    plan exponent at a point exceeds EXP_MAX, from the exponent the plan was
+    computed from.
     """
     check_positive_finite(t, "t")
     div, n_x = problem.penalty, problem.n_x
-    plan = last_point_cache(lambda x: clamped_exp(plan_exponent(x, t, problem)))
+
+    def evaluate(x):
+        exponent = plan_exponent(x, t, problem)
+        return exponent, clamped_exp(exponent)
+
+    point = last_point_cache(evaluate)
+
+    def plan(x):
+        return point(x)[1]
 
     def value(x):
         return F_conj(-x, div) + float(plan(x).sum()) / t
@@ -146,7 +164,10 @@ def _dual_terms(problem, t):
     def rise(step):
         return t * (step[:n_x].max() + step[n_x:].max())
 
-    return _DualTerms(plan, value, gradient, hessian, rise)
+    def clamped(x):
+        return bool(point(x)[0].max() > EXP_MAX)
+
+    return _DualTerms(plan, value, gradient, hessian, rise, clamped)
 
 
 def kantorovich_eval(xi, t, problem):
@@ -167,21 +188,21 @@ def kantorovich_hess(xi, t, problem):
     return bipartite_hessian(*_dual_terms(problem, t).hessian(xi.stacked))
 
 
-def _newton_solve(problem, t, config, xi0):
-    # the kernel works on the stacked potential, and each trial point's plan
-    # is computed once, by the value
+def _newton_solve(problem, t, config, x0):
+    # the kernel works on the stacked potential x0, and each trial point's
+    # plan is computed once, by the value
     terms = _dual_terms(problem, t)
     x, _, grad, iters, flags = newton_minimize(
         terms.value,
         terms.gradient,
         terms.hessian,
-        xi0.stacked,
+        x0,
         config.grad_tol,
         MAX_NEWTON_ITERS,
         rise=terms.rise,
     )
     gnorm = float(np.abs(grad).max())
-    if (plan_exponent(x, t, problem) > EXP_MAX).any():
+    if terms.clamped(x):
         flags.append("exp-clamped")
     return RegSolution(
         t=t,
@@ -197,36 +218,55 @@ def _newton_solve(problem, t, config, xi0):
 def solve_dual_t(problem, t, config=None, init=None):
     """Minimize K_t by damped Newton with Armijo backtracking.
 
-    `init` is a DualPotential warm start; cold starts at zeros, with a
-    geometric continuation chain in t when t is large (keeps exponents
+    `init` is a warm start: a DualPotential, or its stacked array (phi then
+    psi), which the solve reads and does not modify.  Cold starts at zeros,
+    with a geometric continuation chain in t when t is large (keeps exponents
     moderate, matching the bounded rescaled-deviation regime).  Each stage of
     the chain starts from `predicted_start` of the one before.
     """
     check_positive_finite(t, "t")
     config = config or RegSolveConfig()
     if init is not None:
-        problem.check_shapes(init)
-        return _newton_solve(problem, t, config, init)
-    xi = DualPotential.zeros(problem.n_x, problem.n_y)
+        return _newton_solve(problem, t, config, _stacked_start(problem, init))
+    x = np.zeros(problem.n_x + problem.n_y)
     t_cur = CONTINUATION_FROM
     while t_cur < t:
-        sol = _newton_solve(problem, t_cur, config, xi)
+        sol = _newton_solve(problem, t_cur, config, x)
         t_cur *= CONTINUATION_RATIO
-        xi = predicted_start(problem, sol, min(t_cur, t))
-    return _newton_solve(problem, t, config, xi)
+        x = _stacked_start(problem, predicted_start(problem, sol, min(t_cur, t)))
+    return _newton_solve(problem, t, config, x)
 
 
-def ode_terms(x, t, problem):
+def _stacked_start(problem, init):
+    """A warm start as the stacked array the kernel reads, checked."""
+    if isinstance(init, DualPotential):
+        problem.check_shapes(init)
+        return init.stacked
+    x = np.asarray(init, dtype=float)
+    if x.shape != (problem.n_x + problem.n_y,) or not np.isfinite(x).all():
+        raise InvalidInput(
+            f"a warm start must be {problem.n_x + problem.n_y} finite stacked entries"
+        )
+    return x
+
+
+def ode_terms(x, t, problem, plan=None, exponent=None):
     """Plan gamma, grad^2 F*(-xi) and forcing A(gamma log gamma) at a stacked xi.
 
     Differentiating the stationarity condition of K_t in t gives the
     trajectory ODE
         A(gamma A* xi_dot) + grad^2 F*(-xi) xi_dot / t + A(gamma log gamma) / t^2 = 0,
-    whose coefficients these are.
+    whose coefficients these are.  Rows of stacked potentials, with t an
+    array of one value per row, give one set of terms per row.  A caller that
+    already holds the plan at x, or its exponent plan_exponent(x, t,
+    problem), passes them and they are not recomputed; `exponent` is then
+    used as scratch and overwritten.
     """
-    log_g = plan_exponent(x, t, problem)
-    gamma = clamped_exp(log_g)
-    return gamma, F_conj_hess_diag(-x, problem.penalty), apply_A(gamma * log_g)
+    if exponent is None:
+        exponent = plan_exponent(x, t, problem)
+    gamma = clamped_exp(exponent) if plan is None else plan
+    exponent *= gamma
+    return gamma, F_conj_hess_diag(-x, problem.penalty), apply_A(exponent)
 
 
 def trajectory_tangent(problem, sol):
@@ -234,10 +274,11 @@ def trajectory_tangent(problem, sol):
 
     The ODE (see ode_terms) reads H xi_dot = -A(gamma log gamma) / t, with H
     the Hessian of K_t at the solution and F the problem's penalty; one
-    Schur-complement solve on its pair (t gamma, grad^2 F*(-xi)).  Raises
-    TangentFailed when that Hessian is not numerically positive definite.
+    Schur-complement solve on its pair (t gamma, grad^2 F*(-xi)), with the
+    solved plan sol.gamma as gamma.  Raises TangentFailed when that Hessian
+    is not numerically positive definite.
     """
-    gamma, d, forcing = ode_terms(sol.xi.stacked, sol.t, problem)
+    gamma, d, forcing = ode_terms(sol.xi.stacked, sol.t, problem, plan=sol.gamma)
     n_x = problem.n_x
     try:
         return bipartite_solve(sol.t * gamma, d[:n_x], d[n_x:], -forcing / sol.t)
@@ -249,11 +290,11 @@ def predicted_start(problem, sol, t):
     """Warm start for t from a solution at s = sol.t of the same problem.
 
     xi(t) = xi* + d/t matched to the value and tangent at s predicts
-    xi(t) = xi(s) + (1 - s/t) s xi_dot(s).
+    xi(t) = xi(s) + (1 - s/t) s xi_dot(s), returned stacked.
     """
     s = sol.t
     step = (1.0 - s / t) * s * trajectory_tangent(problem, sol)
-    return DualPotential.from_stacked(sol.xi.stacked + step, problem.n_x)
+    return sol.xi.stacked + step
 
 
 def solve_primal_t(problem, t, config=None, init=None):

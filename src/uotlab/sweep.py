@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .asymptotics import (
     solve_d_star,
     xi_dot_log_grid,
 )
-from .core import DualPotential, InvalidInput, discrete_entropy
+from .core import InvalidInput, discrete_entropy
 from .exact_solver import solve_exact
 from .reg_solver import RegSolveConfig, plan_exponent, predicted_start, solve_dual_t
 
@@ -86,69 +86,97 @@ def extrapolation_weights(u):
     return w
 
 
+def _row_norms(a):
+    """Euclidean norm of every row of a 2-D array.
+
+    A row times a column is a BLAS dot in matmul, so each norm is summed as
+    np.linalg.norm sums one vector.
+    """
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+
+
 def run_sweep(problem, config=None, exact=None):
     """Solve exact once, then warm-start the regularized solves up the grid.
 
     The trajectory is one array xs, whose row k is the stacked solution at
-    grid[k]. Points 1 to HISTORY - 1 start from the tangent prediction of the
-    previous solution; every later point from the extrapolation in 1/t through
-    the last HISTORY rows. The grid is geometric, so the weights are the same
-    at every point and are computed once, and one xi_dot_log_grid call over xs
-    gives the derivative for every interior point's ODE residual.
+    grid[k], and its plans are one (n_points, n_x, n_y) stack.  Each warm
+    start is written into its row of xs and goes to the solve from there:
+    points 1 to HISTORY - 1 start from the tangent prediction of the previous
+    solution, every later point from the extrapolation in 1/t through the
+    last HISTORY rows (the grid is geometric, so the weights are the same at
+    every point and are computed once).  The diagnostics are array passes
+    over xs, the plan stack and one plan-exponent array: the exponent gives
+    the off-support maxima and then the ODE forcing, and one xi_dot_log_grid
+    and one ode_residual call, on the solved plans, give every interior
+    point's residual.
     """
     config = config or SweepConfig()
     if exact is None:
         exact = solve_exact(problem)
-    shape = (problem.n_x, problem.n_y)
-    gamma_star = exact.gamma_star
+    n_x, n_y = shape = problem.n_x, problem.n_y
     off_mask = np.ones(shape, dtype=bool)
     for i, j in exact.I0:
         off_mask[i, j] = False
 
     reg_cfg = RegSolveConfig(grad_tol=GRAD_TOL)
     grid = t_grid(config)
+    n = len(grid)
     weights = extrapolation_weights(1.0 / grid[: HISTORY + 1])
-    xs = np.empty((len(grid), problem.n_x + problem.n_y))
+    xs = np.empty((n, n_x + n_y))
+    plans = np.empty((n, *shape))
     sols = []
     for k, t in enumerate(grid.tolist()):
-        if k == 0:
-            init = None
-        elif k < HISTORY:
-            init = predicted_start(problem, sols[-1], t)
-        else:
-            past = xs[k - HISTORY : k]
-            init = DualPotential.from_stacked(weights @ past, problem.n_x)
-        sols.append(solve_dual_t(problem, t, reg_cfg, init=init))
-        xs[k] = sols[-1].xi.stacked
-    xi_dots = xi_dot_log_grid(grid, xs)
+        init = None
+        if k:
+            if k < HISTORY:
+                xs[k] = predicted_start(problem, sols[-1], t)
+            else:
+                np.matmul(weights, xs[k - HISTORY : k], out=xs[k])
+            init = xs[k]
+        sol = solve_dual_t(problem, t, reg_cfg, init=init)
+        xs[k] = sol.xi.stacked
+        plans[k] = sol.gamma
+        sol.gamma = plans[k]  # the point keeps its row of the stack, not a copy
+        sols.append(sol)
 
-    points = []
-    for k, (t, sol) in enumerate(zip(grid, sols)):
-        xi = sol.xi
-        d = compute_d(xi, exact.xi_star, t)
-        dual_err = float(np.linalg.norm(xs[k] - exact.xi_star.stacked))
-        primal_err = float(np.linalg.norm(sol.gamma - gamma_star))
-        resid = float("nan")
-        if 0 < k < len(grid) - 1:
-            resid = ode_residual(xi, xi_dots[k - 1], t, problem)
-        log_g = plan_exponent(xs[k], t, problem)
-        off_max = float(log_g[off_mask].max()) if off_mask.any() else float("nan")
-        points.append(
-            TrajectoryPoint(
-                t=float(t),
-                xi=xi,
-                gamma=sol.gamma,
-                d=d,
-                dual_err=dual_err,
-                primal_err=primal_err,
-                ode_residual=resid,
-                entropy_val=discrete_entropy(sol.gamma),
-                iters=sol.iters,
-                converged=sol.converged,
-                flags=list(sol.flags),
-                log_gamma_off_max=off_max,
-            )
+    # each pass below holds at most one trajectory-sized array beside the plans
+    entropy = discrete_entropy(plans)
+    primal_err = _row_norms((plans - exact.gamma_star).reshape(n, -1))
+    dual_err = _row_norms(xs - exact.xi_star.stacked)
+    d = compute_d(xs, exact.xi_star, grid)
+    exponent = plan_exponent(xs, grid, problem)
+    off_max = np.full(n, np.nan)
+    if off_mask.any():
+        off_max = exponent.max(axis=(1, 2), where=off_mask, initial=-np.inf)
+    resid = np.full(n, np.nan)
+    resid[1:-1] = ode_residual(
+        xs[1:-1],
+        xi_dot_log_grid(grid, xs),
+        grid[1:-1],
+        problem,
+        plan=plans[1:-1],
+        exponent=exponent[1:-1],
+    )
+    columns = (dual_err, primal_err, resid, entropy, off_max)
+    points = [
+        TrajectoryPoint(
+            t=t,
+            xi=sol.xi,
+            gamma=sol.gamma,
+            d=d_k,
+            dual_err=dual,
+            primal_err=primal,
+            ode_residual=res,
+            entropy_val=ent,
+            iters=sol.iters,
+            converged=sol.converged,
+            flags=list(sol.flags),
+            log_gamma_off_max=off,
         )
+        for t, sol, d_k, dual, primal, res, ent, off in zip(
+            grid.tolist(), sols, d, *(c.tolist() for c in columns)
+        )
+    ]
 
     usable = [p for p in points if p.converged]
     dual_fit = fit_rate([(p.t, p.dual_err) for p in usable])

@@ -1,6 +1,7 @@
 """Rescaled deviation d(t), its limit, ODE residual, E0 and rate fitting."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,16 @@ from uotlab.asymptotics import (
     solve_d_star,
     xi_dot_log_grid,
 )
-from uotlab.core import DualPotential, InvalidInput, Problem
+from uotlab.core import DualPotential, InvalidInput, Problem, discrete_entropy
 from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.divergence import DivergenceF, divergence_for, get_entropy
 from uotlab.exact_solver import ExactSolution, ProjectionFailed, solve_exact
-from uotlab.reg_solver import RegSolveConfig, solve_dual_t, trajectory_tangent
+from uotlab.reg_solver import (
+    RegSolveConfig,
+    plan_exponent,
+    solve_dual_t,
+    trajectory_tangent,
+)
 from uotlab import sweep
 from uotlab.sweep import (
     GRAD_TOL,
@@ -221,10 +227,15 @@ def test_trajectory_tangent_solves_the_ode(kind, seed, div):
 
 def test_ode_residual_analytic_derivative():
     p = make_1x1(c=1.0)
-    for t in (1.0, 10.0, 250.0):
-        xi = xi_1x1(t)
-        xi_dot = np.full(2, 1.0 / (1.0 + 2.0 * t) ** 2)
-        assert ode_residual(xi, xi_dot, t, p) <= 1e-10
+    ts = np.array([1.0, 10.0, 250.0])
+    xs = np.array([xi_1x1(t).stacked for t in ts])
+    dots = np.repeat(1.0 / (1.0 + 2.0 * ts[:, None]) ** 2, 2, axis=1)
+    rows = ode_residual(xs, dots, ts, p)
+    assert rows.shape == (3,)
+    for k, t in enumerate(ts.tolist()):
+        one = ode_residual(xi_1x1(t), dots[k], t, p)
+        assert one <= 1e-10
+        assert rows[k] == one
 
 
 def test_ode_residual_garbage_negative_control():
@@ -256,6 +267,20 @@ def test_ode_residual_rejects_bad_xi_dot():
     for xi_dot in (np.zeros(3), np.zeros((1, 2)), np.array([0.0, np.nan])):
         with pytest.raises(InvalidInput):
             ode_residual(xi_1x1(1.0), xi_dot, 1.0, p)
+    # the same cases on rows of two points
+    ts = np.array([1.0, 2.0])
+    xs = np.array([xi_1x1(t).stacked for t in ts])
+    for xi_dot in (
+        np.zeros((2, 3)),
+        np.zeros((1, 2)),
+        np.zeros(2),
+        np.array([[0.0, 0.0], [0.0, np.nan]]),
+    ):
+        with pytest.raises(InvalidInput, match="xi_dot"):
+            ode_residual(xs, xi_dot, ts, p)
+    for bad_t in (ts[:1], np.array([1.0, np.nan]), np.array([1.0, np.inf])):
+        with pytest.raises(InvalidInput, match="t must be"):
+            ode_residual(xs, np.zeros((2, 2)), bad_t, p)
 
 
 def test_ode_residual_finite_difference_ratio_105():
@@ -325,6 +350,59 @@ def test_sweep_differentiates_its_trajectory_once(monkeypatch):
     p = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence="kl"))
     run_sweep(p, SweepConfig(n_points=60))
     assert calls == [(60, p.n_x + p.n_y)]
+
+
+def test_sweep_computes_every_residual_in_one_call(monkeypatch):
+    calls = []
+    residual = sweep.ode_residual
+
+    def counting(xi, xi_dot, t, problem, **held):
+        calls.append(np.shape(xi_dot))
+        return residual(xi, xi_dot, t, problem, **held)
+
+    monkeypatch.setattr(sweep, "ode_residual", counting)
+    p = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence="kl"))
+    run_sweep(p, SweepConfig(n_points=60))
+    assert calls == [(58, p.n_x + p.n_y)]
+
+
+@pytest.mark.parametrize("kind,seed,div", SHIPPED)
+def test_sweep_diagnostics_equal_the_pointwise_helpers(kind, seed, div):
+    p = gen_dataset(DatasetSpec(kind=kind, seed=seed, divergence=div))
+    ex = solve_exact(p)
+    res = run_sweep(p, SweepConfig(), exact=ex)
+    pts = res.points
+    xs = np.array([pt.xi.stacked for pt in pts])
+    xi_dots = xi_dot_log_grid([pt.t for pt in pts], xs)
+    off = np.ones((p.n_x, p.n_y), dtype=bool)
+    off[tuple(np.array(ex.I0).T)] = False
+    stack = pts[0].gamma.base
+    assert stack.shape == (len(pts), p.n_x, p.n_y)
+    for k, pt in enumerate(pts):
+        assert pt.gamma.base is stack, k  # a row of the plan stack
+        assert np.array_equal(pt.d, compute_d(pt.xi, ex.xi_star, pt.t)), k
+        assert pt.dual_err == np.linalg.norm(pt.xi.stacked - ex.xi_star.stacked), k
+        assert pt.primal_err == np.linalg.norm(pt.gamma - ex.gamma_star), k
+        assert pt.log_gamma_off_max == plan_exponent(pt.xi.stacked, pt.t, p)[off].max()
+        if 0 < k < len(pts) - 1:
+            assert pt.ode_residual == ode_residual(pt.xi, xi_dots[k - 1], pt.t, p), k
+        else:
+            assert np.isnan(pt.ode_residual)
+        assert pt.entropy_val == discrete_entropy(pt.gamma), k
+        # summed with the zero entries in place, the entropy differs from the
+        # sum over the positive entries alone by rounding only
+        g = pt.gamma[pt.gamma > 0]
+        terms = g * (np.log(g) - 1.0)
+        assert abs(pt.entropy_val - terms.sum()) <= 4 * np.spacing(np.abs(terms).sum()), k
+
+
+def test_shipped_sweep_raises_no_runtime_warning():
+    # its late plans hold flushed zeros, where an unmasked log would warn
+    p = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence="kl"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_sweep(p, SweepConfig())
+    assert (res.points[-1].gamma == 0.0).any()
 
 
 def test_e0_1x1():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from uotlab import core
 from uotlab.core import (
     DivergenceSpec,
     DualPotential,
@@ -81,6 +82,21 @@ def test_cholesky_solve_bitwise_equals_scipy(n):
     rhs = rng.standard_normal(n)
     ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), rhs)
     assert cholesky_solve(S.copy(), rhs).tobytes() == ref.tobytes()
+
+
+def test_cholesky_solve_makes_one_lapack_call(monkeypatch):
+    calls = []
+    dposv = core.dposv
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dposv(*args, **kwargs)
+
+    monkeypatch.setattr(core, "dposv", counting)
+    rng = np.random.default_rng(3)
+    G = rng.uniform(0.1, 1.0, (5, 4))
+    bipartite_solve(G, np.ones(5), np.ones(4), rng.standard_normal(9))
+    assert calls == [(4, 4)]
 
 
 def test_cholesky_solve_rejects_indefinite_and_nan_pivots():
@@ -237,6 +253,8 @@ def test_entropy_values():
 def test_entropy_rejects_negative():
     with pytest.raises(InvalidInput):
         discrete_entropy([[-0.5]])
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        discrete_entropy([[[1.0]], [[-0.5]]])  # a stack of two plans
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -244,6 +262,26 @@ def test_entropy_rejects_nonfinite(bad):
     # a NaN entry used to be dropped by the gamma > 0 mask, and inf summed
     with pytest.raises(InvalidInput, match="finite"):
         discrete_entropy([[bad, 1.0]])
+    with pytest.raises(InvalidInput, match="finite"):
+        discrete_entropy([[[1.0]], [[bad]]])  # a stack of two plans
+
+
+def test_marginal_operators_and_entropy_take_a_stack_row_by_row():
+    rng = np.random.default_rng(6)
+    n_x, n_y = 13, 15
+    xs = rng.standard_normal((6, n_x + n_y))
+    G = rng.uniform(0.0, 2.0, (6, n_x, n_y))
+    G[G < 0.6] = 0.0
+    marginals, adjoint, entropy = apply_A(G), apply_A_adjoint(xs, n_x), discrete_entropy(G)
+    assert marginals.shape == xs.shape and adjoint.shape == G.shape
+    assert entropy.shape == (6,)
+    for k in range(6):
+        assert np.array_equal(marginals[k], apply_A(G[k])), k
+        assert np.array_equal(adjoint[k], apply_A_adjoint(xs[k], n_x)), k
+        assert entropy[k] == discrete_entropy(G[k]), k
+    out = np.empty_like(G)
+    assert apply_A_adjoint(xs, n_x, out=out) is out
+    assert np.array_equal(out, adjoint)
 
 
 def test_entropy_strictly_convex_midpoint():

@@ -17,6 +17,8 @@ from uotlab.reg_solver import (
     kantorovich_eval,
     kantorovich_grad,
     kantorovich_hess,
+    ode_terms,
+    plan_exponent,
     primal_objective,
     solve_dual_t,
     solve_primal_t,
@@ -273,6 +275,52 @@ def test_warm_start_shape_checked():
         solve_dual_t(q, 10.0, init=DualPotential(np.zeros(4), np.zeros(1)))
     with pytest.raises(InvalidInput):
         solve_dual_t(p, 10.0, init=DualPotential.zeros(2, 2))
+    # a stacked start is checked the same way
+    for bad in (np.zeros(3), np.zeros((1, 2)), np.array([0.0, np.nan])):
+        with pytest.raises(InvalidInput, match="warm start"):
+            solve_dual_t(p, 10.0, init=bad)
+
+
+def test_stacked_warm_start_is_the_potential_start():
+    q = random_problem(np.random.default_rng(5), n_x=3, n_y=2)
+    start = DualPotential(np.full(3, 0.2), np.full(2, -0.1))
+    x0 = start.stacked
+    by_array = solve_dual_t(q, 30.0, init=x0)
+    by_potential = solve_dual_t(q, 30.0, init=start)
+    assert np.array_equal(by_array.xi.stacked, by_potential.xi.stacked)
+    assert by_array.iters == by_potential.iters
+    assert np.array_equal(x0, start.stacked)  # the start is read, not modified
+
+
+def test_exp_clamped_flag_read_at_the_returned_point(monkeypatch):
+    # with no Newton step the returned point is the start, whose exponent
+    # t (phi + psi - c) is 799 > EXP_MAX; at 599 it is not clamped
+    p = make_1x1(c=1.0)
+    monkeypatch.setattr(reg_solver, "MAX_NEWTON_ITERS", 0)
+    high = solve_dual_t(p, 1.0, init=DualPotential([400.0], [400.0]))
+    assert high.iters == 0
+    assert "exp-clamped" in high.flags
+    low = solve_dual_t(p, 1.0, init=DualPotential([300.0], [300.0]))
+    assert "exp-clamped" not in low.flags
+
+
+def test_plan_exponent_and_ode_terms_take_rows_of_a_grid():
+    p = random_problem(np.random.default_rng(9), n_x=4, n_y=3)
+    rng = np.random.default_rng(10)
+    ts = np.array([1.0, 7.5, 120.0])
+    xs = 0.3 * rng.standard_normal((3, p.n_x + p.n_y))
+    exponents = plan_exponent(xs, ts, p)
+    gamma, hess, forcing = ode_terms(xs, ts, p)
+    for k, t in enumerate(ts.tolist()):
+        assert np.array_equal(exponents[k], plan_exponent(xs[k], t, p))
+        one = ode_terms(xs[k], t, p)
+        for batched, single in zip((gamma, hess, forcing), one):
+            assert np.array_equal(batched[k], single), k
+    # a held plan and exponent give the same terms; the exponent is scratch
+    held = ode_terms(xs, ts, p, plan=gamma.copy(), exponent=exponents)
+    for batched, single in zip((gamma, hess, forcing), held):
+        assert np.array_equal(batched, single)
+    assert not np.array_equal(exponents, plan_exponent(xs, ts, p))
 
 
 def test_nonconverged_flagged(monkeypatch):
@@ -320,17 +368,18 @@ def test_warm_chain_iterations_pinned(div, total):
 def test_schur_factors_of_the_240_chain_keep_subnormal_fill_in_rare(monkeypatch):
     # EXP_MIN keeps every entry of the Schur complement a normal double, but
     # Cholesky fill-in multiplies small entries along paths and can still sink
-    # below the normal range, where dpotrf slows down.  With EXP_MIN = -300
-    # about 5 in 10^4 factor entries of this chain were subnormal; now 2 in 10^5
+    # below the normal range, where the factorization slows down.  With
+    # EXP_MIN = -300 about 5 in 10^4 factor entries of this chain were
+    # subnormal; now 2 in 10^5
     factors = []
 
     def capture(*args, **kwargs):
-        U, info = dpotrf(*args, **kwargs)
+        U, s, info = dposv(*args, **kwargs)
         factors.append(np.triu(U))  # the lower triangle is left as it was
-        return U, info
+        return U, s, info
 
-    dpotrf = core.dpotrf
-    monkeypatch.setattr(core, "dpotrf", capture)
+    dposv = core.dposv
+    monkeypatch.setattr(core, "dposv", capture)
     _ladder_chain("kl", n_x=240)
     tiny = np.finfo(float).tiny
     subnormal = sum(int(((U != 0) & (np.abs(U) < tiny)).sum()) for U in factors)
