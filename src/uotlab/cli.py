@@ -12,7 +12,7 @@ import numpy as np
 from . import io
 from .core import InvalidInput
 from .datasets import DATASET_KINDS, DatasetSpec, gen_dataset
-from .divergence import F_conj
+from .divergence import DIVERGENCE_KINDS, F_conj
 from .exact_solver import solve_exact
 from .reg_solver import RegSolveConfig, primal_objective, solve_dual_t
 from .sweep import SweepConfig, diagnostics_dict, emit_csv, read_csv, run_sweep
@@ -33,13 +33,13 @@ def _build_parser():
     p_gen = sub.add_parser("gen", help="generate a benchmark problem")
     p_gen.add_argument("--dataset", choices=DATASET_KINDS, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--divergence", choices=["kl", "quadratic"], default="kl")
+    p_gen.add_argument("--divergence", choices=DIVERGENCE_KINDS, default="kl")
     p_gen.add_argument("-o", "--out", required=True)
 
     p_solve = sub.add_parser("solve", help="solve the regularized dual at one t")
     p_solve.add_argument("--problem", required=True)
     p_solve.add_argument("--t", type=float, required=True)
-    p_solve.add_argument("--divergence", choices=["kl", "quadratic"])
+    p_solve.add_argument("--divergence", choices=DIVERGENCE_KINDS)
     p_solve.add_argument("--tol", type=float, default=1e-10)
     p_solve.add_argument("--out")
 
@@ -52,7 +52,7 @@ def _build_parser():
     p_sweep.add_argument("--t-min", type=float, default=1.0)
     p_sweep.add_argument("--t-max", type=float, default=1e4)
     p_sweep.add_argument("--n-points", type=int, default=60)
-    p_sweep.add_argument("--divergence", choices=["kl", "quadratic"])
+    p_sweep.add_argument("--divergence", choices=DIVERGENCE_KINDS)
     p_sweep.add_argument("--out")
     p_sweep.add_argument("--diagnostics")
     p_sweep.add_argument("--svg")

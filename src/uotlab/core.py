@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 
 _SMALLEST_SUBNORMAL = np.nextafter(0.0, 1.0)
@@ -279,15 +278,35 @@ def bipartite_hessian(G, diag):
     return H
 
 
+def _bind_dposv(*args, **kwargs):
+    """Stand-in for LAPACK dposv until the first factorization.
+
+    Imports scipy's dposv, binds it to the module name `dposv` unless that
+    name has been set to something else meanwhile, and calls it.  Keeping
+    scipy out of `import uotlab` leaves commands that never factor (gen,
+    plot, --help) with numpy alone.
+    """
+    global dposv
+    from scipy.linalg.lapack import dposv as lapack_dposv
+
+    if dposv is _bind_dposv:
+        dposv = lapack_dposv
+    return lapack_dposv(*args, **kwargs)
+
+
+dposv = _bind_dposv
+
+
 def cholesky_solve(S, rhs):
     """Solve S s = rhs for symmetric positive definite S by LAPACK Cholesky.
 
     Only the upper triangle of S is read, and S itself may be overwritten
     (it is when Fortran-ordered), so pass a temporary.  One LAPACK dposv call
-    factors and solves.  Raises NotPositiveDefinite, a
-    numpy.linalg.LinAlgError, at the first pivot that is not positive or is
-    NaN.  Nothing else is checked for finiteness: a NaN or inf in rhs reaches
-    the solution.
+    factors and solves; scipy's dposv is imported and bound to the module
+    name `dposv` at the first call, so later calls only look up that name.
+    Raises NotPositiveDefinite, a numpy.linalg.LinAlgError, at the first
+    pivot that is not positive or is NaN.  Nothing else is checked for
+    finiteness: a NaN or inf in rhs reaches the solution.
     """
     U, s, info = dposv(S, rhs, lower=0, overwrite_a=1)
     if info == 0 and math.isnan(U.diagonal().sum()):

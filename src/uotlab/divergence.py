@@ -91,6 +91,8 @@ _ENTROPIES = {
     "kl-normalized": NormalizedKLEntropy,
     "quadratic": QuadraticEntropy,
 }
+# the kinds a problem file or the CLI can name
+DIVERGENCE_KINDS = tuple(_ENTROPIES)
 
 
 def get_entropy(kind):

@@ -10,6 +10,7 @@ from pathlib import Path
 from uotlab import exact_solver, io
 from uotlab.cli import EXIT_INVALID, EXIT_NONCONVERGED, EXIT_OK, cli_main
 from uotlab.datasets import DatasetSpec, gen_dataset
+from uotlab.divergence import DIVERGENCE_KINDS
 
 
 def test_gen_then_sweep_exit_zero(tmp_path):
@@ -137,12 +138,22 @@ def test_sweep_divergence_override(tmp_path):
     prob = tmp_path / "p.json"
     cli_main(["gen", "--dataset", "gaussians-1d", "-o", str(prob)])
     diag = tmp_path / "d.json"
-    assert cli_main(
-        ["sweep", "--problem", str(prob), "--n-points", "12",
-         "--divergence", "quadratic", "--diagnostics", str(diag)]
-    ) == EXIT_OK
-    doc = json.loads(diag.read_text())
-    assert doc["n_converged"] == doc["n_points"]
+    for kind in ("quadratic", "kl-normalized"):
+        assert cli_main(
+            ["sweep", "--problem", str(prob), "--n-points", "12",
+             "--divergence", kind, "--diagnostics", str(diag)]
+        ) == EXIT_OK, kind
+        doc = json.loads(diag.read_text())
+        assert doc["n_converged"] == doc["n_points"], kind
+
+
+def test_gen_writes_every_divergence_kind(tmp_path):
+    # the CLI offers each kind a problem file can name, kl-normalized too
+    for kind in DIVERGENCE_KINDS:
+        prob = tmp_path / f"{kind}.json"
+        argv = ["gen", "--dataset", "point-clouds", "--divergence", kind, "-o", str(prob)]
+        assert cli_main(argv) == EXIT_OK
+        assert io.load_problem(prob).divergence.kind == kind
 
 
 def _python(*args, timeout=None):
@@ -156,13 +167,68 @@ def _python(*args, timeout=None):
     )
 
 
-def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize is only for the test oracle and costs a large share of
-    # the import time, so the package and the CLI must not pull it in
-    code = "import sys, uotlab, uotlab.cli; print('scipy.optimize' in sys.modules)"
-    out = _python("-c", code)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "False"
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
+
+
+def test_import_loads_no_scipy():
+    # scipy is most of the import time: the factorization binds it at its
+    # first call, and scipy.optimize serves only the test oracle
+    out = _python("-c", f"import sys, uotlab, uotlab.cli; print({_LOADED_SCIPY})")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def _scipy_after_cli(*argv):
+    """Exit code of cli_main(argv) in a fresh process, and the scipy modules it loaded."""
+    script = ("import sys; from uotlab.cli import cli_main; "
+              f"code = cli_main(sys.argv[1:]); print(code, {_LOADED_SCIPY})")
+    out = _python("-c", script, *argv, timeout=60)
+    assert out.returncode == 0, out.stderr
+    code, loaded = out.stdout.strip().splitlines()[-1].split(" ", 1)
+    return int(code), loaded
+
+
+def test_commands_that_never_factor_load_no_scipy(tmp_path):
+    prob, csv = tmp_path / "p.json", tmp_path / "s.csv"
+    assert _scipy_after_cli("gen", "--dataset", "point-clouds", "-o", str(prob)) \
+        == (EXIT_OK, "[]")
+    cli_main(["sweep", "--problem", str(prob), "--n-points", "12", "--out", str(csv)])
+    plot = ("plot", "--csv", str(csv), "--out", str(tmp_path / "f.svg"))
+    assert _scipy_after_cli(*plot) == (EXIT_OK, "[]")
+    assert _scipy_after_cli("--help") == (EXIT_OK, "[]")
+
+
+def test_solve_loads_scipy_linalg(tmp_path):
+    prob = tmp_path / "p.json"
+    cli_main(["gen", "--dataset", "point-clouds", "-o", str(prob)])
+    code, loaded = _scipy_after_cli("solve", "--problem", str(prob), "--t", "10")
+    assert code == EXIT_OK and "'scipy.linalg'" in loaded
+
+
+def test_dposv_patched_before_the_first_factorization_stays_patched():
+    # the first factorization binds scipy's dposv only where the name still
+    # holds the stand-in, so a patch made before it sees every call
+    code = f"""
+import sys
+import numpy as np
+from uotlab import core
+dposv = core.dposv
+calls = []
+def counting(*args, **kwargs):
+    calls.append(args[0].shape)
+    return dposv(*args, **kwargs)
+core.dposv = counting
+assert {_LOADED_SCIPY} == []
+rng = np.random.default_rng(3)
+G = rng.uniform(0.1, 1.0, (5, 4))
+for _ in range(2):
+    core.bipartite_solve(G, np.ones(5), np.ones(4), rng.standard_normal(9))
+assert core.dposv is counting
+print(calls)
+"""
+    out = _python("-c", code, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[(4, 4), (4, 4)]"
 
 
 def _cli_exit(*argv):
