@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Exact references on the scale ladder: point clouds at n_x = 120 and 240.
+
+Solves 48 instances (seeds 0-11, n_y = n_x + 2, default masses, kl and
+quadratic) with solve_exact and prints, per instance, the crossover's pivots,
+the seed's flags, the relative duality gap and the complementarity.  Exits
+nonzero when any solve raises, when a relative gap exceeds GAP_RTOL or when
+complementarity exceeds COMPLEMENTARITY_TOL.  About 15 s with one BLAS thread.
+
+    PYTHONPATH=src python scripts/scale_ladder.py
+"""
+
+import os
+import sys
+import time
+
+# one BLAS thread, set before numpy loads BLAS: on a small machine several
+# threads make the n_x = 240 factorizations several times slower
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from uotlab.datasets import DatasetSpec, gen_dataset  # noqa: E402
+from uotlab.divergence import F_conj  # noqa: E402
+from uotlab.exact_solver import solve_exact  # noqa: E402
+from uotlab.reg_solver import primal_objective  # noqa: E402
+
+SIZES = (120, 240)
+SEEDS = range(12)
+DIVERGENCES = ("kl", "quadratic")
+# duality gap relative to max(1, |primal value|), and max |gamma* kappa|
+GAP_RTOL = 1e-8
+COMPLEMENTARITY_TOL = 1e-10
+
+
+def check(n_x, seed, div):
+    """One ladder instance: (pivots, flags, relative gap, complementarity)."""
+    p = gen_dataset(DatasetSpec(
+        kind="point-clouds", seed=seed, divergence=div, n_x=n_x, n_y=n_x + 2,
+    ))
+    ex = solve_exact(p)
+    primal = primal_objective(ex.gamma_star, p)
+    gap = abs(primal + F_conj(-ex.xi_star.stacked, p.penalty)) / max(1.0, abs(primal))
+    comp = float(np.max(np.abs(ex.gamma_star * ex.kappa)))
+    return ex.pivots, ex.flags, gap, comp
+
+
+def main():
+    failures = 0
+    start = time.perf_counter()
+    print("n_x  seed divergence pivots rel_gap   complement flags")
+    for n_x in SIZES:
+        for seed in SEEDS:
+            for div in DIVERGENCES:
+                label = f"{n_x:<4d} {seed:<4d} {div:<10s}"
+                try:
+                    pivots, flags, gap, comp = check(n_x, seed, div)
+                except Exception as exc:  # every failure is reported, not only the first
+                    failures += 1
+                    print(f"{label} FAIL {type(exc).__name__}: {exc}")
+                    continue
+                bad = gap > GAP_RTOL or comp > COMPLEMENTARITY_TOL
+                failures += bad
+                print(f"{label} {pivots:<6d} {gap:.2e}  {comp:.2e}   "
+                      f"{'|'.join(flags) or '-'}{'  FAIL' if bad else ''}")
+    total = len(SIZES) * len(SEEDS) * len(DIVERGENCES)
+    print(f"{failures}/{total} failed in {time.perf_counter() - start:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

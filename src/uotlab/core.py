@@ -106,7 +106,8 @@ def apply_A(gamma):
     A stack of plans (leading grid axes) gives one stacked vector per plan.
     No input checks; primal_objective checks a plan that comes from outside.
     """
-    return np.concatenate([gamma.sum(axis=-1), gamma.sum(axis=-2)], axis=-1)
+    add = np.add.reduce
+    return np.concatenate([add(gamma, axis=-1), add(gamma, axis=-2)], axis=-1)
 
 
 def apply_A_adjoint(x, n_x, out=None):
@@ -249,10 +250,12 @@ def spanning_forest(entries, n_x, n_y):
         return a
 
     kept = []
-    for k, (i, j) in enumerate(entries):
+    # Python ints: unpacking a numpy row and converting its entries costs
+    # more than the union-find step itself
+    for k, (i, j) in enumerate(np.asarray(entries).tolist()):
         if len(kept) == n - 1:
             break  # a spanning tree: every later entry closes a cycle
-        a, b = find(int(i)), find(n_x + int(j))
+        a, b = find(i), find(n_x + j)
         if a != b:
             root[a] = b
             kept.append(k)
@@ -300,10 +303,13 @@ dposv = _bind_dposv
 def cholesky_solve(S, rhs):
     """Solve S s = rhs for symmetric positive definite S by LAPACK Cholesky.
 
-    Only the upper triangle of S is read, and S itself may be overwritten
-    (it is when Fortran-ordered), so pass a temporary.  One LAPACK dposv call
-    factors and solves; scipy's dposv is imported and bound to the module
-    name `dposv` at the first call, so later calls only look up that name.
+    Only the upper triangle of S is read, and S itself may be overwritten,
+    so pass a temporary.  Pass S Fortran-contiguous (for a symmetric C-ordered
+    S, its transpose view S.T): scipy copies any other layout into Fortran
+    order before LAPACK sees it, and at n = 240 that copy costs as much as
+    the factorization.  One LAPACK dposv call factors and solves; scipy's
+    dposv is imported and bound to the module name `dposv` at the first
+    call, so later calls only look up that name.
     Raises NotPositiveDefinite, a numpy.linalg.LinAlgError, at the first
     pivot that is not positive or is NaN.  Nothing else is checked for
     finiteness: a NaN or inf in rhs reaches the solution.
@@ -328,20 +334,29 @@ def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
     is Cholesky-factored (a, b: diagonals of the eliminated and kept sides).
     Raises numpy.linalg.LinAlgError when the matrix is not positive definite:
     NotPositiveDefinite when the Schur complement fails to factor.
+
+    numpy forms W^T W with one symmetric rank-k update and mirrors it, so
+    the complement is exactly symmetric and its transpose view S.T is the
+    same matrix, Fortran-contiguous, which LAPACK takes without a copy.
     """
     n_x, n_y = G.shape
-    a = d_x + G.sum(axis=1) + ridge
-    b = d_y + G.sum(axis=0) + ridge
+    add = np.add.reduce
+    a = d_x + add(G, axis=1)
+    b = d_y + add(G, axis=0)
+    if ridge:
+        a += ridge
+        b += ridge
     r_a, r_b = rhs[:n_x], rhs[n_x:]
     flip = n_x < n_y
     if flip:
         G, a, b, r_a, r_b = G.T, b, a, r_b, r_a
-    if not (a > 0).all():
+    if not np.minimum.reduce(a) > 0:  # NaN fails too
         raise np.linalg.LinAlgError("eliminated diagonal is not positive")
     W = G / np.sqrt(a)[:, None]
-    S = -(W.T @ W)
-    S.flat[::b.size + 1] += b
-    s_b = cholesky_solve(S, r_b - G.T @ (r_a / a))
+    S = W.T @ W
+    np.negative(S, out=S)
+    S.ravel()[::b.size + 1] += b
+    s_b = cholesky_solve(S.T, r_b - G.T @ (r_a / a))
     s_a = (r_a - G @ s_b) / a
     return np.concatenate([s_b, s_a] if flip else [s_a, s_b])
 

@@ -46,8 +46,7 @@ class KLEntropy:
     def phi_conj_d1(self, y):
         return np.exp(y)
 
-    def phi_conj_d2(self, y):
-        return np.exp(y)
+    phi_conj_d2 = phi_conj_d1  # F_conj_derivatives computes it once
 
 
 class NormalizedKLEntropy(KLEntropy):
@@ -139,7 +138,7 @@ def csiszar(p, q, entropy):
 def F_conj(arg, div):
     """Separable conjugate sum q_z phi*(arg_z); overflow saturates at EXP_CLAMP."""
     arg = np.minimum(arg, EXP_CLAMP)
-    return float((div.q * np.asarray(div.entropy.phi_conj(arg))).sum())
+    return float(np.add.reduce(div.q * np.asarray(div.entropy.phi_conj(arg)), axis=None))
 
 
 def F_conj_grad(arg, div):
@@ -150,3 +149,16 @@ def F_conj_grad(arg, div):
 def F_conj_hess_diag(arg, div):
     """Diagonal of the conjugate Hessian: q_z phi*''(arg_z), positive entries."""
     return div.q * np.asarray(div.entropy.phi_conj_d2(arg))
+
+
+def F_conj_derivatives(arg, div):
+    """(F_conj_grad(arg, div), F_conj_hess_diag(arg, div)) at one argument.
+
+    When the entropy's phi*'' is its phi*' (the kl kinds, both exp), one
+    array is computed and serves as both.
+    """
+    grad = F_conj_grad(arg, div)
+    entropy = div.entropy
+    if entropy.phi_conj_d2 == entropy.phi_conj_d1:
+        return grad, grad
+    return grad, F_conj_hess_diag(arg, div)

@@ -16,6 +16,8 @@ Sun & Tran-Dinh 2019).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import bipartite_solve
@@ -82,20 +84,22 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
     backtracking stalls (flag "linesearch-stalled").  `hessian` returns a
     pair (G, d) standing for the transport-shaped `core.bipartite_hessian(G,
     d)`, or a 1-D vector standing for a diagonal Hessian.  A Hessian that
-    is not positive definite is retried with a growing ridge (flag "ridge").
+    is not positive definite is retried with a growing ridge (flag "ridge"),
+    up to 1e8 times its mean diagonal (or 1e8, when that is below 1).
 
     `rise`, when given, maps a Newton step to the largest increase the full
     step causes in any exponent of the objective; the Armijo search then
     starts from alpha = min(1, RISE_MAX / rise(step)) instead of 1, so no
     step raises an exponent by more than RISE_MAX.
     """
+    top = np.maximum.reduce
     x = x0
     flags = []
     val = value(x)
     grad = gradient(x)
     iters = 0
     for iters in range(1, max_iters + 1):
-        gnorm = float(np.abs(grad).max(initial=0.0))
+        gnorm = float(top(np.abs(grad), axis=None, initial=0.0))
         if gnorm <= grad_tol:
             iters -= 1
             break
@@ -106,11 +110,16 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
                 step = -_solve(H, grad, lam)
                 break
             except np.linalg.LinAlgError:
+                # the ridge runs from 1e-12 to 1e8 times the Hessian's scale;
                 # a NaN Hessian gives a NaN ridge, which also ends the retry
-                lam = 10 * lam if lam else 1e-12 * max(_mean_diagonal(H), 1.0)
+                if lam:
+                    lam *= 10
+                else:
+                    scale = max(_mean_diagonal(H), 1.0)
+                    lam = 1e-12 * scale
                 if "ridge" not in flags:
                     flags.append("ridge")
-                if not lam <= 1e8:
+                if not lam <= 1e8 * scale:
                     raise
         slope = float(grad @ step)
         if -slope <= ROUNDING_FLOOR * (1.0 + abs(val)):
@@ -119,7 +128,7 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
             # still reduce the gradient, then stop at numerical stationarity
             trial = x + step
             tgrad = gradient(trial)
-            if float(np.abs(tgrad).max()) < gnorm:
+            if float(top(np.abs(tgrad), axis=None)) < gnorm:
                 x, grad = trial, tgrad
                 val = value(x)
                 continue
@@ -132,7 +141,7 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
         for _ in range(60):
             trial = x + alpha * step
             tval = value(trial)
-            if np.isfinite(tval) and tval <= val + ARMIJO_SLOPE * alpha * slope:
+            if math.isfinite(tval) and tval <= val + ARMIJO_SLOPE * alpha * slope:
                 break
             alpha *= BACKTRACK
         else:

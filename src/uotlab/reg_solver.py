@@ -39,7 +39,7 @@ from .core import (
     check_positive_finite,
     discrete_entropy,
 )
-from .divergence import F_conj, F_conj_grad, F_conj_hess_diag, csiszar
+from .divergence import F_conj, F_conj_derivatives, F_conj_hess_diag, csiszar
 from .newton import last_point_cache, newton_minimize
 
 # exponent clamp keeping exp() representable; hit only on wild line-search
@@ -101,7 +101,7 @@ def plan_exponent(x, t, problem):
     """
     exponent = apply_A_adjoint(x, problem.n_x)
     exponent -= problem.cost
-    exponent *= np.asarray(t)[..., None, None]
+    exponent *= t if np.isscalar(t) else np.asarray(t)[..., None, None]
     return exponent
 
 
@@ -132,40 +132,45 @@ class _DualTerms(NamedTuple):
 def _dual_terms(problem, t):
     """Plan, value, gradient and Hessian of K_t, as functions of the stacked xi.
 
-    The penalty F is problem.penalty.  The plan at a point is computed once
-    and reused by the others at the same array.  The Hessian comes as the
-    pair (t gamma, grad^2 F*(-xi)) standing for core.bipartite_hessian of it.
-    `rise` maps a step to the largest increase it causes in a plan exponent,
-    in O(n) and with no pass over the plan.  `clamped` tells whether some
-    plan exponent at a point exceeds EXP_MAX, from the exponent the plan was
-    computed from.
+    The penalty F is problem.penalty.  The plan at a point, and the
+    conjugate derivatives there, are each computed once and reused by the
+    others at the same array.  The Hessian comes as the pair (t gamma,
+    grad^2 F*(-xi)) standing for core.bipartite_hessian of it.  `rise` maps a
+    step to the largest increase it causes in a plan exponent, in O(n) and
+    with no pass over the plan.  `clamped` tells whether some plan exponent
+    at a point exceeds EXP_MAX, from the exponent the plan was computed from.
     """
     check_positive_finite(t, "t")
     div, n_x = problem.penalty, problem.n_x
+    add, top = np.add.reduce, np.maximum.reduce
 
     def evaluate(x):
         exponent = plan_exponent(x, t, problem)
         return exponent, clamped_exp(exponent)
 
     point = last_point_cache(evaluate)
+    # the gradient and the Hessian run at accepted points only
+    conj = last_point_cache(lambda x: F_conj_derivatives(-x, div))
 
     def plan(x):
         return point(x)[1]
 
     def value(x):
-        return F_conj(-x, div) + float(plan(x).sum()) / t
+        return F_conj(-x, div) + float(add(plan(x), axis=None)) / t
 
     def gradient(x):
-        return -F_conj_grad(-x, div) + apply_A(plan(x))
+        g = apply_A(plan(x))
+        g -= conj(x)[0]
+        return g
 
     def hessian(x):
-        return t * plan(x), F_conj_hess_diag(-x, div)
+        return t * plan(x), conj(x)[1]
 
     def rise(step):
-        return t * (step[:n_x].max() + step[n_x:].max())
+        return t * (top(step[:n_x]) + top(step[n_x:]))
 
     def clamped(x):
-        return bool(point(x)[0].max() > EXP_MAX)
+        return bool(top(point(x)[0], axis=None) > EXP_MAX)
 
     return _DualTerms(plan, value, gradient, hessian, rise, clamped)
 
@@ -201,7 +206,7 @@ def _newton_solve(problem, t, config, x0):
         MAX_NEWTON_ITERS,
         rise=terms.rise,
     )
-    gnorm = float(np.abs(grad).max())
+    gnorm = float(np.maximum.reduce(np.abs(grad), axis=None))
     if terms.clamped(x):
         flags.append("exp-clamped")
     return RegSolution(
@@ -222,7 +227,8 @@ def solve_dual_t(problem, t, config=None, init=None):
     psi), which the solve reads and does not modify.  Cold starts at zeros,
     with a geometric continuation chain in t when t is large (keeps exponents
     moderate, matching the bounded rescaled-deviation regime).  Each stage of
-    the chain starts from `predicted_start` of the one before.
+    the chain starts from `predicted_start` of the one before, and the
+    result carries the flags of every stage, each once.
     """
     check_positive_finite(t, "t")
     config = config or RegSolveConfig()
@@ -230,11 +236,15 @@ def solve_dual_t(problem, t, config=None, init=None):
         return _newton_solve(problem, t, config, _stacked_start(problem, init))
     x = np.zeros(problem.n_x + problem.n_y)
     t_cur = CONTINUATION_FROM
+    flags = []
     while t_cur < t:
         sol = _newton_solve(problem, t_cur, config, x)
+        flags += sol.flags
         t_cur *= CONTINUATION_RATIO
         x = _stacked_start(problem, predicted_start(problem, sol, min(t_cur, t)))
-    return _newton_solve(problem, t, config, x)
+    sol = _newton_solve(problem, t, config, x)
+    sol.flags = list(dict.fromkeys(flags + sol.flags))
+    return sol
 
 
 def _stacked_start(problem, init):

@@ -99,6 +99,46 @@ def test_cholesky_solve_makes_one_lapack_call(monkeypatch):
     assert calls == [(4, 4)]
 
 
+@pytest.mark.parametrize("n_x,n_y", [(13, 15), (15, 13), (240, 242), (242, 240)])
+def test_schur_complement_reaches_lapack_fortran_ordered(monkeypatch, n_x, n_y):
+    # scipy copies a C-ordered array into Fortran order before calling
+    # LAPACK; the complement is exactly symmetric, so its transpose view is
+    # the same matrix already in Fortran order, and the solution is bitwise
+    # the one of the C-ordered complement
+    seen = []
+    dposv = core.dposv
+
+    def capture(S, rhs, **kwargs):
+        seen.append((S.flags.f_contiguous, S.copy(), rhs.copy()))
+        return dposv(S, rhs, **kwargs)
+
+    monkeypatch.setattr(core, "dposv", capture)
+    rng = np.random.default_rng(n_x)
+    G = rng.uniform(0.1, 2.0, (n_x, n_y))
+    d = rng.uniform(0.01, 1.0, n_x + n_y)
+    s = bipartite_solve(G, d[:n_x], d[n_x:], rng.standard_normal(n_x + n_y))
+    [(fortran, S, rhs)] = seen
+    assert fortran
+    assert S.shape == (min(n_x, n_y),) * 2 and np.array_equal(S, S.T)
+    s_c = dposv(np.ascontiguousarray(S), rhs, lower=0, overwrite_a=1)[1]
+    kept = slice(n_x, None) if n_x > n_y else slice(None, n_x)
+    assert s[kept].tobytes() == s_c.tobytes()
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_gram_matrix_is_exactly_symmetric(flip):
+    # bipartite_solve hands S.T to LAPACK as S: numpy forms W^T W with one
+    # symmetric rank-k update and mirrors it, for W C-ordered (G) or
+    # Fortran-ordered (a transposed G) alike
+    rng = np.random.default_rng(8)
+    for n_x, n_y in ((1, 1), (3, 4), (13, 15), (240, 242)):
+        G = rng.uniform(0.1, 2.0, (n_x, n_y))
+        G = G.T if flip else G
+        W = G / np.sqrt(rng.uniform(1.0, 2.0, G.shape[0]))[:, None]
+        S = W.T @ W
+        assert np.array_equal(S, S.T), (n_x, n_y)
+
+
 def test_cholesky_solve_rejects_indefinite_and_nan_pivots():
     # -1 is an eigenvalue; the second leading minor is 1 - 4 = -3
     with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
@@ -156,6 +196,25 @@ def test_newton_bipartite_step_and_ridge_flag():
         lambda x: (G, np.full(7, -0.1)), np.zeros(7), 1e-12, 1,
     )
     assert "ridge" in flags
+
+
+def test_newton_ridge_cap_scales_with_the_hessian():
+    # a pair Hessian of mean diagonal ~1e22, indefinite by 1e12 along the
+    # transport null direction: the first ridge, 1e-12 times the mean
+    # diagonal, is far above 1e8, and the retry must still run up to 1e13
+    rng = np.random.default_rng(6)
+    G = 1e22 * rng.uniform(0.1, 0.5, (3, 4))
+    d = np.full(7, -1e12)
+    assert 1e21 < (2 * G.sum() + d.sum()) / 7 < 1e23
+    with pytest.raises(core.NotPositiveDefinite):
+        bipartite_solve(G, d[:3], d[3:], np.ones(7))
+    H = bipartite_hessian(G, d)
+    b = 1e10 * rng.standard_normal(7)
+    x, val, _, iters, flags = newton_minimize(
+        lambda x: 0.5 * x @ H @ x - b @ x, lambda x: H @ x - b,
+        lambda x: (G, d), np.zeros(7), 1e-12, 1,
+    )
+    assert iters == 1 and flags == ["ridge"] and val < 0.0
 
 
 def test_newton_rise_bound_limits_each_step():
@@ -434,6 +493,10 @@ def test_spanning_forest_null_basis_matches_svd():
         seen["cycle"] += len(kept) < len(entries)
         seen["isolated"] += bool(np.any(np.all(B == 0, axis=1)))
         seen["empty row"] += bool(np.any(~mask.any(axis=1)))
+        # the entries as an index array (the crossover's order) or as a
+        # list of int pairs (a saturated set) give the same forest
+        kept_list, N_list = spanning_forest([tuple(map(int, e)) for e in entries], n_x, n_y)
+        assert kept_list == kept and N_list.tobytes() == N.tobytes()
     assert min(seen.values()) >= 10, seen
 
 

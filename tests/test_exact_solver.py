@@ -272,6 +272,14 @@ LADDER_PIVOTS = {
     (120, "kl"): 2, (120, "quadratic"): 10,
     (240, "kl"): 2, (240, "quadratic"): 9,
 }
+# instances of the scale ladder (scripts/scale_ladder.py) whose seed chain
+# needs a ridge beyond 1e8, as the ridge cap scaled with the Hessian allows,
+# and their pivots
+SCALE_PIVOTS = {
+    (8, 120, "kl"): 3, (8, 120, "quadratic"): 21,
+    (0, 240, "kl"): 7, (5, 240, "quadratic"): 38,
+}
+LADDER += list(SCALE_PIVOTS)
 
 
 @pytest.mark.parametrize("seed,n_x,div", LADDER)
@@ -283,12 +291,28 @@ def test_exact_reference_ladder(seed, n_x, div):
     ))
     ex = solve_exact(p)
     assert ex.converged
-    if n_x > 13:
+    if (seed, n_x, div) in SCALE_PIVOTS:
+        assert ex.pivots == SCALE_PIVOTS[seed, n_x, div] and "seed-ridge" in ex.flags
+    elif n_x > 13:
         assert ex.pivots == LADDER_PIVOTS[n_x, div]
     div = divergence_for(p)
     gap = primal_objective(ex.gamma_star, p) + F_conj(-ex.xi_star.stacked, div)
     assert abs(gap) <= 1e-8
     assert float(np.max(np.abs(ex.gamma_star * ex.kappa))) <= 1e-10
+
+
+@pytest.mark.parametrize("div,scale", [("kl", 1e12), ("quadratic", 1e9), ("quadratic", 1e12)])
+def test_large_masses_scale_the_reference(div, scale):
+    # the exact problem is 1-homogeneous in (plan, masses); at these scales
+    # the seed's Hessian needs a ridge far above 1e8, which the ridge cap
+    # scaled with the Hessian allows
+    base = solve_exact(gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence=div)))
+    ex = solve_exact(gen_dataset(DatasetSpec(
+        kind="point-clouds", seed=4, divergence=div, mass_x=13 * scale, mass_y=15 * scale,
+    )))
+    assert ex.I0 == base.I0 and "seed-ridge" in ex.flags
+    assert np.max(np.abs(ex.xi_star.stacked - base.xi_star.stacked)) <= 1e-12
+    assert np.max(np.abs(ex.gamma_star / scale - base.gamma_star)) <= 1e-10 * np.max(base.gamma_star)
 
 
 @pytest.mark.parametrize("kind,seed", [("point-clouds", 4), ("gaussians-1d", 0)])

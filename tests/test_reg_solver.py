@@ -365,6 +365,32 @@ def test_warm_chain_iterations_pinned(div, total):
     assert sum(sol.iters for sol in _ladder_chain(div)) == total
 
 
+@pytest.mark.parametrize("n_x, total", [(120, 124), (240, 139)])
+def test_size_ladder_chain_iterations_pinned(n_x, total):
+    # the other rungs of the size ladder at data seed 4 (60 is pinned above);
+    # iteration counts do not depend on the machine
+    assert sum(sol.iters for sol in _ladder_chain("kl", n_x=n_x)) == total
+
+
+def test_cold_chain_reports_the_flags_of_every_stage():
+    # on this instance the ridge is needed at the t = 1e5 stage of the chain
+    # to t = 1e6, not at the last one; the result still carries it, once
+    p = gen_dataset(DatasetSpec(kind="point-clouds", seed=7, n_x=120, n_y=122))
+    stages = []
+    newton_solve = reg_solver._newton_solve
+
+    def record(*args):
+        sol = newton_solve(*args)
+        stages.append(list(sol.flags))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reg_solver, "_newton_solve", record)
+        sol = solve_dual_t(p, 1e6)
+    assert stages[-1] == [] and ["ridge"] in stages[:-1]
+    assert sol.converged and sol.flags == ["ridge"]
+
+
 def test_schur_factors_of_the_240_chain_keep_subnormal_fill_in_rare(monkeypatch):
     # EXP_MIN keeps every entry of the Schur complement a normal double, but
     # Cholesky fill-in multiplies small entries along paths and can still sink
