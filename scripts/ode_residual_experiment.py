@@ -14,7 +14,6 @@ import numpy as np
 
 from uotlab.asymptotics import ode_inhomogeneous_norm
 from uotlab.datasets import DatasetSpec, gen_dataset
-from uotlab.exact_solver import solve_exact
 from uotlab.sweep import SweepConfig, run_sweep
 
 
@@ -34,7 +33,7 @@ def main(argv=None):
             problem = gen_dataset(
                 DatasetSpec(kind=kind, seed=seed, divergence=div)
             )
-            result = run_sweep(problem, cfg, exact=solve_exact(problem))
+            result = run_sweep(problem, cfg)
             ratios = []
             for k, pt in enumerate(result.points):
                 if k == 0 or k == len(result.points) - 1 or pt.t < 10:

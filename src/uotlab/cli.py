@@ -32,15 +32,17 @@ def _build_parser():
 
     p_gen = sub.add_parser("gen", help="generate a benchmark problem")
     p_gen.add_argument("--dataset", choices=DATASET_KINDS, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--divergence", choices=DIVERGENCE_KINDS, default="kl")
+    p_gen.add_argument("--seed", type=int, default=DatasetSpec.seed)
+    p_gen.add_argument(
+        "--divergence", choices=DIVERGENCE_KINDS, default=DatasetSpec.divergence
+    )
     p_gen.add_argument("-o", "--out", required=True)
 
     p_solve = sub.add_parser("solve", help="solve the regularized dual at one t")
     p_solve.add_argument("--problem", required=True)
     p_solve.add_argument("--t", type=float, required=True)
     p_solve.add_argument("--divergence", choices=DIVERGENCE_KINDS)
-    p_solve.add_argument("--tol", type=float, default=1e-10)
+    p_solve.add_argument("--tol", type=float, default=RegSolveConfig.grad_tol)
     p_solve.add_argument("--out")
 
     p_exact = sub.add_parser("exact", help="solve the unregularized reference problem")
@@ -49,9 +51,9 @@ def _build_parser():
 
     p_sweep = sub.add_parser("sweep", help="run a warm-started t-sweep")
     p_sweep.add_argument("--problem", required=True)
-    p_sweep.add_argument("--t-min", type=float, default=1.0)
-    p_sweep.add_argument("--t-max", type=float, default=1e4)
-    p_sweep.add_argument("--n-points", type=int, default=60)
+    p_sweep.add_argument("--t-min", type=float, default=SweepConfig.t_min)
+    p_sweep.add_argument("--t-max", type=float, default=SweepConfig.t_max)
+    p_sweep.add_argument("--n-points", type=int, default=SweepConfig.n_points)
     p_sweep.add_argument("--divergence", choices=DIVERGENCE_KINDS)
     p_sweep.add_argument("--out")
     p_sweep.add_argument("--diagnostics")
@@ -65,7 +67,7 @@ def _build_parser():
     p_check = sub.add_parser("check", help="run the invariant suite on a problem")
     p_check.add_argument("--problem", required=True)
     p_check.add_argument("--n-points", type=int, default=40)
-    p_check.add_argument("--t-max", type=float, default=1e4)
+    p_check.add_argument("--t-max", type=float, default=SweepConfig.t_max)
     return parser
 
 

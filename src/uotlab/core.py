@@ -228,10 +228,6 @@ class Problem:
         nu_ref = self.nu if self.divergence.nu_ref is None else self.divergence.nu_ref
         return np.concatenate([np.asarray(mu_ref, float), np.asarray(nu_ref, float)])
 
-    def check_shapes(self, xi):
-        if xi.phi.size != self.n_x or xi.psi.size != self.n_y:
-            raise InvalidInput("dual potential shape does not match the problem")
-
 
 def spanning_forest(entries, n_x, n_y):
     """Kruskal's forest of the bipartite graph whose edges are plan entries.
@@ -326,8 +322,8 @@ def cholesky_solve(S, rhs):
     return s
 
 
-def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
-    """Solve (bipartite_hessian(G, [d_x, d_y]) + ridge I) s = rhs.
+def bipartite_solve(G, d, rhs, ridge=0.0):
+    """Solve (bipartite_hessian(G, d) + ridge I) s = rhs; d is stacked like rhs.
 
     Both diagonal blocks are diagonal, so the larger side is eliminated and
     only the min(n_x, n_y) Schur complement diag(b) - W^T W, W = G / sqrt(a),
@@ -341,8 +337,8 @@ def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
     """
     n_x, n_y = G.shape
     add = np.add.reduce
-    a = d_x + add(G, axis=1)
-    b = d_y + add(G, axis=0)
+    a = d[:n_x] + add(G, axis=1)
+    b = d[n_x:] + add(G, axis=0)
     if ridge:
         a += ridge
         b += ridge
@@ -362,19 +358,13 @@ def bipartite_solve(G, d_x, d_y, rhs, ridge=0.0):
 
 
 def component_roots(N):
-    """0/1 indicator of each component's root, the first node of its column of N."""
+    """0/1 indicator of each component's root, the first node of its column of N.
+
+    N is spanning_forest's null basis on the support of G.  A unit diagonal
+    at one root per component makes the pair (G, roots) definite, and for rhs
+    orthogonal to N, bipartite_solve(G, roots, rhs) is 0 at the roots and
+    solves the singular bipartite_hessian(G, 0) (the network-simplex grounding).
+    """
     root = np.zeros(N.shape[0])
     root[np.argmax(N != 0, axis=0)] = 1.0
     return root
-
-
-def grounded_solve(G, N, rhs):
-    """Solve bipartite_hessian(G, 0) y = rhs, grounded at one root per component.
-
-    N is the null basis of spanning_forest on G's support; the roots are its
-    component_roots.  A unit diagonal there makes the system definite, and
-    for rhs orthogonal to N the solution is 0 at the roots and solves the
-    singular system (the network-simplex grounding).
-    """
-    d = component_roots(N)
-    return bipartite_solve(G, d[:G.shape[0]], d[G.shape[0]:], rhs)

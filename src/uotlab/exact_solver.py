@@ -22,8 +22,8 @@ from .core import (
     InvalidInput,
     apply_A,
     apply_A_adjoint,
+    bipartite_solve,
     component_roots,
-    grounded_solve,
     spanning_forest,
 )
 from .divergence import F_conj, F_conj_grad, F_conj_hess_diag, csiszar
@@ -90,8 +90,9 @@ def _crossover(problem, x):
     decreasing cycle edge of least flow leaves (the network-simplex ratio
     test).  Returns the point, the flows, the forest and the number of pivots
     once neither rule applies.  Any start works; one near xi* needs few
-    pivots.  Every system on the forest is a grounded_solve with unit weights,
-    and the face Hessian N^T diag(h) N is the diagonal h @ N**2, since the
+    pivots.  The face point, flows and cycle path of a forest are
+    bipartite_solve calls on its one grounded pair (G, component_roots(N));
+    the face Hessian N^T diag(h) N is the diagonal h @ N**2, since the
     columns of N share no node.
     """
     n_x, n_y = problem.n_x, problem.n_y
@@ -106,8 +107,9 @@ def _crossover(problem, x):
     for pivots in range(MAX_PIVOTS + 1):
         edges, G = np.argwhere(forest), forest * 1.0
         _, N = spanning_forest(edges, n_x, n_y)  # the face's free directions
+        root = component_roots(N)
         # a point on the face, then the kernel along it
-        x = x + grounded_solve(G, N, apply_A(G * (c - apply_A_adjoint(x, n_x))))
+        x = x + bipartite_solve(G, root, apply_A(G * (c - apply_A_adjoint(x, n_x))))
         u, *_ = newton_minimize(
             lambda u: F_conj(-(x + N @ u), div),
             lambda u: -N.T @ F_conj_grad(-(x + N @ u), div),
@@ -115,7 +117,7 @@ def _crossover(problem, x):
             np.zeros(N.shape[1]), tol, MAX_INNER_ITERS,
         )
         x = x + N @ u
-        lam = apply_A_adjoint(grounded_solve(G, N, F_conj_grad(-x, div)), n_x)[forest]
+        lam = apply_A_adjoint(bipartite_solve(G, root, F_conj_grad(-x, div)), n_x)[forest]
         off = np.where(forest, math.inf, c - apply_A_adjoint(x, n_x))
         i, j = enter = np.unravel_index(np.argmin(off), c.shape)
         min_flow = float(np.min(lam, initial=math.inf))
@@ -132,7 +134,7 @@ def _crossover(problem, x):
             # the entering column is a signed sum of the cycle's forest
             # columns; pushing flow onto it decreases those of sign +1
             b_enter = np.bincount([i, n_x + j], minlength=n_x + n_y) * 1.0
-            path = apply_A_adjoint(grounded_solve(G, N, b_enter), n_x)[forest]
+            path = apply_A_adjoint(bipartite_solve(G, root, b_enter), n_x)[forest]
             forest[tuple(edges[np.argmin(np.where(path > 0.5, lam, math.inf))])] = False
         forest[enter] = True
 
@@ -179,7 +181,8 @@ def solve_exact(problem):
     """Full exact pipeline: dual optimizer, saturated set, marginals, limit plan.
 
     The crossover starts from the regularized optimum at t = SEED_T, whose
-    flags are kept with the prefix "seed-".  The saturated set I0 is the
+    flags are kept with the prefix "seed-", plus "seed-nonconverged" when the
+    seed stops short of its tolerance.  The saturated set I0 is the
     crossover's optimal forest plus the entries whose slack is within
     SLACK_TOL of zero.  A crossover that finds no optimal forest raises
     CrossoverFailed, so every returned solution is converged.
@@ -193,6 +196,7 @@ def solve_exact(problem):
     if not I0:
         raise DegenerateInstance("no saturated constraint at the dual optimum")
     m_star = F_conj_grad(-x, problem.penalty)  # common to every primal optimizer
+    flags = seed.flags + ([] if seed.converged else ["nonconverged"])
     return ExactSolution(
         xi_star=xi_star,
         kappa=kappa,
@@ -203,7 +207,7 @@ def solve_exact(problem):
         lam=lam,
         converged=True,
         pivots=pivots,
-        flags=["seed-" + f for f in seed.flags],
+        flags=["seed-" + f for f in flags],
     )
 
 

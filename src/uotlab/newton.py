@@ -3,8 +3,9 @@
 One loop serves the regularized dual, the face solves of the exact
 reference's crossover and the limit-plan functional: Newton steps with a
 ridge retry, Armijo backtracking, and an exit at the objective's rounding
-floor.  The dual and the limit plan have transport-shaped Hessians and take
-Schur steps (`core.bipartite_solve`); the face solves have diagonal ones.
+floor.  The dual and the limit plan have transport-shaped Hessians, pairs
+(G, d) that `core.bipartite_solve` takes whole for a Schur step; the face
+solves have diagonal ones.
 
 For a sum of exponentials the full Newton step can raise some exponents far
 past their targets, and each later step then lowers them by about one.  A
@@ -55,9 +56,7 @@ def last_point_cache(fn):
 def _solve(H, rhs, lam):
     """Solve (H + lam I) s = rhs; see newton_minimize for H."""
     if isinstance(H, tuple):
-        G, d = H
-        n_x = G.shape[0]
-        return bipartite_solve(G, d[:n_x], d[n_x:], rhs, lam)
+        return bipartite_solve(*H, rhs, lam)
     h = H + lam
     if not (h > 0).all():  # NaN fails too, as a NaN pivot does
         raise np.linalg.LinAlgError("diagonal Hessian is not positive")

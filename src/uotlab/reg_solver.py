@@ -177,20 +177,17 @@ def _dual_terms(problem, t):
 
 def kantorovich_eval(xi, t, problem):
     """Value of the regularized dual objective K_t at xi."""
-    problem.check_shapes(xi)
-    return _dual_terms(problem, t).value(xi.stacked)
+    return _dual_terms(problem, t).value(_stacked_start(problem, xi))
 
 
 def kantorovich_grad(xi, t, problem):
     """Gradient of K_t as a stacked vector: -grad F*(-xi) + A gamma."""
-    problem.check_shapes(xi)
-    return _dual_terms(problem, t).gradient(xi.stacked)
+    return _dual_terms(problem, t).gradient(_stacked_start(problem, xi))
 
 
 def kantorovich_hess(xi, t, problem):
     """Hessian of K_t: diag(grad^2 F*(-xi)) + t A diag(gamma) A*."""
-    problem.check_shapes(xi)
-    return bipartite_hessian(*_dual_terms(problem, t).hessian(xi.stacked))
+    return bipartite_hessian(*_dual_terms(problem, t).hessian(_stacked_start(problem, xi)))
 
 
 def _newton_solve(problem, t, config, x0):
@@ -241,22 +238,25 @@ def solve_dual_t(problem, t, config=None, init=None):
         sol = _newton_solve(problem, t_cur, config, x)
         flags += sol.flags
         t_cur *= CONTINUATION_RATIO
-        x = _stacked_start(problem, predicted_start(problem, sol, min(t_cur, t)))
+        x = predicted_start(problem, sol, min(t_cur, t))
     sol = _newton_solve(problem, t, config, x)
     sol.flags = list(dict.fromkeys(flags + sol.flags))
     return sol
 
 
-def _stacked_start(problem, init):
-    """A warm start as the stacked array the kernel reads, checked."""
-    if isinstance(init, DualPotential):
-        problem.check_shapes(init)
-        return init.stacked
-    x = np.asarray(init, dtype=float)
-    if x.shape != (problem.n_x + problem.n_y,) or not np.isfinite(x).all():
-        raise InvalidInput(
-            f"a warm start must be {problem.n_x + problem.n_y} finite stacked entries"
-        )
+def _stacked_start(problem, xi):
+    """A potential from outside, checked, as the stacked array the kernel reads.
+
+    xi is a DualPotential, each side the size of its cloud, or its stacked
+    array; every warm start and kantorovich_* point comes through here.
+    """
+    if isinstance(xi, DualPotential):
+        if xi.phi.shape != (problem.n_x,) or xi.psi.shape != (problem.n_y,):
+            raise InvalidInput("dual potential shape does not match the problem")
+        return xi.stacked
+    x, n = np.asarray(xi, dtype=float), problem.n_x + problem.n_y
+    if x.shape != (n,) or not np.isfinite(x).all():
+        raise InvalidInput(f"a warm start or potential needs {n} finite stacked entries")
     return x
 
 
@@ -289,9 +289,8 @@ def trajectory_tangent(problem, sol):
     is not numerically positive definite.
     """
     gamma, d, forcing = ode_terms(sol.xi.stacked, sol.t, problem, plan=sol.gamma)
-    n_x = problem.n_x
     try:
-        return bipartite_solve(sol.t * gamma, d[:n_x], d[n_x:], -forcing / sol.t)
+        return bipartite_solve(sol.t * gamma, d, -forcing / sol.t)
     except np.linalg.LinAlgError as exc:
         raise TangentFailed(sol.t, getattr(exc, "minor", None)) from exc
 

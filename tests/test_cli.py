@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 from uotlab import exact_solver, io
-from uotlab.cli import EXIT_INVALID, EXIT_NONCONVERGED, EXIT_OK, cli_main
+from uotlab.cli import EXIT_INVALID, EXIT_NONCONVERGED, EXIT_OK, _build_parser, cli_main
 from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.divergence import DIVERGENCE_KINDS
+from uotlab.reg_solver import RegSolveConfig
+from uotlab.sweep import SweepConfig
 
 
 def test_gen_then_sweep_exit_zero(tmp_path):
@@ -26,6 +28,22 @@ def test_gen_gaussians_rejects_a_seed(tmp_path, capsys):
     assert cli_main(argv) == EXIT_INVALID
     assert "seed" in capsys.readouterr().err
     assert not prob.exists()
+
+
+def test_parser_defaults_are_the_config_defaults():
+    # each default the CLI shares with a config dataclass is read from it;
+    # check --n-points keeps its own, shorter sweep
+    parse = _build_parser().parse_args
+    gen = parse(["gen", "--dataset", "point-clouds", "-o", "p.json"])
+    assert (gen.seed, gen.divergence) == (DatasetSpec().seed, DatasetSpec().divergence)
+    solve = parse(["solve", "--problem", "p.json", "--t", "1"])
+    assert solve.tol == RegSolveConfig().grad_tol
+    sweep = parse(["sweep", "--problem", "p.json"])
+    sweep_cfg = SweepConfig()
+    assert (sweep.t_min, sweep.t_max, sweep.n_points) == (
+        sweep_cfg.t_min, sweep_cfg.t_max, sweep_cfg.n_points)
+    check = parse(["check", "--problem", "p.json"])
+    assert (check.t_max, check.n_points) == (sweep_cfg.t_max, 40)
 
 
 def test_sweep_requires_problem():
@@ -222,7 +240,7 @@ assert {_LOADED_SCIPY} == []
 rng = np.random.default_rng(3)
 G = rng.uniform(0.1, 1.0, (5, 4))
 for _ in range(2):
-    core.bipartite_solve(G, np.ones(5), np.ones(4), rng.standard_normal(9))
+    core.bipartite_solve(G, np.ones(9), rng.standard_normal(9))
 assert core.dposv is counting
 print(calls)
 """

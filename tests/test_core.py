@@ -18,7 +18,6 @@ from uotlab.core import (
     cholesky_solve,
     component_roots,
     discrete_entropy,
-    grounded_solve,
     spanning_forest,
 )
 from uotlab.newton import RISE_MAX, newton_minimize
@@ -55,7 +54,7 @@ def test_bipartite_solve_matches_dense_cholesky(n_x, n_y, ridge):
     rhs = rng.standard_normal(n_x + n_y)
     H = bipartite_hessian(G, d) + ridge * np.eye(n_x + n_y)
     ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), rhs)
-    s = bipartite_solve(G, d[:n_x], d[n_x:], rhs, ridge)
+    s = bipartite_solve(G, d, rhs, ridge)
     assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -71,7 +70,7 @@ def test_bipartite_solve_rejects_indefinite(n_x, n_y):
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cho_factor(bipartite_hessian(G, d))
         with pytest.raises(np.linalg.LinAlgError):
-            bipartite_solve(G, d[:n_x], d[n_x:], rhs)
+            bipartite_solve(G, d, rhs)
 
 
 @pytest.mark.parametrize("n", [1, 13, 240])
@@ -95,7 +94,7 @@ def test_cholesky_solve_makes_one_lapack_call(monkeypatch):
     monkeypatch.setattr(core, "dposv", counting)
     rng = np.random.default_rng(3)
     G = rng.uniform(0.1, 1.0, (5, 4))
-    bipartite_solve(G, np.ones(5), np.ones(4), rng.standard_normal(9))
+    bipartite_solve(G, np.ones(9), rng.standard_normal(9))
     assert calls == [(4, 4)]
 
 
@@ -116,7 +115,7 @@ def test_schur_complement_reaches_lapack_fortran_ordered(monkeypatch, n_x, n_y):
     rng = np.random.default_rng(n_x)
     G = rng.uniform(0.1, 2.0, (n_x, n_y))
     d = rng.uniform(0.01, 1.0, n_x + n_y)
-    s = bipartite_solve(G, d[:n_x], d[n_x:], rng.standard_normal(n_x + n_y))
+    s = bipartite_solve(G, d, rng.standard_normal(n_x + n_y))
     [(fortran, S, rhs)] = seen
     assert fortran
     assert S.shape == (min(n_x, n_y),) * 2 and np.array_equal(S, S.T)
@@ -207,7 +206,7 @@ def test_newton_ridge_cap_scales_with_the_hessian():
     d = np.full(7, -1e12)
     assert 1e21 < (2 * G.sum() + d.sum()) / 7 < 1e23
     with pytest.raises(core.NotPositiveDefinite):
-        bipartite_solve(G, d[:3], d[3:], np.ones(7))
+        bipartite_solve(G, d, np.ones(7))
     H = bipartite_hessian(G, d)
     b = 1e10 * rng.standard_normal(7)
     x, val, _, iters, flags = newton_minimize(
@@ -501,9 +500,10 @@ def test_spanning_forest_null_basis_matches_svd():
 
 
 def test_grounded_solve_matches_laplacian_and_least_squares():
-    # for rhs orthogonal to the null basis, the grounded solution solves the
-    # singular transport Hessian and is 0 at each component's first node; on
-    # a forest its edge values A* y are the least-squares flows B lam = rhs
+    # grounded at the pair (G, component_roots(N)): for rhs orthogonal to the
+    # null basis, the solution solves the singular transport Hessian and is 0
+    # at each component's first node; on a forest its edge values A* y are
+    # the least-squares flows B lam = rhs
     rng = np.random.default_rng(98)
     forests = 0
     for n_x, n_y, mask, entries, B in _random_masks():
@@ -511,7 +511,7 @@ def test_grounded_solve_matches_laplacian_and_least_squares():
         kept, N = spanning_forest(entries, n_x, n_y)
         rhs = rng.standard_normal(n_x + n_y)
         rhs -= N @ (N.T @ rhs)
-        y = grounded_solve(G, N, rhs)
+        y = bipartite_solve(G, component_roots(N), rhs)
         residual = bipartite_hessian(G, np.zeros(n_x + n_y)) @ y - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
         assert np.max(np.abs(y[component_roots(N) == 1])) <= 1e-12

@@ -11,6 +11,7 @@ from uotlab.core import (
     InvalidInput,
     Problem,
     apply_A,
+    component_roots,
     spanning_forest,
 )
 from uotlab.datasets import DatasetSpec, gen_dataset
@@ -232,6 +233,43 @@ def test_crossover_ratio_test_on_a_cycle(monkeypatch):
     assert forest.tolist() == [[True, False], [False, True]]
 
 
+def test_crossover_grounds_each_forest_once(monkeypatch):
+    # the face point, the flows and a cycle's path of one forest share one
+    # grounded pair: component_roots runs once per forest, pivots + 1 times,
+    # on the hand cycle instance and on the shipped point clouds (5 pivots)
+    cycle = Problem(
+        [[0.0], [1.0]], [[0.0], [1.0]], [1.0, 1.0], [1.0, 1.0],
+        [[1.0, 2.0], [2.0, 1.0]], cost_kind="explicit",
+    )
+    shipped = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence="quadratic"))
+    starts = [(cycle, np.array([0.5, -1.0, 0.5, -1.0])),
+              (shipped, solve_dual_t(shipped, exact_solver.SEED_T).xi.stacked)]
+    calls = []
+
+    def counting(N):
+        calls.append(N.shape)
+        return component_roots(N)
+
+    monkeypatch.setattr(exact_solver, "component_roots", counting)
+    for p, x0 in starts:
+        calls.clear()
+        pivots = _crossover(p, x0)[3]
+        assert pivots >= 1 and len(calls) == pivots + 1
+
+
+def test_nonconverged_seed_is_flagged():
+    # this scale-ladder seed stops after MAX_NEWTON_ITERS ridged steps at
+    # t = SEED_T; the crossover certifies the reference from it all the same
+    p = gen_dataset(DatasetSpec(
+        kind="point-clouds", seed=6, divergence="kl", n_x=240, n_y=242,
+    ))
+    ex = solve_exact(p)
+    assert ex.converged and ex.pivots == 8
+    assert ex.flags == ["seed-ridge", "seed-nonconverged"]
+    primal = primal_objective(ex.gamma_star, p)
+    assert abs(primal + F_conj(-ex.xi_star.stacked, p.penalty)) <= 1e-8 * abs(primal)
+
+
 def test_crossover_pivot_cap_raises_named_error(monkeypatch):
     # the hand instance needs one pivot; a cap of 0 reports its margins
     p = Problem(
@@ -290,7 +328,7 @@ def test_exact_reference_ladder(seed, n_x, div):
         kind="point-clouds", seed=seed, divergence=div, n_x=n_x, n_y=n_x + 2,
     ))
     ex = solve_exact(p)
-    assert ex.converged
+    assert ex.converged and "seed-nonconverged" not in ex.flags
     if (seed, n_x, div) in SCALE_PIVOTS:
         assert ex.pivots == SCALE_PIVOTS[seed, n_x, div] and "seed-ridge" in ex.flags
     elif n_x > 13:

@@ -281,6 +281,19 @@ def test_warm_start_shape_checked():
             solve_dual_t(p, 10.0, init=bad)
 
 
+def test_kantorovich_calls_check_the_potential_split():
+    # the value, gradient and Hessian read a potential through the same
+    # check as a warm start: a wrong split raises, the stacked array agrees
+    q = random_problem(np.random.default_rng(5), n_x=3, n_y=2)
+    xi = DualPotential(np.full(3, 0.2), np.full(2, -0.1))
+    for fn in (kantorovich_eval, kantorovich_grad, kantorovich_hess):
+        with pytest.raises(InvalidInput, match="dual potential shape"):
+            fn(DualPotential(np.zeros(4), np.zeros(1)), 10.0, q)
+        with pytest.raises(InvalidInput, match="potential needs 5"):
+            fn(np.zeros(4), 10.0, q)
+        assert np.array_equal(fn(xi.stacked, 10.0, q), fn(xi, 10.0, q))
+
+
 def test_stacked_warm_start_is_the_potential_start():
     q = random_problem(np.random.default_rng(5), n_x=3, n_y=2)
     start = DualPotential(np.full(3, 0.2), np.full(2, -0.1))
