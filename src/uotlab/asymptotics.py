@@ -44,10 +44,7 @@ class TrajectoryPoint:
 @dataclass
 class RateFit:
     slope: float
-    intercept: float
     r2: float
-    t_window: tuple
-    n_points: int
 
 
 def _stacked(xi):
@@ -179,7 +176,7 @@ def fit_rate(series):
         raise InvalidInput("no usable points above the numerical floor")
     ts = np.array([p[0] for p in pts])
     log_mid = 0.5 * (np.log(ts.min()) + np.log(ts.max()))
-    lo, hi = float(np.exp(log_mid)), float(ts.max())
+    lo = float(np.exp(log_mid))
     if np.sum(ts >= lo) < 8:
         # short series: widen to the whole grid rather than refuse
         lo = float(ts.min())
@@ -193,13 +190,7 @@ def fit_rate(series):
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r2=r2,
-        t_window=(lo, hi),
-        n_points=int(sel.sum()),
-    )
+    return RateFit(slope=float(slope), r2=r2)
 
 
 def fit_linear_decay(series):

@@ -102,7 +102,7 @@ def _cmd_exact(args):
     io.save_json(io.exact_to_dict(exact), args.out)
     print(
         f"saturated={len(exact.I0)} kappa_star={exact.kappa_star:.6g} "
-        f"converged={exact.converged}"
+        f"pivots={exact.pivots} flags={'|'.join(exact.flags) or 'ok'}"
     )
     return EXIT_OK
 
@@ -135,7 +135,9 @@ def _cmd_plot(args):
 
 def _cmd_check(args):
     problem = io.load_problem(args.problem)
-    exact = solve_exact(problem)
+    config = SweepConfig(t_max=args.t_max, n_points=args.n_points)
+    result = run_sweep(problem, config)
+    exact = result.exact
     failures = []
 
     feas = float(np.min(exact.kappa))
@@ -149,8 +151,6 @@ def _cmd_check(args):
     if comp > 1e-10:
         failures.append(f"complementary slackness {comp:.3e}")
 
-    config = SweepConfig(t_max=args.t_max, n_points=args.n_points)
-    result = run_sweep(problem, config, exact=exact)
     if not (-1.6 <= result.dual_fit.slope <= -0.9):
         failures.append(f"dual slope {result.dual_fit.slope:.3f} outside [-1.6, -0.9]")
     if result.primal_fit.slope > -0.5:

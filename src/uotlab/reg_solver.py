@@ -7,9 +7,10 @@ The regularized dual objective is
 a smooth strictly convex function of the stacked potential.  Its minimizer
 gives the primal plan through gamma = exp(t (A* xi - c)).
 
-Warm starts are predicted from the trajectory: at a solved point the tangent
-d xi/dt solves the trajectory ODE, and `predicted_start` extrapolates along
-the expansion xi(t) = xi* + d/t to the next t.
+A cold start at large t climbs a continuation chain in t, and each stage
+starts from the one before along the trajectory: at a solved point the
+tangent d xi/dt solves the trajectory ODE (`trajectory_tangent`), and the
+expansion xi(t) = xi* + d/t carries it to the next stage's t.
 
 As t grows, the plan entries off the saturated set decay like exp(-t kappa).
 Entries with an exponent below EXP_MIN are flushed to exact zeros: they are
@@ -224,7 +225,7 @@ def solve_dual_t(problem, t, config=None, init=None):
     psi), which the solve reads and does not modify.  Cold starts at zeros,
     with a geometric continuation chain in t when t is large (keeps exponents
     moderate, matching the bounded rescaled-deviation regime).  Each stage of
-    the chain starts from `predicted_start` of the one before, and the
+    the chain starts from the tangent prediction of the one before, and the
     result carries the flags of every stage, each once.
     """
     check_positive_finite(t, "t")
@@ -238,7 +239,10 @@ def solve_dual_t(problem, t, config=None, init=None):
         sol = _newton_solve(problem, t_cur, config, x)
         flags += sol.flags
         t_cur *= CONTINUATION_RATIO
-        x = predicted_start(problem, sol, min(t_cur, t))
+        # xi(t) = xi* + d/t matched to the value and tangent at s = sol.t
+        # predicts xi(t) = xi(s) + (1 - s/t) s xi_dot(s)
+        s, t_next = sol.t, min(t_cur, t)
+        x = sol.xi.stacked + (1.0 - s / t_next) * s * trajectory_tangent(problem, sol)
     sol = _newton_solve(problem, t, config, x)
     sol.flags = list(dict.fromkeys(flags + sol.flags))
     return sol
@@ -293,17 +297,6 @@ def trajectory_tangent(problem, sol):
         return bipartite_solve(sol.t * gamma, d, -forcing / sol.t)
     except np.linalg.LinAlgError as exc:
         raise TangentFailed(sol.t, getattr(exc, "minor", None)) from exc
-
-
-def predicted_start(problem, sol, t):
-    """Warm start for t from a solution at s = sol.t of the same problem.
-
-    xi(t) = xi* + d/t matched to the value and tangent at s predicts
-    xi(t) = xi(s) + (1 - s/t) s xi_dot(s), returned stacked.
-    """
-    s = sol.t
-    step = (1.0 - s / t) * s * trajectory_tangent(problem, sol)
-    return sol.xi.stacked + step
 
 
 def solve_primal_t(problem, t, config=None, init=None):

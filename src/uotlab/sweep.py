@@ -1,10 +1,9 @@
 """t-sweeps with warm starts, error diagnostics and CSV emission.
 
 Only the first point (index 0) is solved cold. The expansion
-xi(t) = xi* + d*/t + ... makes the trajectory smooth in u = 1/t, so from index
-HISTORY on each start is the Lagrange extrapolation in u through the last
-HISTORY solved points; points 1 to HISTORY - 1 start from the trajectory
-tangent of the previous solution (`reg_solver.predicted_start`).
+xi(t) = xi* + d*/t + ... makes the trajectory smooth in u = 1/t, so every
+later point k starts from the Lagrange extrapolation in u through the last
+min(k, HISTORY) solved points.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .asymptotics import (
 )
 from .core import InvalidInput, discrete_entropy
 from .exact_solver import solve_exact
-from .reg_solver import RegSolveConfig, plan_exponent, predicted_start, solve_dual_t
+from .reg_solver import RegSolveConfig, plan_exponent, solve_dual_t
 
 CSV_HEADER = "t,dual_err,primal_err,ode_residual,entropy,iters,flags"
 # gradient tolerance of the sweep's solves (the CLI `solve` default is 1e-10)
@@ -101,10 +100,10 @@ def run_sweep(problem, config=None, exact=None):
     The trajectory is one array xs, whose row k is the stacked solution at
     grid[k], and its plans are one (n_points, n_x, n_y) stack.  Each warm
     start is written into its row of xs and goes to the solve from there:
-    points 1 to HISTORY - 1 start from the tangent prediction of the previous
-    solution, every later point from the extrapolation in 1/t through the
-    last HISTORY rows (the grid is geometric, so the weights are the same at
-    every point and are computed once).  The diagnostics are array passes
+    point k starts from the extrapolation in 1/t through the last
+    min(k, HISTORY) rows (the grid is geometric, so the weights of a window
+    size are the same at every point, and each is computed once, from the
+    first grid points).  The diagnostics are array passes
     over xs, the plan stack and one plan-exponent array: the exponent gives
     the off-support maxima and then the ODE forcing, and one xi_dot_log_grid
     and one ode_residual call, on the solved plans, give every interior
@@ -121,17 +120,17 @@ def run_sweep(problem, config=None, exact=None):
     reg_cfg = RegSolveConfig(grad_tol=GRAD_TOL)
     grid = t_grid(config)
     n = len(grid)
-    weights = extrapolation_weights(1.0 / grid[: HISTORY + 1])
+    u = 1.0 / grid[: HISTORY + 1]
+    # weights[m] extrapolates through the last m solved points
+    weights = {m: extrapolation_weights(u[: m + 1]) for m in range(1, HISTORY + 1)}
     xs = np.empty((n, n_x + n_y))
     plans = np.empty((n, *shape))
     sols = []
     for k, t in enumerate(grid.tolist()):
         init = None
         if k:
-            if k < HISTORY:
-                xs[k] = predicted_start(problem, sols[-1], t)
-            else:
-                np.matmul(weights, xs[k - HISTORY : k], out=xs[k])
+            m = min(k, HISTORY)
+            np.matmul(weights[m], xs[k - m : k], out=xs[k])
             init = xs[k]
         sol = solve_dual_t(problem, t, reg_cfg, init=init)
         xs[k] = sol.xi.stacked
@@ -255,7 +254,12 @@ def read_csv(path):
 
 
 def diagnostics_dict(result):
-    """JSON-ready summary of a sweep (slopes, spans, limits, residuals)."""
+    """JSON-ready summary of a sweep (slopes, spans, limits, residuals).
+
+    An infinite kappa* (every entry saturated) is written as null, as
+    io.exact_to_dict writes it, so the document stays standard JSON.
+    """
+    kappa_star = result.exact.kappa_star
     return {
         "dual_slope": result.dual_fit.slope,
         "dual_r2": result.dual_fit.r2,
@@ -263,7 +267,7 @@ def diagnostics_dict(result):
         "primal_r2": result.primal_fit.r2,
         "dim_e0": result.dim_e0,
         "e0_residual": result.e0_residual,
-        "kappa_star": result.exact.kappa_star,
+        "kappa_star": None if math.isinf(kappa_star) else kappa_star,
         "off_support_slope": result.off_support_slope,
         "d_star": [float(v) for v in result.d_star],
         "n_points": len(result.points),

@@ -1,6 +1,7 @@
 """Rescaled deviation d(t), its limit, ODE residual, E0 and rate fitting."""
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -26,11 +27,12 @@ from uotlab.reg_solver import (
     solve_dual_t,
     trajectory_tangent,
 )
-from uotlab import sweep
+from uotlab import reg_solver, sweep
 from uotlab.sweep import (
     GRAD_TOL,
     HISTORY,
     SweepConfig,
+    diagnostics_dict,
     extrapolation_weights,
     run_sweep,
     t_grid,
@@ -124,7 +126,7 @@ def test_d_star_relabel_invariance(kind, seed, div):
 # starts; neither the step nor the start may move the slopes
 SHIPPED_SWEEP_PINS = {
     ("point-clouds", "kl"): (136, -0.9894244806743488, -1.2134520753070839),
-    ("point-clouds", "quadratic"): (137, -0.9453401119750642, -1.156970529515693),
+    ("point-clouds", "quadratic"): (136, -0.9453401119750642, -1.156970529515693),
     ("gaussians-1d", "kl"): (118, -0.9699561918935524, -1.2767521776191866),
     ("gaussians-1d", "quadratic"): (121, -0.9882888702126001, -1.3298494120205395),
 }
@@ -161,34 +163,49 @@ def test_predicted_starts_keep_the_trajectory(kind, seed, div):
 
 def test_extrapolation_weights_reproduce_quartics_in_inverse_t():
     u = 1.0 / t_grid(SweepConfig())
-    w = extrapolation_weights(u[: HISTORY + 1])
-    assert w.shape == (HISTORY,)
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(5)
-    for k in (HISTORY, 30, len(u) - 1):
-        window = u[k - HISTORY : k + 1]
-        # the grid is geometric: every window has the weights of the first
-        assert np.max(np.abs(extrapolation_weights(window) - w)) <= 1e-9
-        for degree in range(HISTORY):
-            coef = rng.standard_normal(degree + 1)
-            values = np.polyval(coef, window)
-            scale = np.abs(w) @ np.abs(values[:-1])
-            assert abs(w @ values[:-1] - values[-1]) <= 1e-13 * scale, (k, degree)
+    # windows of m solved points, m + 1 grid points with the target: the
+    # full window and the partial ones that start points 1 to HISTORY - 1
+    for m in range(1, HISTORY + 1):
+        w = extrapolation_weights(u[: m + 1])
+        assert w.shape == (m,)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        for k in (m, 30, len(u) - 1):
+            window = u[k - m : k + 1]
+            # the grid is geometric: every window has the weights of the first
+            assert np.max(np.abs(extrapolation_weights(window) - w)) <= 1e-9
+            for degree in range(m):
+                coef = rng.standard_normal(degree + 1)
+                values = np.polyval(coef, window)
+                scale = np.abs(w) @ np.abs(values[:-1])
+                assert abs(w @ values[:-1] - values[-1]) <= 1e-13 * scale, (m, k, degree)
 
 
-def test_sweep_uses_the_tangent_only_before_its_history(monkeypatch):
+def test_warm_started_sweep_solves_no_tangent(monkeypatch):
+    # every start after the first is extrapolated in 1/t; only the cold
+    # continuation chain of solve_dual_t needs the trajectory tangent
     calls = []
-    tangent_start = sweep.predicted_start
+    tangent = reg_solver.trajectory_tangent
 
-    def counting(problem, sol, t):
-        calls.append(t)
-        return tangent_start(problem, sol, t)
+    def counting(problem, sol):
+        calls.append(sol.t)
+        return tangent(problem, sol)
 
-    monkeypatch.setattr(sweep, "predicted_start", counting)
     p = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence="kl"))
-    res = run_sweep(p, SweepConfig(n_points=60))
-    assert len(calls) == HISTORY - 1
-    assert calls == [pt.t for pt in res.points[1:HISTORY]]
+    ex = solve_exact(p)
+    monkeypatch.setattr(reg_solver, "trajectory_tangent", counting)
+    res = run_sweep(p, SweepConfig(), exact=ex)
+    assert all(pt.converged for pt in res.points)
+    assert calls == []
+
+
+def test_saturated_sweep_diagnostics_are_standard_json():
+    # every entry of the 1x1 plan is saturated, so kappa* is infinite
+    res = run_sweep(make_1x1(c=1.0), SweepConfig(n_points=20))
+    assert res.exact.kappa_star == np.inf
+    doc = diagnostics_dict(res)
+    json.dumps(doc, allow_nan=False)
+    assert doc["kappa_star"] is None
 
 
 @pytest.mark.parametrize("div", ["kl", "quadratic"])

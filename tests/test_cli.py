@@ -14,6 +14,8 @@ from uotlab.divergence import DIVERGENCE_KINDS
 from uotlab.reg_solver import RegSolveConfig
 from uotlab.sweep import SweepConfig
 
+from conftest import make_1x1
+
 
 def test_gen_then_sweep_exit_zero(tmp_path):
     prob = tmp_path / "p.json"
@@ -126,11 +128,21 @@ def test_solve_writes_solution(tmp_path):
     assert len(doc["phi"]) == 12 and len(doc["gamma"]) == 12
 
 
-def test_exact_writes_reference(tmp_path):
+def test_check_passes_on_a_saturated_instance(tmp_path, capsys):
+    # every entry of the 1x1 plan is saturated: kappa* is infinite, and the
+    # sweep's reference is the one check's verdicts read
+    prob = tmp_path / "one.json"
+    io.save_problem(make_1x1(c=1.0), prob)
+    assert cli_main(["check", "--problem", str(prob), "--n-points", "20"]) == EXIT_OK
+    assert "check passed" in capsys.readouterr().out
+
+
+def test_exact_writes_reference(tmp_path, capsys):
     prob = tmp_path / "p.json"
     out = tmp_path / "exact.json"
     cli_main(["gen", "--dataset", "gaussians-1d", "-o", str(prob)])
     assert cli_main(["exact", "--problem", str(prob), "--out", str(out)]) == EXIT_OK
+    assert "pivots=0 flags=" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert {"xi_star", "kappa", "I0", "kappa_star_min", "m_star", "gamma_star"} \
         <= set(doc)
