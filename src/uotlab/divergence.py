@@ -6,7 +6,8 @@ The entropies are the three a problem can name: `kl`, `kl-normalized` and
 `quadratic`.  Each is superlinear, and each conjugate is finite and C^2 on
 the whole real line, so the conjugate side takes any real argument.
 Everything the solvers need is that side: values, first and second
-derivatives of the separable conjugate sum q_z phi*(arg_z).
+derivatives of the separable conjugate sum q_z phi*(arg_z), and the root of
+one scalar equation per entropy, the exact block minimizer of the dual.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .core import InvalidInput
 
 # F_conj evaluates phi* at min(arg, EXP_CLAMP), so exp() stays finite
 EXP_CLAMP = 700.0
+# a Newton step of QuadraticEntropy.scaling_root below ROOT_TOL (1 + |s|) is
+# at the rounding floor of its root
+ROOT_TOL = 8 * np.finfo(float).eps
 
 
 class KLEntropy:
@@ -47,6 +51,14 @@ class KLEntropy:
         return np.exp(y)
 
     phi_conj_d2 = phi_conj_d1  # F_conj_derivatives computes it once
+
+    def scaling_root(self, t, lse, q):
+        """The x solving t x + lse = log(q phi*'(-x)), entry by entry.
+
+        It minimizes q phi*(-x) + exp(t x + lse) / t, one potential's share
+        of the regularized dual; phi*' = exp gives it in closed form.
+        """
+        return (np.log(q) - lse) / (t + 1.0)
 
 
 class NormalizedKLEntropy(KLEntropy):
@@ -83,6 +95,31 @@ class QuadraticEntropy:
 
     def phi_conj_d2(self, y):
         return np.ones_like(np.asarray(y, dtype=float))
+
+    def scaling_root(self, t, lse, q):
+        """The x solving t x + lse = log(q phi*'(-x)), entry by entry.
+
+        With s = log(1 - x) the equation reads s + t e^s = K, where
+        K = t + lse - log q.  f(s) = s + t e^s - K is increasing and convex,
+        and f >= 0 at s0 = min(K, log(max(K, t) / t)), so Newton's iteration
+        from s0 falls monotonically onto the root and t e^s never exceeds
+        max(K, t): no exp overflows, whatever the potentials.
+        """
+        # f(s) is evaluated as s + t expm1(s) + (log q - lse), and f'(s) as
+        # t expm1(s) + t + 1: near s = 0, t e^s - K would cancel two terms of
+        # size t and lose all but 1/t of the precision
+        rest = np.log(q) - lse
+        K = t - rest
+        s = np.minimum(K, np.log(np.maximum(K, t) / t))
+        while True:
+            te = t * np.expm1(s)
+            step = (s + te + rest) / (te + (t + 1.0))
+            s -= step
+            # in exact arithmetic every step is >= 0; near the root the
+            # rounding of a step is about 2 eps (1 + |s|), so a smaller one
+            # has converged
+            if not (step > ROOT_TOL * (1.0 + np.abs(s))).any():
+                return -np.expm1(s)
 
 
 _ENTROPIES = {

@@ -12,6 +12,13 @@ starts from the one before along the trajectory: at a solved point the
 tangent d xi/dt solves the trajectory ODE (`trajectory_tangent`), and the
 expansion xi(t) = xi* + d/t carries it to the next stage's t.
 
+A warm start from outside, such as the solution at another t, carries plan
+exponents scaled for that t, so the masses of its plan miss the marginals by
+factors.  `scaled_start` repairs them in O(n_x n_y) before Newton: one exact
+block-coordinate sweep, phi then psi, each set to the minimizer of K_t with
+the other side fixed (the scaling step of unbalanced Sinkhorn; Chizat, Peyre,
+Schmitzer & Vialard 2018).
+
 As t grows, the plan entries off the saturated set decay like exp(-t kappa).
 Entries with an exponent below EXP_MIN are flushed to exact zeros: they are
 far below every tolerance, and computed they would sink into the subnormal
@@ -218,11 +225,53 @@ def _newton_solve(problem, t, config, x0):
     )
 
 
+def _log_sum_exp(a, axis):
+    """log sum exp of a along axis, computed in a, which it overwrites."""
+    top = np.maximum.reduce(a, axis=axis, keepdims=True)
+    a -= top
+    # no exp runs on an input below EXP_MIN, as in clamped_exp; a clamped
+    # entry adds exp(EXP_MIN) ~ 4e-44 in place of 0 to a sum of at least 1
+    # (the top entry), far below its rounding
+    np.maximum(a, EXP_MIN, out=a)
+    np.exp(a, out=a)
+    lse = np.log(np.add.reduce(a, axis=axis))
+    lse += top.reshape(lse.shape)
+    return lse
+
+
+def scaled_start(problem, t, x):
+    """The stacked start x after one exact block-coordinate sweep on K_t.
+
+    phi is set to the minimizer of K_t over phi with psi fixed, then psi to
+    the minimizer over psi with the new phi, so K_t never rises.  Each half
+    is one log-sum-exp per node, lse_i = log sum_j exp(t (psi_j - c_ij)) for
+    phi, and then the entropy's scaling_root of t phi_i + lse_i =
+    log(q_i phi*'(-phi_i)); after the sweep the psi half of the gradient
+    vanishes.  x is read, not modified; the log-sum-exps of both sides share
+    one plan-sized buffer.
+    """
+    check_positive_finite(t, "t")
+    n_x, div, cost = problem.n_x, problem.penalty, problem.cost
+    root, q = div.entropy.scaling_root, div.q
+    out = np.empty_like(x)
+    buf = np.subtract(x[n_x:], cost)
+    buf *= t
+    out[:n_x] = root(t, _log_sum_exp(buf, 1), q[:n_x])
+    np.subtract(out[:n_x, None], cost, out=buf)
+    buf *= t
+    out[n_x:] = root(t, _log_sum_exp(buf, 0), q[n_x:])
+    return out
+
+
 def solve_dual_t(problem, t, config=None, init=None):
     """Minimize K_t by damped Newton with Armijo backtracking.
 
     `init` is a warm start: a DualPotential, or its stacked array (phi then
-    psi), which the solve reads and does not modify.  Cold starts at zeros,
+    psi), which the solve reads and does not modify.  Newton starts from
+    scaled_start of it, which rescales the start to this t: a potential
+    solved at another t puts masses on the plan that miss the marginals by
+    factors.  A start made for this t, such as run_sweep's extrapolated rows,
+    goes to _newton_solve as it is.  Cold starts at zeros,
     with a geometric continuation chain in t when t is large (keeps exponents
     moderate, matching the bounded rescaled-deviation regime).  Each stage of
     the chain starts from the tangent prediction of the one before, and the
@@ -231,7 +280,8 @@ def solve_dual_t(problem, t, config=None, init=None):
     check_positive_finite(t, "t")
     config = config or RegSolveConfig()
     if init is not None:
-        return _newton_solve(problem, t, config, _stacked_start(problem, init))
+        x0 = scaled_start(problem, t, _stacked_start(problem, init))
+        return _newton_solve(problem, t, config, x0)
     x = np.zeros(problem.n_x + problem.n_y)
     t_cur = CONTINUATION_FROM
     flags = []

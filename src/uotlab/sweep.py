@@ -27,7 +27,7 @@ from .asymptotics import (
 )
 from .core import InvalidInput, discrete_entropy
 from .exact_solver import solve_exact
-from .reg_solver import RegSolveConfig, plan_exponent, solve_dual_t
+from .reg_solver import RegSolveConfig, _newton_solve, plan_exponent, solve_dual_t
 
 CSV_HEADER = "t,dual_err,primal_err,ode_residual,entropy,iters,flags"
 # gradient tolerance of the sweep's solves (the CLI `solve` default is 1e-10)
@@ -98,8 +98,9 @@ def run_sweep(problem, config=None, exact=None):
     """Solve exact once, then warm-start the regularized solves up the grid.
 
     The trajectory is one array xs, whose row k is the stacked solution at
-    grid[k], and its plans are one (n_points, n_x, n_y) stack.  Each warm
-    start is written into its row of xs and goes to the solve from there:
+    grid[k], and its plans are one (n_points, n_x, n_y) stack.  Point 0 is
+    solved cold.  Each later start is written into its row of xs and goes
+    from there to Newton as it is, without solve_dual_t's scaled start:
     point k starts from the extrapolation in 1/t through the last
     min(k, HISTORY) rows (the grid is geometric, so the weights of a window
     size are the same at every point, and each is computed once, from the
@@ -127,12 +128,14 @@ def run_sweep(problem, config=None, exact=None):
     plans = np.empty((n, *shape))
     sols = []
     for k, t in enumerate(grid.tolist()):
-        init = None
         if k:
             m = min(k, HISTORY)
             np.matmul(weights[m], xs[k - m : k], out=xs[k])
-            init = xs[k]
-        sol = solve_dual_t(problem, t, reg_cfg, init=init)
+            # an extrapolated row is close enough that solve_dual_t's scaled
+            # start saves Newton fewer steps than it costs
+            sol = _newton_solve(problem, t, reg_cfg, xs[k])
+        else:
+            sol = solve_dual_t(problem, t, reg_cfg)
         xs[k] = sol.xi.stacked
         plans[k] = sol.gamma
         sol.gamma = plans[k]  # the point keeps its row of the stack, not a copy

@@ -182,21 +182,29 @@ def test_extrapolation_weights_reproduce_quartics_in_inverse_t():
 
 
 def test_warm_started_sweep_solves_no_tangent(monkeypatch):
-    # every start after the first is extrapolated in 1/t; only the cold
-    # continuation chain of solve_dual_t needs the trajectory tangent
-    calls = []
+    # every start after the first is extrapolated in 1/t and goes to Newton
+    # as it is; only the cold continuation chain of solve_dual_t needs the
+    # trajectory tangent, and only an outside warm start is scaled
+    calls, scaled = [], []
     tangent = reg_solver.trajectory_tangent
+    scale = reg_solver.scaled_start
 
     def counting(problem, sol):
         calls.append(sol.t)
         return tangent(problem, sol)
 
+    def counting_scale(problem, t, x):
+        scaled.append(t)
+        return scale(problem, t, x)
+
     p = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence="kl"))
     ex = solve_exact(p)
     monkeypatch.setattr(reg_solver, "trajectory_tangent", counting)
+    monkeypatch.setattr(reg_solver, "scaled_start", counting_scale)
     res = run_sweep(p, SweepConfig(), exact=ex)
     assert all(pt.converged for pt in res.points)
     assert calls == []
+    assert scaled == []
 
 
 def test_saturated_sweep_diagnostics_are_standard_json():

@@ -122,6 +122,30 @@ def test_F_conj_derivatives_match_finite_differences(kind):
             assert abs(hd[k] - fd_h) <= 1e-6 * max(1.0, abs(hd[k]))
 
 
+@pytest.mark.parametrize("ent", [KL, QUAD, KLN])
+def test_scaling_root_agrees_with_bisection(ent):
+    # h(x) = t x + lse - log(q phi*'(-x)) increases in x, with slope at
+    # least t; the quadratic's root lies below 1, where phi*'(-x) = 1 - x > 0
+    rng = np.random.default_rng(61)
+    eps = np.finfo(float).eps
+    for t in (1.0, 1e2, 1e4, 1e6):
+        lse = t * rng.uniform(-3.0, 3.0, 40) + rng.uniform(-5.0, 5.0, 40)
+        q = rng.uniform(0.3, 2.0, 40)
+        x = ent.scaling_root(t, lse, q)
+        lo = np.full(40, -20.0)
+        hi = np.full(40, 1.0 if ent is QUAD else 20.0)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            # a quadratic root within rounding of 1 puts mid at 1: log 0 = -inf
+            with np.errstate(divide="ignore"):
+                up = t * mid + lse - np.log(q * ent.phi_conj_d1(-mid)) > 0
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        # a rounding of h, eps (t |x| + |lse|), moves the root by that / t
+        tol = 8 * eps * (1.0 + np.abs(x) + np.abs(lse) / t)
+        assert np.all(np.abs(x - 0.5 * (lo + hi)) <= tol), t
+
+
 def test_positive_reference_required_for_superlinear():
     with pytest.raises(InvalidInput):
         DivergenceF(KL, np.array([1.0, 0.0]))
