@@ -3,12 +3,15 @@
 
 Solves 48 instances (seeds 0-11, n_y = n_x + 2, default masses, kl and
 quadratic) with solve_exact and prints, per instance, the crossover's pivots,
-the seed's flags, the relative duality gap and the complementarity, then a
-summary line with the failures and the instances whose seed did not converge
-(flag seed-nonconverged: its Newton steps were spent without reaching the
+the seed's flags, the relative duality gap, the complementarity and the
+relative component imbalance max |N^T m*| / max |m*| (N: the null basis of
+I0's spanning forest, one column per component), then a summary line with
+the failures and the instances whose seed did not converge (flag
+seed-nonconverged: its Newton steps were spent without reaching the
 tolerance, and the crossover certified the reference anyway).  Exits nonzero
-when any solve raises, when a relative gap exceeds GAP_RTOL or when
-complementarity exceeds COMPLEMENTARITY_TOL.  About 15 s with one BLAS thread.
+when any solve raises, when a relative gap exceeds GAP_RTOL, when
+complementarity exceeds COMPLEMENTARITY_TOL or when the imbalance exceeds
+IMBALANCE_RTOL.  About 15 s with one BLAS thread.
 
     PYTHONPATH=src python scripts/scale_ladder.py
 """
@@ -24,6 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from uotlab.core import spanning_forest  # noqa: E402
 from uotlab.datasets import DatasetSpec, gen_dataset  # noqa: E402
 from uotlab.divergence import F_conj  # noqa: E402
 from uotlab.exact_solver import solve_exact  # noqa: E402
@@ -32,13 +36,16 @@ from uotlab.reg_solver import primal_objective  # noqa: E402
 SIZES = (120, 240)
 SEEDS = range(12)
 DIVERGENCES = ("kl", "quadratic")
-# duality gap relative to max(1, |primal value|), and max |gamma* kappa|
+# duality gap relative to max(1, |primal value|), max |gamma* kappa|, and
+# the component imbalance relative to the marginals: a large-t solve around
+# xi* amplifies an imbalance by t
 GAP_RTOL = 1e-8
 COMPLEMENTARITY_TOL = 1e-10
+IMBALANCE_RTOL = 5e-14
 
 
 def check(n_x, seed, div):
-    """One ladder instance: (pivots, flags, relative gap, complementarity)."""
+    """One ladder instance: (pivots, flags, relative gap, complementarity, imbalance)."""
     p = gen_dataset(DatasetSpec(
         kind="point-clouds", seed=seed, divergence=div, n_x=n_x, n_y=n_x + 2,
     ))
@@ -46,27 +53,30 @@ def check(n_x, seed, div):
     primal = primal_objective(ex.gamma_star, p)
     gap = abs(primal + F_conj(-ex.xi_star.stacked, p.penalty)) / max(1.0, abs(primal))
     comp = float(np.max(np.abs(ex.gamma_star * ex.kappa)))
-    return ex.pivots, ex.flags, gap, comp
+    N = spanning_forest(ex.I0, p.n_x, p.n_y)[1]
+    imbalance = np.max(np.abs(N.T @ ex.m_star)) / np.max(np.abs(ex.m_star))
+    return ex.pivots, ex.flags, gap, comp, imbalance
 
 
 def main():
     failures = nonconverged = 0
     start = time.perf_counter()
-    print("n_x  seed divergence pivots rel_gap   complement flags")
+    print("n_x  seed divergence pivots rel_gap   complement imbalance flags")
     for n_x in SIZES:
         for seed in SEEDS:
             for div in DIVERGENCES:
                 label = f"{n_x:<4d} {seed:<4d} {div:<10s}"
                 try:
-                    pivots, flags, gap, comp = check(n_x, seed, div)
+                    pivots, flags, gap, comp, imbalance = check(n_x, seed, div)
                 except Exception as exc:  # every failure is reported, not only the first
                     failures += 1
                     print(f"{label} FAIL {type(exc).__name__}: {exc}")
                     continue
-                bad = gap > GAP_RTOL or comp > COMPLEMENTARITY_TOL
+                bad = (gap > GAP_RTOL or comp > COMPLEMENTARITY_TOL
+                       or imbalance > IMBALANCE_RTOL)
                 failures += bad
                 nonconverged += "seed-nonconverged" in flags
-                print(f"{label} {pivots:<6d} {gap:.2e}  {comp:.2e}   "
+                print(f"{label} {pivots:<6d} {gap:.2e}  {comp:.2e}   {imbalance:.2e}  "
                       f"{'|'.join(flags) or '-'}{'  FAIL' if bad else ''}")
     total = len(SIZES) * len(SEEDS) * len(DIVERGENCES)
     print(f"{failures}/{total} failed, {nonconverged}/{total} seeds not converged, "

@@ -6,8 +6,10 @@ The entropies are the three a problem can name: `kl`, `kl-normalized` and
 `quadratic`.  Each is superlinear, and each conjugate is finite and C^2 on
 the whole real line, so the conjugate side takes any real argument.
 Everything the solvers need is that side: values, first and second
-derivatives of the separable conjugate sum q_z phi*(arg_z), and the root of
-one scalar equation per entropy, the exact block minimizer of the dual.
+derivatives of the separable conjugate sum q_z phi*(arg_z), and the roots of
+two scalar equations per entropy: the exact block minimizer of the dual over
+one node's potential, and the shift that balances one component of a
+crossover face.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ class KLEntropy:
         of the regularized dual; phi*' = exp gives it in closed form.
         """
         return (np.log(q) - lse) / (t + 1.0)
+
+    def balance(self, M_x, M_y, H):
+        """Shift v equalizing a component's x-side and y-side sums of q phi*'(-xi).
+
+        v on its x-potentials and -v on its y-potentials scale the sums M_x by
+        e^-v and M_y by e^v; H, the component's sum of q phi*'', is not needed.
+        """
+        return 0.5 * np.log(M_x / M_y)
 
 
 class NormalizedKLEntropy(KLEntropy):
@@ -120,6 +130,15 @@ class QuadraticEntropy:
             # has converged
             if not (step > ROOT_TOL * (1.0 + np.abs(s))).any():
                 return -np.expm1(s)
+
+    def balance(self, M_x, M_y, H):
+        """Shift v equalizing a component's x-side and y-side sums of q phi*'(-xi).
+
+        v on its x-potentials and -v on its y-potentials move the sums M_x by
+        -v q_x and M_y by +v q_y, where H = q_x + q_y is the component's sum of
+        q phi*''.  A component with nodes on one side only ends at sum 0.
+        """
+        return (M_x - M_y) / H
 
 
 _ENTROPIES = {

@@ -3,7 +3,7 @@
 The constrained dual  min F*(-xi)  s.t.  A* xi <= c  is solved by a
 spanning-forest crossover that ends on the exact optimal face.  It starts
 from the regularized optimum xi(t) at t = SEED_T, which lies within O(1/t)
-of xi*, and its face solves run on the shared Newton kernel.  From the
+of xi*, and minimizes on each forest's face in closed form.  From the
 optimizer we read off the saturated set, the slack matrix, the common
 optimal marginals m* = grad F*(-xi*), and finally the minimal-entropy
 optimal plan gamma* = exp(A* z) on the saturated set, where z minimizes
@@ -26,16 +26,12 @@ from .core import (
     component_roots,
     spanning_forest,
 )
-from .divergence import F_conj, F_conj_grad, F_conj_hess_diag, csiszar
+from .divergence import F_conj_derivatives, F_conj_grad, csiszar
 from .newton import last_point_cache, newton_minimize
 from .reg_solver import clamped_exp, solve_dual_t
 
 # the crossover starts from the regularized optimum at this t
 SEED_T = 1e6
-# Newton steps allowed per face solve
-MAX_INNER_ITERS = 100
-# reduced gradient a face solve must reach, relative to max(1, |c|)
-FACE_TOL = 1e-13
 # a forest edge whose flow is below -FLOW_TOL leaves; an entry whose slack is
 # below -SLACK_TOL enters, and one within SLACK_TOL of zero is saturated
 FLOW_TOL = 1e-13
@@ -91,9 +87,12 @@ def _crossover(problem, x):
     test).  Returns the point, the flows, the forest and the number of pivots
     once neither rule applies.  Any start works; one near xi* needs few
     pivots.  The face point, flows and cycle path of a forest are
-    bipartite_solve calls on its one grounded pair (G, component_roots(N));
-    the face Hessian N^T diag(h) N is the diagonal h @ N**2, since the
-    columns of N share no node.
+    bipartite_solve calls on its one grounded pair (G, component_roots(N)).
+    The columns of N share no node, so on the face F*(-xi) splits into one
+    scalar problem per component (+v on its x-potentials, -v on its
+    y-potentials), solved by the entropy's closed-form `balance`.  A kl
+    component always has both sides: a leaf edge carries its leaf's positive
+    marginal, so it is never dropped.
     """
     n_x, n_y = problem.n_x, problem.n_y
     c, div = problem.cost, problem.penalty
@@ -103,20 +102,16 @@ def _crossover(problem, x):
     order = np.column_stack(np.unravel_index(order, c.shape))
     forest = np.zeros(c.shape, dtype=bool)
     forest[tuple(order[spanning_forest(order, n_x, n_y)[0]].T)] = True
-    tol = FACE_TOL * max(1.0, float(np.max(c)))
     for pivots in range(MAX_PIVOTS + 1):
         edges, G = np.argwhere(forest), forest * 1.0
         _, N = spanning_forest(edges, n_x, n_y)  # the face's free directions
         root = component_roots(N)
-        # a point on the face, then the kernel along it
+        # a point on the face, then each component balanced along it
         x = x + bipartite_solve(G, root, apply_A(G * (c - apply_A_adjoint(x, n_x))))
-        u, *_ = newton_minimize(
-            lambda u: F_conj(-(x + N @ u), div),
-            lambda u: -N.T @ F_conj_grad(-(x + N @ u), div),
-            lambda u: F_conj_hess_diag(-(x + N @ u), div) @ N**2,
-            np.zeros(N.shape[1]), tol, MAX_INNER_ITERS,
-        )
-        x = x + N @ u
+        S = np.sign(N)  # +1 on a component's x-nodes, -1 on its y-nodes
+        g, h = F_conj_derivatives(-x, div)
+        v = div.entropy.balance(g[:n_x] @ S[:n_x], -(g[n_x:] @ S[n_x:]), h @ np.abs(S))
+        x = x + S @ v
         lam = apply_A_adjoint(bipartite_solve(G, root, F_conj_grad(-x, div)), n_x)[forest]
         off = np.where(forest, math.inf, c - apply_A_adjoint(x, n_x))
         i, j = enter = np.unravel_index(np.argmin(off), c.shape)
@@ -167,12 +162,12 @@ def minimal_entropy_plan(I0, m_star, shape):
         lambda z: apply_A(plan(z)) - m + root * z,
         lambda z: (plan(z), root),
         np.zeros(n_x + n_y),
-        1e-13 * max(1.0, float(np.max(m))),
+        1e-13 * float(np.max(m)),
         200,
     )
     gamma = plan(z)
     residual = float(np.max(np.abs(apply_A(gamma) - m)))
-    if residual > PROJ_RESIDUAL_TOL * max(m[:n_x].sum(), m[n_x:].sum(), 1.0):
+    if residual > PROJ_RESIDUAL_TOL * max(m[:n_x].sum(), m[n_x:].sum()):
         raise ProjectionFailed(residual)
     return gamma
 

@@ -1,11 +1,10 @@
 """Damped Newton minimization shared by every smooth solve in the lab.
 
-One loop serves the regularized dual, the face solves of the exact
-reference's crossover and the limit-plan functional: Newton steps with a
-ridge retry, Armijo backtracking, and an exit at the objective's rounding
-floor.  The dual and the limit plan have transport-shaped Hessians, pairs
-(G, d) that `core.bipartite_solve` takes whole for a Schur step; the face
-solves have diagonal ones.
+One loop serves the regularized dual and the limit-plan functional of the
+exact reference: Newton steps with a ridge retry, Armijo backtracking, and
+an exit at the objective's rounding floor.  Both have transport-shaped
+Hessians, pairs (G, d) that `core.bipartite_solve` takes whole for a Schur
+step.
 
 For a sum of exponentials the full Newton step can raise some exponents far
 past their targets, and each later step then lowers them by about one.  A
@@ -53,26 +52,6 @@ def last_point_cache(fn):
     return cached
 
 
-def _solve(H, rhs, lam):
-    """Solve (H + lam I) s = rhs; see newton_minimize for H."""
-    if isinstance(H, tuple):
-        return bipartite_solve(*H, rhs, lam)
-    h = H + lam
-    if not (h > 0).all():  # NaN fails too, as a NaN pivot does
-        raise np.linalg.LinAlgError("diagonal Hessian is not positive")
-    step = rhs / h
-    if not np.isfinite(step).all():  # a NaN gradient passes the test above
-        raise np.linalg.LinAlgError("Newton step is not finite")
-    return step
-
-
-def _mean_diagonal(H):
-    if isinstance(H, tuple):
-        G, d = H
-        return (2 * G.sum() + d.sum()) / d.size
-    return H.mean()
-
-
 def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None):
     """Minimize a smooth strictly convex function from x0.
 
@@ -82,7 +61,7 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
     grad_tol, after max_iters steps, at numerical stationarity, or when
     backtracking stalls (flag "linesearch-stalled").  `hessian` returns a
     pair (G, d) standing for the transport-shaped `core.bipartite_hessian(G,
-    d)`, or a 1-D vector standing for a diagonal Hessian.  A Hessian that
+    d)`, and each step is one `core.bipartite_solve` on it.  A Hessian that
     is not positive definite is retried with a growing ridge (flag "ridge"),
     up to 1e8 times its mean diagonal (or 1e8, when that is below 1).
 
@@ -102,11 +81,11 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
         if gnorm <= grad_tol:
             iters -= 1
             break
-        H = hessian(x)
+        G, d = hessian(x)
         lam = 0.0
         while True:
             try:
-                step = -_solve(H, grad, lam)
+                step = -bipartite_solve(G, d, grad, lam)
                 break
             except np.linalg.LinAlgError:
                 # the ridge runs from 1e-12 to 1e8 times the Hessian's scale;
@@ -114,7 +93,7 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
                 if lam:
                     lam *= 10
                 else:
-                    scale = max(_mean_diagonal(H), 1.0)
+                    scale = max((2 * G.sum() + d.sum()) / d.size, 1.0)
                     lam = 1e-12 * scale
                 if "ridge" not in flags:
                     flags.append("ridge")

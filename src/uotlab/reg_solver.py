@@ -349,10 +349,9 @@ def trajectory_tangent(problem, sol):
         raise TangentFailed(sol.t, getattr(exc, "minor", None)) from exc
 
 
-def solve_primal_t(problem, t, config=None, init=None):
+def solve_primal_t(problem, t):
     """Solve the dual at t and return the recovered primal plan."""
-    sol = solve_dual_t(problem, t, config=config, init=init)
-    return sol.gamma
+    return solve_dual_t(problem, t).gamma
 
 
 def primal_objective(gamma, problem, t=None):

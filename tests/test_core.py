@@ -148,37 +148,10 @@ def test_cholesky_solve_rejects_indefinite_and_nan_pivots():
         cholesky_solve(S, np.ones(3))
 
 
-def test_newton_diagonal_step_and_ridge_flag():
-    # on a separable quadratic a diagonal Hessian gives the exact minimizer in
-    # one step; a zero entry is retried with a ridge and flagged, and the
-    # ridge leaves the caller's vector unchanged
-    h = np.array([2.0, 0.5, 4.0])
-    b = np.array([1.0, -3.0, 2.0])
-    x, _, _, iters, flags = newton_minimize(
-        lambda x: 0.5 * h @ x**2 - b @ x, lambda x: h * x - b,
-        lambda x: h, np.zeros(3), 1e-12, 5,
-    )
-    assert np.allclose(x, b / h, rtol=0, atol=1e-15)
-    assert iters == 1 and flags == []
-    singular = np.array([2.0, 0.0, 4.0])
-    *_, flags = newton_minimize(
-        lambda x: 0.5 * h @ x**2 - b @ x, lambda x: h * x - b,
-        lambda x: singular, np.zeros(3), 1e-12, 1,
-    )
-    assert "ridge" in flags
-    assert np.array_equal(singular, [2.0, 0.0, 4.0])
-    # a NaN gradient passes the positivity test but gives a NaN step; the
-    # ridge cannot mend it, so the retry ends with LinAlgError
-    with pytest.raises(np.linalg.LinAlgError):
-        newton_minimize(
-            lambda x: float(x @ x), lambda x: np.full(2, np.nan),
-            lambda x: np.ones(2), np.ones(2), 1e-12, 5,
-        )
-
-
 def test_newton_bipartite_step_and_ridge_flag():
     # on a quadratic with a transport-shaped Hessian one Newton step is exact;
-    # an indefinite Hessian pair is retried with a ridge and flagged
+    # an indefinite Hessian pair is retried with a ridge and flagged, and the
+    # ridge leaves the caller's diagonal unchanged
     rng = np.random.default_rng(6)
     G = rng.uniform(0.1, 2.0, (3, 4))
     d = rng.uniform(0.1, 1.0, 7)
@@ -190,11 +163,13 @@ def test_newton_bipartite_step_and_ridge_flag():
     )
     assert np.allclose(x, np.linalg.solve(H, b), atol=1e-12)
     assert iters == 1 and flags == []
+    indefinite = np.full(7, -0.1)
     *_, flags = newton_minimize(
         lambda x: 0.5 * x @ H @ x - b @ x, lambda x: H @ x - b,
-        lambda x: (G, np.full(7, -0.1)), np.zeros(7), 1e-12, 1,
+        lambda x: (G, indefinite), np.zeros(7), 1e-12, 1,
     )
     assert "ridge" in flags
+    assert np.array_equal(indefinite, np.full(7, -0.1))
 
 
 def test_newton_ridge_cap_scales_with_the_hessian():
@@ -217,31 +192,34 @@ def test_newton_ridge_cap_scales_with_the_hessian():
 
 
 def test_newton_rise_bound_limits_each_step():
-    # e^x - c x from x0 = log c - 20: the full Newton step e^20 - 1 overshoots
-    # the minimizer log c by far; with the rise bound no accepted step raises
-    # x by more than RISE_MAX, and the solve still converges
+    # e^(x0 + x1) - c (x0 + x1) + |x - a|^2 / 2 with a = (log c / 2, log c / 2),
+    # whose Hessian is the pair ([[e^(x0 + x1)]], (1, 1)) and whose minimizer
+    # is a, from x0 = a - 10: the full Newton step raises the one exponent
+    # x0 + x1 by about 26, far past its target log c; with the rise bound no
+    # accepted step raises it by more than RISE_MAX, and the solve still
+    # converges
     c = 3.0
+    a = np.full(2, 0.5 * np.log(c))
 
     def run(rise):
         accepted = []  # the Hessian is evaluated at accepted iterates only
 
         def hessian(x):
-            accepted.append(x[0])
-            return np.exp(x)
+            accepted.append(x.sum())
+            return np.exp(x.sum()).reshape(1, 1), np.ones(2)
 
-        with np.errstate(over="ignore"):  # the unbounded trial points overflow
-            x, _, grad, _, flags = newton_minimize(
-                lambda x: float((np.exp(x) - c * x).sum()),
-                lambda x: np.exp(x) - c, hessian,
-                np.array([np.log(c) - 20.0]), 1e-12, 100, rise=rise,
-            )
-        assert flags == [] and abs(grad[0]) <= 1e-12
-        assert x[0] == pytest.approx(np.log(c), abs=1e-14)
-        return np.diff(accepted + [x[0]])
+        x, _, grad, _, flags = newton_minimize(
+            lambda x: float(np.exp(x.sum()) - c * x.sum() + 0.5 * (x - a) @ (x - a)),
+            lambda x: np.exp(x.sum()) - c + (x - a), hessian,
+            a - 10.0, 1e-12, 100, rise=rise,
+        )
+        assert flags == [] and np.max(np.abs(grad)) <= 1e-12
+        assert np.allclose(x, a, rtol=0, atol=1e-14)
+        return np.diff(accepted + [x.sum()])
 
-    rises = run(lambda step: step.max())
+    rises = run(lambda step: step.sum())  # the rise of the exponent x0 + x1
     assert rises.max() <= RISE_MAX * (1 + 1e-15)
-    # without the bound the first accepted step raises x by more than 14
+    # without the bound the first accepted step raises x0 + x1 by more than 10
     assert run(None).max() > 10.0
 
 
@@ -252,13 +230,6 @@ def test_newton_nan_hessian_raises():
         newton_minimize(
             lambda x: float(x @ x), lambda x: 2 * x,
             lambda x: (np.full((1, 1), np.nan), np.ones(2)), np.ones(2), 1e-12, 5,
-        )
-    # a NaN diagonal Hessian must fail the same way rather than stall the line
-    # search at the start point
-    with pytest.raises(np.linalg.LinAlgError):
-        newton_minimize(
-            lambda x: float(x @ x), lambda x: 2 * x,
-            lambda x: np.full(2, np.nan), np.ones(2), 1e-12, 5,
         )
 
 

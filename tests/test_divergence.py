@@ -9,6 +9,7 @@ from uotlab.core import InvalidInput
 from uotlab.divergence import (
     DivergenceF,
     F_conj,
+    F_conj_derivatives,
     F_conj_grad,
     F_conj_hess_diag,
     csiszar,
@@ -144,6 +145,30 @@ def test_scaling_root_agrees_with_bisection(ent):
         # a rounding of h, eps (t |x| + |lse|), moves the root by that / t
         tol = 8 * eps * (1.0 + np.abs(x) + np.abs(lse) / t)
         assert np.all(np.abs(x - 0.5 * (lo + hi)) <= tol), t
+
+
+@pytest.mark.parametrize("ent", [KL, KLN, QUAD], ids=lambda e: e.name)
+def test_balance_equalizes_each_component(ent):
+    # stacked nodes x0..x3, y0..y2 in the components {x0, x1, y0} and
+    # {x2, x3, y1, y2}; the quadratic instead leaves x3 alone, a component
+    # with nodes on one side only, whose sum must become 0 (a kl component
+    # always has both sides; a one-sided one would need an infinite shift)
+    n_x = 4
+    comps = [[0, 1, 4], [2, 5, 6], [3]] if ent is QUAD else [[0, 1, 4], [2, 3, 5, 6]]
+    S = np.zeros((7, len(comps)))
+    for k, nodes in enumerate(comps):
+        S[nodes, k] = np.where(np.array(nodes) < n_x, 1.0, -1.0)
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for scale in (1e-12, 1.0, 1e12):
+        div = DivergenceF(ent, scale * rng.uniform(0.3, 2.0, 7))
+        x = rng.uniform(-2.0, 2.0, 7)
+        g, h = F_conj_derivatives(-x, div)
+        x = x + S @ ent.balance(g[:n_x] @ S[:n_x], -(g[n_x:] @ S[n_x:]), h @ np.abs(S))
+        g, h = F_conj_derivatives(-x, div)
+        # rounding: of each term of a sum, and of its argument -x times h
+        tol = 8 * eps * ((np.abs(g) + h * np.abs(x)) @ np.abs(S))
+        assert np.all(np.abs(g[:n_x] @ S[:n_x] + g[n_x:] @ S[n_x:]) <= tol), scale
 
 
 def test_positive_reference_required_for_superlinear():
