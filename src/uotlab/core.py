@@ -38,12 +38,19 @@ def check_positive_finite(value, name):
 class NotPositiveDefinite(np.linalg.LinAlgError):
     """A Cholesky factorization met a leading minor that is not positive.
 
-    `minor` is the order of the first such leading minor, as LAPACK reports it.
+    `minor` is the order of the first such leading minor, as LAPACK reports
+    it, or None when bipartite_solve's eliminated diagonal already is not
+    positive.  `row` is the failed system's row in a stacked bipartite_solve,
+    None for a single system.
     """
 
-    def __init__(self, minor):
-        super().__init__(f"{minor}-th leading minor of the array is not positive definite")
-        self.minor = minor
+    def __init__(self, minor, row=None):
+        if minor is None:
+            what = "eliminated diagonal is not positive"
+        else:
+            what = f"{minor}-th leading minor of the array is not positive definite"
+        super().__init__(what if row is None else f"row {row}: {what}")
+        self.minor, self.row = minor, row
 
 
 def build_cost(points_x, points_y, kind="sqeuclidean", matrix=None):
@@ -305,15 +312,26 @@ def cholesky_solve(S, rhs):
     order before LAPACK sees it, and at n = 240 that copy costs as much as
     the factorization.  One LAPACK dposv call factors and solves; scipy's
     dposv is imported and bound to the module name `dposv` at the first
-    call, so later calls only look up that name.
+    call, so later calls only look up that name.  A stack of matrices and
+    right-hand sides (a leading row axis) is solved row by row, one dposv
+    call each.
     Raises NotPositiveDefinite, a numpy.linalg.LinAlgError, at the first
-    pivot that is not positive or is NaN.  Nothing else is checked for
-    finiteness: a NaN or inf in rhs reaches the solution.
+    pivot that is not positive or is NaN; for a stack it names the row.
+    Nothing else is checked for finiteness: a NaN or inf in rhs reaches the
+    solution.
     """
+    if S.ndim == 3:
+        s = np.empty_like(rhs)
+        for row in range(len(S)):
+            try:
+                s[row] = cholesky_solve(S[row], rhs[row])
+            except NotPositiveDefinite as exc:
+                raise NotPositiveDefinite(exc.minor, row) from None
+        return s
     U, s, info = dposv(S, rhs, lower=0, overwrite_a=1)
-    if info == 0 and math.isnan(U.diagonal().sum()):
+    if info == 0 and math.isnan(U[-1, -1]):
         # reference LAPACK stops at a NaN pivot, OpenBLAS passes it through;
-        # the pivots are nonnegative, so their sum is NaN only if one is
+        # a NaN pivot makes every later pivot NaN, the last one included
         info = 1 + int(np.argmax(np.isnan(U.diagonal())))
     if info > 0:
         raise NotPositiveDefinite(info)
@@ -328,33 +346,44 @@ def bipartite_solve(G, d, rhs, ridge=0.0):
     Both diagonal blocks are diagonal, so the larger side is eliminated and
     only the min(n_x, n_y) Schur complement diag(b) - W^T W, W = G / sqrt(a),
     is Cholesky-factored (a, b: diagonals of the eliminated and kept sides).
-    Raises numpy.linalg.LinAlgError when the matrix is not positive definite:
-    NotPositiveDefinite when the Schur complement fails to factor.
+    Raises NotPositiveDefinite, a numpy.linalg.LinAlgError, when the matrix
+    is not positive definite.
+
+    A leading row axis on G, d and rhs (and on ridge, when it is an array)
+    stacks independent systems, one per row, and each row's solution is
+    bitwise that of its system solved alone: the Gram products, the
+    matrix-vector products and the factorization (one LAPACK call per row)
+    are the ones a single system makes.  The error of a row that fails names
+    it, as `row`.
 
     numpy forms W^T W with one symmetric rank-k update and mirrors it, so
     the complement is exactly symmetric and its transpose view S.T is the
     same matrix, Fortran-contiguous, which LAPACK takes without a copy.
     """
-    n_x, n_y = G.shape
+    n_x, n_y = G.shape[-2:]
     add = np.add.reduce
-    a = d[:n_x] + add(G, axis=1)
-    b = d[n_x:] + add(G, axis=0)
-    if ridge:
+    a = d[..., :n_x] + add(G, axis=-1)
+    b = d[..., n_x:] + add(G, axis=-2)
+    if isinstance(ridge, np.ndarray) or ridge:
+        ridge = np.asarray(ridge)[..., None]
         a += ridge
         b += ridge
-    r_a, r_b = rhs[:n_x], rhs[n_x:]
+    r_a, r_b = rhs[..., :n_x], rhs[..., n_x:]
     flip = n_x < n_y
     if flip:
-        G, a, b, r_a, r_b = G.T, b, a, r_b, r_a
-    if not np.minimum.reduce(a) > 0:  # NaN fails too
-        raise np.linalg.LinAlgError("eliminated diagonal is not positive")
-    W = G / np.sqrt(a)[:, None]
-    S = W.T @ W
+        G, a, b, r_a, r_b = G.swapaxes(-1, -2), b, a, r_b, r_a
+    if not np.minimum.reduce(a, axis=None) > 0:  # NaN fails too
+        row = None if G.ndim == 2 else int(np.argmin(np.minimum.reduce(a, axis=-1) > 0))
+        raise NotPositiveDefinite(None, row)
+    W = G / np.sqrt(a)[..., None]
+    S = W.swapaxes(-1, -2) @ W
     np.negative(S, out=S)
-    S.ravel()[::b.size + 1] += b
-    s_b = cholesky_solve(S.T, r_b - G.T @ (r_a / a))
-    s_a = (r_a - G @ s_b) / a
-    return np.concatenate([s_b, s_a] if flip else [s_a, s_b])
+    S.reshape(S.shape[:-2] + (-1,))[..., :: b.shape[-1] + 1] += b
+    # matrix times column: one BLAS gemv per row, as for a single vector
+    r = r_b - (G.swapaxes(-1, -2) @ (r_a / a)[..., None])[..., 0]
+    s_b = cholesky_solve(S.swapaxes(-1, -2), r)
+    s_a = (r_a - (G @ s_b[..., None])[..., 0]) / a
+    return np.concatenate([s_b, s_a] if flip else [s_a, s_b], axis=-1)
 
 
 def component_roots(N):

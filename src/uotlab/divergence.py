@@ -192,9 +192,13 @@ def csiszar(p, q, entropy):
 
 
 def F_conj(arg, div):
-    """Separable conjugate sum q_z phi*(arg_z); overflow saturates at EXP_CLAMP."""
+    """Separable conjugate sum q_z phi*(arg_z); overflow saturates at EXP_CLAMP.
+
+    Rows of arguments (a leading axis) give one sum per row, as an array.
+    """
     arg = np.minimum(arg, EXP_CLAMP)
-    return float(np.add.reduce(div.q * np.asarray(div.entropy.phi_conj(arg)), axis=None))
+    total = np.add.reduce(div.q * np.asarray(div.entropy.phi_conj(arg)), axis=-1)
+    return float(total) if arg.ndim == 1 else total
 
 
 def F_conj_grad(arg, div):

@@ -6,6 +6,14 @@ an exit at the objective's rounding floor.  Both have transport-shaped
 Hessians, pairs (G, d) that `core.bipartite_solve` takes whole for a Schur
 step.
 
+The loop runs over a leading row axis: a block of independent problems,
+such as consecutive points of a sweep, each row with its own state (step
+length, ridge, exit, iteration count and flags).  Every loop takes one
+Newton iteration of each row still running, with one stacked call of each
+function and one stacked Schur solve, so the per-call overhead, which
+dominates at small sizes, is paid once per loop instead of once per row.
+A 1-D start is the block of one row.
+
 For a sum of exponentials the full Newton step can raise some exponents far
 past their targets, and each later step then lowers them by about one.  A
 caller that can bound the rise of its exponents along a step passes that
@@ -20,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import bipartite_solve
+from .core import NotPositiveDefinite, bipartite_solve
 
 # Armijo sufficient-decrease fraction and step shrink factor of the line search
 ARMIJO_SLOPE = 1e-4
@@ -39,21 +47,22 @@ def last_point_cache(fn):
     The kernel evaluates the value, gradient and Hessian at the same array
     object, so an array-valued quantity computed by the value at a trial
     point (the plan) is reused by the gradient and the Hessian once that
-    point is accepted.
+    point is accepted.  Further arguments (the rows of a block) go with the
+    array and are not compared.
     """
     last_x = last_out = None
 
-    def cached(x):
+    def cached(x, *rows):
         nonlocal last_x, last_out
         if x is not last_x:
-            last_x, last_out = x, fn(x)
+            last_x, last_out = x, fn(x, *rows)
         return last_out
 
     return cached
 
 
 def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None):
-    """Minimize a smooth strictly convex function from x0.
+    """Minimize a smooth strictly convex function from x0, or one per row of x0.
 
     Returns (x, value, gradient, iterations, flags).  `value` may return
     +inf off the function's domain; the line search rejects such trial
@@ -69,62 +78,201 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
     step causes in any exponent of the objective; the Armijo search then
     starts from alpha = min(1, RISE_MAX / rise(step)) instead of 1, so no
     step raises an exponent by more than RISE_MAX.
+
+    A 2-D x0 is a block: row r is a problem of its own, minimized from
+    x0[r], and each function is called as f(x, rows) on the rows still
+    running: x stacks them and `rows` holds their indices into the block,
+    except that a single running row comes as its 1-D point with its index,
+    so that it costs what a 1-D problem costs.  The functions give one
+    value, gradient, Hessian pair or rise per row of x.  Each row stops on
+    its own, and every returned quantity then has a leading row axis: the
+    iterations are an int array and the flags a list of one list per row.
+    A row's result is bitwise that of the row minimized alone when its
+    functions are: every reduction here is per row.  A 1-D x0 is the block
+    of one row, and its functions take the point alone.  x0 is read, not
+    modified.
     """
+    one = x0.ndim == 1  # the functions take the point alone
+    if one:
+        x0 = x0[None]
     top = np.maximum.reduce
-    x = x0
-    flags = []
-    val = value(x)
-    grad = gradient(x)
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        gnorm = float(top(np.abs(grad), axis=None, initial=0.0))
-        if gnorm <= grad_tol:
-            iters -= 1
-            break
-        G, d = hessian(x)
-        lam = 0.0
+    n_rows = len(x0)
+    # each row's result, filled as it stops: its point and gradient as rows
+    # of the running arrays, its value and its iteration count
+    x, grad = [None] * n_rows, [None] * n_rows
+    val, iters = [0.0] * n_rows, [0] * n_rows
+    whole = None  # the running point and gradient arrays, if all rows stop at once
+    flags = [[] for _ in range(n_rows)]
+    # the running rows (indices into the block, or one index) and, at each
+    # one's current point, its value and gradient.  The functions cache by
+    # array identity, so a point's value, gradient and Hessian are computed
+    # at one array, and the arrays are replaced, never written.  Per-row
+    # numbers are Python floats, and each row's tests are the scalar tests
+    # of a 1-D solve: on a few rows they cost less than numpy calls, and the
+    # loop makes no Python call it can avoid
+    rows, xa = (0, x0[0]) if n_rows == 1 else (np.arange(n_rows), x0)
+    positions = list(range(n_rows))
+    va = value(xa) if one else value(xa, rows)
+    va = [float(va)] if xa.ndim == 1 else va.tolist()
+    ga = gradient(xa) if one else gradient(xa, rows)
+
+    def finish(stop, count):
+        """Write out the running rows at the positions `stop`; keep the others.
+
+        Returns the kept positions: a list, or one position when one row
+        runs on (as its 1-D point and its index), or None when none does.
+        """
+        nonlocal rows, positions, xa, va, ga, whole
+        if xa.ndim == 1:
+            x[rows], grad[rows], val[rows], iters[rows] = xa, ga, va[0], count
+            keep = []
+        else:
+            for i in stop:
+                r = rows[i]
+                x[r], grad[r], val[r], iters[r] = xa[i], ga[i], va[i], count
+            keep = [i for i in range(len(va)) if i not in stop]
+        if not keep:
+            if len(stop) == n_rows:
+                # handed back as they are: the functions' caches know them
+                whole = xa, ga
+            va = []
+            return None
+        if len(keep) == 1:
+            (keep,) = keep
+        rows, xa, ga = rows[keep], xa[keep], ga[keep]
+        va = [va[i] for i in np.atleast_1d(keep).tolist()]
+        positions = list(range(len(va)))
+        return keep
+
+    for it in range(1, max_iters + 1):
+        single = xa.ndim == 1
+        gnorm = top(np.abs(ga), axis=-1, initial=0.0)
+        gnorm = [float(gnorm)] if single else gnorm.tolist()
+        converged = []
+        # no row has converged when the smallest norm is above grad_tol; a
+        # NaN first norm makes min NaN, and the exact test runs
+        if not min(gnorm) > grad_tol:
+            converged = [i for i, g in enumerate(gnorm) if g <= grad_tol]
+            if len(converged) == len(va):
+                finish(converged, it - 1)
+                break
+        # the Hessians at the arrays just evaluated, then those of the rows
+        # that go on
+        Ga, da = hessian(xa) if one else hessian(xa, rows)
+        if converged:
+            keep = finish(converged, it - 1)
+            Ga, da = Ga[keep], da[keep]
+            gnorm = [g for g in gnorm if not g <= grad_tol]
+            single = xa.ndim == 1
+        ridge = None  # each row's ridge, once one needs it
         while True:
             try:
-                step = -bipartite_solve(G, d, grad, lam)
+                step = -bipartite_solve(
+                    Ga, da, ga,
+                    0.0 if ridge is None else ridge[0] if single else np.array(ridge),
+                )
                 break
-            except np.linalg.LinAlgError:
+            except NotPositiveDefinite as exc:
                 # the ridge runs from 1e-12 to 1e8 times the Hessian's scale;
                 # a NaN Hessian gives a NaN ridge, which also ends the retry
-                if lam:
-                    lam *= 10
+                i = exc.row or 0
+                if ridge is None:
+                    ridge, scale = [0.0] * len(va), [1.0] * len(va)
+                if ridge[i]:
+                    ridge[i] *= 10
                 else:
-                    scale = max((2 * G.sum() + d.sum()) / d.size, 1.0)
-                    lam = 1e-12 * scale
-                if "ridge" not in flags:
-                    flags.append("ridge")
-                if not lam <= 1e8 * scale:
-                    raise
-        slope = float(grad @ step)
-        if -slope <= ROUNDING_FLOOR * (1.0 + abs(val)):
-            # predicted decrease is below the objective's rounding floor, so
-            # Armijo can't certify progress; take full Newton steps while they
-            # still reduce the gradient, then stop at numerical stationarity
-            trial = x + step
-            tgrad = gradient(trial)
-            if float(top(np.abs(tgrad), axis=None)) < gnorm:
-                x, grad = trial, tgrad
-                val = value(x)
-                continue
-            break
-        alpha = 1.0
-        if rise is not None:
-            r = rise(step)
-            if r > RISE_MAX:  # a NaN rise leaves alpha = 1
-                alpha = RISE_MAX / r
-        for _ in range(60):
-            trial = x + alpha * step
-            tval = value(trial)
-            if math.isfinite(tval) and tval <= val + ARMIJO_SLOPE * alpha * slope:
-                break
-            alpha *= BACKTRACK
+                    G_i, d_i = (Ga, da) if single else (Ga[i], da[i])
+                    scale[i] = max((2 * G_i.sum() + d_i.sum()) / d_i.size, 1.0)
+                    ridge[i] = 1e-12 * scale[i]
+                row = rows if single else rows[i]
+                if "ridge" not in flags[row]:
+                    flags[row].append("ridge")
+                if not ridge[i] <= 1e8 * scale[i]:
+                    raise NotPositiveDefinite(exc.minor, None if one else int(row)) from exc
+        if single:
+            slope = [float(ga @ step)]
         else:
-            flags.append("linesearch-stalled")
+            slope = (ga[:, None, :] @ step[:, :, None])[:, 0, 0].tolist()
+        rises = None
+        if rise is not None:
+            rises = rise(step) if one else rise(step, rows)
+            rises = [float(rises)] if single else rises.tolist()
+        # a row whose predicted decrease is below its value's rounding floor
+        # can't have its progress certified by Armijo; it takes the full
+        # Newton step while that still reduces the gradient, and stops at
+        # numerical stationarity otherwise
+        floor, alpha = [], [1.0] * len(va)
+        for i in positions:
+            if -slope[i] <= ROUNDING_FLOOR * (1.0 + abs(va[i])):
+                floor.append(i)
+            elif rises is not None and rises[i] > RISE_MAX:  # a NaN rise leaves 1
+                alpha[i] = RISE_MAX / rises[i]
+        moves = []  # (positions, points, values, gradients) of the accepted steps
+        stop = []  # positions of the rows that stop in this iteration
+        pending = positions
+        for _ in range(60):
+            if len(pending) == len(va):
+                at, x_p, step_p, a = rows, xa, step, alpha
+            else:  # two or more rows run, so pending indexes the stacks
+                at, x_p, step_p = rows[pending], xa[pending], step[pending]
+                a = [alpha[i] for i in pending]
+            if min(a) < 1.0:
+                step_p = (a[0] if single else np.array(a)[:, None]) * step_p
+            trial = x_p + step_p
+            tval = value(trial) if one else value(trial, at)
+            tval = [float(tval)] if single else tval.tolist()
+            ok = []
+            for i, tv in zip(pending, tval):
+                ok.append(
+                    i in floor
+                    or math.isfinite(tv) and tv <= va[i] + ARMIJO_SLOPE * alpha[i] * slope[i]
+                )
+            if all(ok):
+                moved, pending = pending, []
+            else:
+                moved = [i for i, good in zip(pending, ok) if good]
+                pending = [i for i, good in zip(pending, ok) if not good]
+                if moved:
+                    sel = [j for j, good in enumerate(ok) if good]
+                    trial, at, tval = trial[sel], at[sel], [tval[j] for j in sel]
+            if moved:
+                tgrad = gradient(trial) if one else gradient(trial, at)
+            if floor and moved:
+                # the floor rows, all in moved, keep their step only if it
+                # reduces the gradient
+                tnorm = top(np.abs(tgrad), axis=-1)
+                tnorm = [float(tnorm)] if single else tnorm.tolist()
+                better = [i not in floor or tn < gnorm[i] for i, tn in zip(moved, tnorm)]
+                if not all(better):
+                    sel = [j for j, good in enumerate(better) if good]
+                    stop += [i for i, good in zip(moved, better) if not good]
+                    moved, tval = [moved[j] for j in sel], [tval[j] for j in sel]
+                    if moved:
+                        trial, at, tgrad = trial[sel], at[sel], tgrad[sel]
+                floor = []
+            if moved:
+                moves.append((moved, trial, tval, tgrad))
+            if not pending:
+                break
+            for i in pending:
+                alpha[i] *= BACKTRACK
+        else:
+            stop += pending
+            for i in pending:
+                flags[rows if single else rows[i]].append("linesearch-stalled")
+        if len(moves) == 1 and len(moves[0][0]) == len(va):
+            _, xa, va, ga = moves[0]
+        elif moves:
+            xa, va, ga = xa.copy(), list(va), ga.copy()
+            for at, trial, tval, tgrad in moves:
+                xa[at], ga[at] = trial, tgrad
+                for i, v in zip(at, tval):
+                    va[i] = v
+        if stop and finish(sorted(stop), it) is None:
             break
-        x, val = trial, tval
-        grad = gradient(x)
-    return x, val, grad, iters, flags
+    if va:
+        finish(list(range(len(va))), max_iters)
+    if one:
+        return whole[0], val[0], whole[1], iters[0], flags[0]
+    x, grad = whole if whole and whole[0].ndim == 2 else (np.array(x), np.array(grad))
+    return x, np.array(val), grad, np.array(iters), flags

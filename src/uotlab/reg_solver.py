@@ -109,7 +109,7 @@ def plan_exponent(x, t, problem):
     """
     exponent = apply_A_adjoint(x, problem.n_x)
     exponent -= problem.cost
-    exponent *= t if np.isscalar(t) else np.asarray(t)[..., None, None]
+    exponent *= t[..., None, None] if isinstance(t, np.ndarray) else t
     return exponent
 
 
@@ -147,38 +147,55 @@ def _dual_terms(problem, t):
     step to the largest increase it causes in a plan exponent, in O(n) and
     with no pass over the plan.  `clamped` tells whether some plan exponent
     at a point exceeds EXP_MAX, from the exponent the plan was computed from.
+
+    An array of t is a block of problems, one per value, in newton_minimize's
+    block form: each function takes (x, rows), x stacking the block's rows
+    `rows` (increasing indices), or one row's 1-D point with its index, and
+    gives one result per row, bitwise the one of that row alone.
     """
     check_positive_finite(t, "t")
     div, n_x = problem.penalty, problem.n_x
     add, top = np.add.reduce, np.maximum.reduce
+    block = np.ndim(t) == 1
+    sides = np.array([0, n_x])  # where each side of a stacked vector starts
 
-    def evaluate(x):
-        exponent = plan_exponent(x, t, problem)
+    def t_of(rows):
+        # rows are increasing indices into the block, or one index
+        if block and not (isinstance(rows, np.ndarray) and len(rows) == len(t)):
+            return t[rows]
+        return t
+
+    def evaluate(x, rows=None):
+        exponent = plan_exponent(x, t_of(rows), problem)
         return exponent, clamped_exp(exponent)
 
     point = last_point_cache(evaluate)
     # the gradient and the Hessian run at accepted points only
-    conj = last_point_cache(lambda x: F_conj_derivatives(-x, div))
+    conj = last_point_cache(lambda x, rows=None: F_conj_derivatives(-x, div))
 
-    def plan(x):
-        return point(x)[1]
+    def plan(x, rows=None):
+        return point(x, rows)[1]
 
-    def value(x):
-        return F_conj(-x, div) + float(add(plan(x), axis=None)) / t
+    def value(x, rows=None):
+        return F_conj(-x, div) + add(plan(x, rows), axis=(-2, -1)) / t_of(rows)
 
-    def gradient(x):
-        g = apply_A(plan(x))
-        g -= conj(x)[0]
+    def gradient(x, rows=None):
+        g = apply_A(plan(x, rows))
+        g -= conj(x, rows)[0]
         return g
 
-    def hessian(x):
-        return t * plan(x), conj(x)[1]
+    def hessian(x, rows=None):
+        scale = t_of(rows)
+        if isinstance(scale, np.ndarray):
+            scale = scale[:, None, None]
+        return scale * plan(x, rows), conj(x, rows)[1]
 
-    def rise(step):
-        return t * (top(step[:n_x]) + top(step[n_x:]))
+    def rise(step, rows=None):
+        top_x, top_y = np.maximum.reduceat(step, sides, axis=-1).T
+        return t_of(rows) * (top_x + top_y)
 
-    def clamped(x):
-        return bool(top(point(x)[0], axis=None) > EXP_MAX)
+    def clamped(x, rows=None):
+        return top(point(x, rows)[0], axis=(-2, -1)) > EXP_MAX
 
     return _DualTerms(plan, value, gradient, hessian, rise, clamped)
 
@@ -199,7 +216,18 @@ def kantorovich_hess(xi, t, problem):
 
 
 def _newton_solve(problem, t, config, x0):
-    # the kernel works on the stacked potential x0, and each trial point's
+    """The Newton solve of K_t from the stacked start x0, as a RegSolution."""
+    return _newton_rows(problem, t, config, x0)[0]
+
+
+def _newton_rows(problem, t, config, x0):
+    """Newton solves of K_t, one RegSolution per row of the stacked start x0.
+
+    A 2-D x0 is a block, row r starting at t[r], run by one newton_minimize
+    loop; each row's RegSolution is bitwise the one of its row solved alone.
+    A 1-D x0 is one solve at the scalar t.
+    """
+    # the kernel works on the stacked potentials x0, and each trial point's
     # plan is computed once, by the value
     terms = _dual_terms(problem, t)
     x, _, grad, iters, flags = newton_minimize(
@@ -211,17 +239,26 @@ def _newton_solve(problem, t, config, x0):
         MAX_NEWTON_ITERS,
         rise=terms.rise,
     )
+    if x.ndim == 1:
+        return [_solution(problem, config, t, x, terms.plan(x), grad, iters, flags, terms.clamped(x))]
+    rows = np.arange(len(x))
+    gamma, clamped = terms.plan(x, rows), terms.clamped(x, rows)
+    return [
+        _solution(problem, config, t_r, x[r], gamma[r], grad[r], int(iters[r]), flags[r], clamped[r])
+        for r, t_r in enumerate(t.tolist())
+    ]
+
+
+def _solution(problem, config, t, x, gamma, grad, iters, flags, clamped):
     gnorm = float(np.maximum.reduce(np.abs(grad), axis=None))
-    if terms.clamped(x):
-        flags.append("exp-clamped")
     return RegSolution(
         t=t,
         xi=DualPotential.from_stacked(x, problem.n_x),
-        gamma=terms.plan(x),
+        gamma=gamma,
         iters=iters,
         grad_norm=gnorm,
         converged=gnorm <= config.grad_tol,
-        flags=flags,
+        flags=flags + (["exp-clamped"] if clamped else []),
     )
 
 

@@ -2,8 +2,15 @@
 
 Only the first point (index 0) is solved cold. The expansion
 xi(t) = xi* + d*/t + ... makes the trajectory smooth in u = 1/t, so every
-later point k starts from the Lagrange extrapolation in u through the last
-min(k, HISTORY) solved points.
+later point starts from the Lagrange extrapolation in u through the last
+min(k, HISTORY) solved points, k being the number solved so far.  The grid
+after the first point is solved in blocks of BLOCK consecutive points, each
+block one Newton loop over a leading row axis (newton.newton_minimize): at
+the shipped sizes a Newton iteration costs per-call overhead rather than
+arithmetic, and a block pays it once per loop for all its points.  Every
+start in a block is extrapolated from the points solved before the block,
+so points further into a block start further from their solution and take
+more iterations, while the loops of the kernel fall.
 """
 
 from __future__ import annotations
@@ -27,13 +34,21 @@ from .asymptotics import (
 )
 from .core import InvalidInput, discrete_entropy
 from .exact_solver import solve_exact
-from .reg_solver import RegSolveConfig, _newton_solve, plan_exponent, solve_dual_t
+from .reg_solver import RegSolveConfig, _newton_rows, plan_exponent, solve_dual_t
 
 CSV_HEADER = "t,dual_err,primal_err,ode_residual,entropy,iters,flags"
 # gradient tolerance of the sweep's solves (the CLI `solve` default is 1e-10)
 GRAD_TOL = 1e-12
 # solved points through which each later start is extrapolated (degree 4 in 1/t)
 HISTORY = 5
+# consecutive grid points solved together by one Newton loop, at most; on the
+# shipped sweeps 4 is slower and 6 to 9 run alike, and 6 takes the fewest
+# per-point iterations of those
+BLOCK = 6
+# a block reaches at most this factor in t beyond the last solved point: the
+# further a start is extrapolated, the more Newton steps it needs, and on a
+# coarse grid (12 points to t = 1e4) blocks of 6 left points unconverged
+BLOCK_SPAN = 5.0
 
 
 @dataclass
@@ -67,6 +82,9 @@ class SweepResult:
     dim_e0: int
     e0_residual: float
     off_support_slope: float | None
+    # iterations of the Newton kernel's loop: point 0's, plus the most any
+    # point of a block took, over the blocks (each point's own are in points)
+    newton_loops: int
 
 
 def t_grid(config):
@@ -85,6 +103,23 @@ def extrapolation_weights(u):
     return w
 
 
+def block_weights(u, m, size):
+    """Row j extrapolates through m solved points to the j-th point after them.
+
+    u holds 1/t at the first m + size grid points.  On a geometric grid,
+    scaling u leaves Lagrange weights unchanged, so the weights of a window
+    of m points and an offset j into the block that follows it are the same
+    at every block; one row per offset j < size.
+    """
+    return np.array([extrapolation_weights(np.append(u[:m], u[m + j])) for j in range(size)])
+
+
+def block_size(grid):
+    """Points per block on a geometric grid: BLOCK, or fewer within BLOCK_SPAN."""
+    reach = math.log(BLOCK_SPAN) / math.log(grid[1] / grid[0])
+    return max(1, min(BLOCK, int(reach)))
+
+
 def _row_norms(a):
     """Euclidean norm of every row of a 2-D array.
 
@@ -99,16 +134,18 @@ def run_sweep(problem, config=None, exact=None):
 
     The trajectory is one array xs, whose row k is the stacked solution at
     grid[k], and its plans are one (n_points, n_x, n_y) stack.  Point 0 is
-    solved cold.  Each later start is written into its row of xs and goes
-    from there to Newton as it is, without solve_dual_t's scaled start:
-    point k starts from the extrapolation in 1/t through the last
+    solved cold.  The later points are solved in blocks of block_size(grid)
+    consecutive points, one Newton loop each, and their starts are written
+    into their rows of xs and go from there to Newton as they are, without
+    solve_dual_t's scaled start: a block whose first point is k starts each
+    of its points from the extrapolation in 1/t through the last
     min(k, HISTORY) rows (the grid is geometric, so the weights of a window
-    size are the same at every point, and each is computed once, from the
-    first grid points).  The diagnostics are array passes
-    over xs, the plan stack and one plan-exponent array: the exponent gives
-    the off-support maxima and then the ODE forcing, and one xi_dot_log_grid
-    and one ode_residual call, on the solved plans, give every interior
-    point's residual.
+    size and an offset into the block are the same at every block, and each
+    is computed once, from the first grid points).  The diagnostics are
+    array passes over xs, the plan stack and one plan-exponent array: the
+    exponent gives the off-support maxima and then the ODE forcing, and one
+    xi_dot_log_grid and one ode_residual call, on the solved plans, give
+    every interior point's residual.
     """
     config = config or SweepConfig()
     if exact is None:
@@ -121,25 +158,32 @@ def run_sweep(problem, config=None, exact=None):
     reg_cfg = RegSolveConfig(grad_tol=GRAD_TOL)
     grid = t_grid(config)
     n = len(grid)
-    u = 1.0 / grid[: HISTORY + 1]
-    # weights[m] extrapolates through the last m solved points
-    weights = {m: extrapolation_weights(u[: m + 1]) for m in range(1, HISTORY + 1)}
+    size = block_size(grid)
+    u = 1.0 / grid[: HISTORY + size]
+    # weights[m] extrapolates a block through the last m solved points
+    weights = {}
     xs = np.empty((n, n_x + n_y))
     plans = np.empty((n, *shape))
     sols = []
-    for k, t in enumerate(grid.tolist()):
+    loops = 0
+    for k in (0, *range(1, n, size)):
         if k:
+            stop = min(k + size, n)
             m = min(k, HISTORY)
-            np.matmul(weights[m], xs[k - m : k], out=xs[k])
+            if m not in weights:
+                weights[m] = block_weights(u, m, min(size, len(u) - m))
             # an extrapolated row is close enough that solve_dual_t's scaled
             # start saves Newton fewer steps than it costs
-            sol = _newton_solve(problem, t, reg_cfg, xs[k])
+            np.matmul(weights[m][: stop - k], xs[k - m : k], out=xs[k:stop])
+            block = _newton_rows(problem, grid[k:stop], reg_cfg, xs[k:stop])
         else:
-            sol = solve_dual_t(problem, t, reg_cfg)
-        xs[k] = sol.xi.stacked
-        plans[k] = sol.gamma
-        sol.gamma = plans[k]  # the point keeps its row of the stack, not a copy
-        sols.append(sol)
+            block = [solve_dual_t(problem, float(grid[0]), reg_cfg)]
+        loops += max(sol.iters for sol in block)
+        for i, sol in enumerate(block, start=k):
+            xs[i] = sol.xi.stacked
+            plans[i] = sol.gamma
+            sol.gamma = plans[i]  # the point keeps its row of the stack, not a copy
+        sols += block
 
     # each pass below holds at most one trajectory-sized array beside the plans
     entropy = discrete_entropy(plans)
@@ -199,6 +243,7 @@ def run_sweep(problem, config=None, exact=None):
         dim_e0=dim_e0,
         e0_residual=e0_res,
         off_support_slope=off_slope,
+        newton_loops=loops,
     )
 
 
@@ -275,4 +320,6 @@ def diagnostics_dict(result):
         "d_star": [float(v) for v in result.d_star],
         "n_points": len(result.points),
         "n_converged": sum(p.converged for p in result.points),
+        "newton_iters": sum(p.iters for p in result.points),
+        "newton_loops": result.newton_loops,
     }

@@ -29,9 +29,11 @@ from uotlab.reg_solver import (
 )
 from uotlab import reg_solver, sweep
 from uotlab.sweep import (
+    BLOCK,
     GRAD_TOL,
     HISTORY,
     SweepConfig,
+    block_size,
     diagnostics_dict,
     extrapolation_weights,
     run_sweep,
@@ -121,25 +123,51 @@ def test_d_star_relabel_invariance(kind, seed, div):
         assert np.max(np.abs(d_q - expected)) <= 1e-10, r
 
 
-# Newton iteration totals of the shipped sweeps with extrapolated warm starts,
-# and their fitted slopes as computed with dense Newton steps from plain warm
-# starts; neither the step nor the start may move the slopes
+# Newton iterations of the shipped sweeps: the per-point total (the CSV's
+# iters summed) and the loops of the Newton kernel, which solves blocks of
+# consecutive points together; every start in a block is extrapolated from
+# the points before the block, so the points further into it start further
+# from their solutions and take more iterations (the total rises from 136,
+# 136, 118 and 121 of one point per loop), while the loops fall.  The slopes
+# are as computed with dense Newton steps from plain warm starts; neither the
+# step nor the start may move them
 SHIPPED_SWEEP_PINS = {
-    ("point-clouds", "kl"): (136, -0.9894244806743488, -1.2134520753070839),
-    ("point-clouds", "quadratic"): (136, -0.9453401119750642, -1.156970529515693),
-    ("gaussians-1d", "kl"): (118, -0.9699561918935524, -1.2767521776191866),
-    ("gaussians-1d", "quadratic"): (121, -0.9882888702126001, -1.3298494120205395),
+    ("point-clouds", "kl"): (193, 45, -0.9894244806743488, -1.2134520753070839),
+    ("point-clouds", "quadratic"): (194, 45, -0.9453401119750642, -1.156970529515693),
+    ("gaussians-1d", "kl"): (169, 40, -0.9699561918935524, -1.2767521776191866),
+    ("gaussians-1d", "quadratic"): (179, 45, -0.9882888702126001, -1.3298494120205395),
 }
 
 
 @pytest.mark.parametrize("kind,seed,div", SHIPPED)
 def test_shipped_sweep_iterations_and_slopes_pinned(kind, seed, div):
-    iters, dual_slope, primal_slope = SHIPPED_SWEEP_PINS[kind, div]
+    iters, loops, dual_slope, primal_slope = SHIPPED_SWEEP_PINS[kind, div]
     p = gen_dataset(DatasetSpec(kind=kind, seed=seed, divergence=div))
     res = run_sweep(p, SweepConfig())
     assert sum(pt.iters for pt in res.points) == iters
+    assert res.newton_loops == loops
     assert res.dual_fit.slope == pytest.approx(dual_slope, abs=1e-9)
     assert res.primal_fit.slope == pytest.approx(primal_slope, abs=1e-9)
+
+
+def test_block_size_follows_the_grid():
+    # blocks of BLOCK points on the shipped grid; a coarser grid gets blocks
+    # that reach at most BLOCK_SPAN in t, and the 12-point one solves its
+    # points one by one
+    assert block_size(t_grid(SweepConfig())) == BLOCK == 6
+    assert block_size(t_grid(SweepConfig(n_points=20))) == 3
+    assert block_size(t_grid(SweepConfig(n_points=12))) == 1
+
+
+def test_diagnostics_report_iterations_and_loops():
+    p = gen_dataset(DatasetSpec(kind="gaussians-1d", seed=0, divergence="kl"))
+    for n_points, loops in ((60, 40), (12, 54)):
+        res = run_sweep(p, SweepConfig(n_points=n_points))
+        doc = diagnostics_dict(res)
+        assert doc["newton_iters"] == sum(pt.iters for pt in res.points)
+        assert doc["newton_loops"] == res.newton_loops == loops
+    # one point per block: every loop is one point's iteration
+    assert doc["newton_iters"] == doc["newton_loops"]
 
 
 @pytest.mark.parametrize("kind,seed,div", SHIPPED)

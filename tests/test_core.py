@@ -233,6 +233,98 @@ def test_newton_nan_hessian_raises():
         )
 
 
+@pytest.mark.parametrize("n_x,n_y", [(3, 5), (5, 3), (13, 15), (15, 13)])
+def test_stacked_bipartite_solve_is_each_row_solved_alone(n_x, n_y):
+    # a leading row axis stacks independent systems; each row's solution is
+    # bitwise the one of its system alone, with a ridge per row or none
+    rng = np.random.default_rng(10 * n_x + n_y)
+    G = rng.uniform(0.1, 2.0, (4, n_x, n_y))
+    d = rng.uniform(0.01, 1.0, (4, n_x + n_y))
+    rhs = rng.standard_normal((4, n_x + n_y))
+    for ridge in (np.zeros(4), np.array([0.0, 0.3, 0.0, 1e-3])):
+        s = bipartite_solve(G, d, rhs, ridge)
+        assert s.shape == rhs.shape
+        for r in range(4):
+            alone = bipartite_solve(G[r], d[r], rhs[r], float(ridge[r]))
+            assert s[r].tobytes() == alone.tobytes(), (ridge, r)
+    alone = np.array([bipartite_solve(G[r], d[r], rhs[r]) for r in range(4)])
+    assert bipartite_solve(G, d, rhs).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("shift", [-0.1, -10.0])
+def test_stacked_bipartite_solve_names_the_row_that_fails(shift):
+    # row 1 is indefinite: at -0.1 its Schur complement fails to factor, at
+    # -10 its eliminated diagonal is already negative (minor None); the
+    # stacked error names the row and the minor of that row's own solve
+    rng = np.random.default_rng(5)
+    G = rng.uniform(0.1, 2.0, (3, 3, 5))
+    d = rng.uniform(0.1, 1.0, (3, 8))
+    d[1] = shift
+    rhs = np.ones((3, 8))
+    with pytest.raises(core.NotPositiveDefinite) as alone:
+        bipartite_solve(G[1], d[1], rhs[1])
+    with pytest.raises(core.NotPositiveDefinite, match="row 1: ") as stacked:
+        bipartite_solve(G, d, rhs)
+    assert alone.value.row is None and stacked.value.row == 1
+    assert stacked.value.minor == alone.value.minor
+    assert (alone.value.minor is None) == (shift == -10.0)
+
+
+def _quadratic_rows(G, d, b):
+    """Block functions of 0.5 x^T H_r x - b_r^T x, H_r = bipartite_hessian(G[r], d[r]).
+
+    Each row is evaluated as the 1-D lambdas below evaluate it alone; a
+    single running row comes as its 1-D point and its index.
+    """
+    H = [bipartite_hessian(g, dd) for g, dd in zip(G, d)]
+
+    def value(x, rows):
+        if x.ndim == 1:
+            return 0.5 * x @ H[rows] @ x - b[rows] @ x
+        return np.array([0.5 * xr @ H[r] @ xr - b[r] @ xr for xr, r in zip(x, rows)])
+
+    def gradient(x, rows):
+        if x.ndim == 1:
+            return H[rows] @ x - b[rows]
+        return np.array([H[r] @ xr - b[r] for xr, r in zip(x, rows)])
+
+    def alone(r):
+        return (
+            lambda x: 0.5 * x @ H[r] @ x - b[r] @ x,
+            lambda x: H[r] @ x - b[r],
+            lambda x: (G[r], d[r]),
+        )
+
+    return value, gradient, lambda x, rows: (G[rows], d[rows]), alone, H
+
+
+def test_newton_block_rows_are_each_row_minimized_alone():
+    # row 0 an ordinary quadratic, row 1 indefinite (it takes the ridge, and
+    # only it is flagged), row 2 starting at its minimizer (converged: no
+    # step, its start kept byte for byte); every returned quantity of a row is
+    # bitwise that of the row minimized alone from the same start
+    rng = np.random.default_rng(6)
+    G = rng.uniform(0.1, 2.0, (3, 3, 4))
+    d = rng.uniform(0.1, 1.0, (3, 7))
+    d[1] = -0.1
+    b = rng.standard_normal((3, 7))
+    value, gradient, hessian, alone, H = _quadratic_rows(G, d, b)
+    x0 = np.zeros((3, 7))
+    x0[2] = np.linalg.solve(H[2], b[2])
+    start = x0.copy()
+    for max_iters in (1, 3):
+        x, val, grad, iters, flags = newton_minimize(
+            value, gradient, hessian, x0, 1e-9, max_iters,
+        )
+        assert np.array_equal(x0, start)  # the start is read, not modified
+        assert flags == [[], ["ridge"], []] and iters[2] == 0
+        assert x[2].tobytes() == start[2].tobytes()
+        for r in range(3):
+            xr, vr, gr, ir, fr = newton_minimize(*alone(r), start[r], 1e-9, max_iters)
+            assert x[r].tobytes() == xr.tobytes() and grad[r].tobytes() == gr.tobytes()
+            assert (val[r], iters[r], flags[r]) == (vr, ir, fr), r
+
+
 def test_adjoint_small():
     xi = DualPotential([1.0, 2.0], [10.0])
     assert np.allclose(apply_A_adjoint(xi.stacked, 2), [[11.0], [12.0]])

@@ -7,6 +7,7 @@ from uotlab import core, reg_solver
 from uotlab.core import DivergenceSpec, DualPotential, InvalidInput, Problem, apply_A
 from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.divergence import csiszar, divergence_for
+from uotlab.newton import newton_minimize
 from uotlab.reg_solver import (
     EXP_MAX,
     EXP_MIN,
@@ -520,3 +521,59 @@ def test_badly_scaled_masses_raise_named_tangent_failure(div):
         solve_dual_t(p, 100)
     assert isinstance(info.value, np.linalg.LinAlgError)
     assert info.value.t == 1.0 and info.value.minor == 13
+
+
+@pytest.mark.parametrize("div", ENTROPIES)
+def test_dual_terms_of_a_block_are_each_row_alone(div):
+    # an array of t is a block of problems: value, gradient, Hessian pair and
+    # rise of each row, on all rows, a subset or one row as its 1-D point
+    # and index, are bitwise the row's own
+    p = _clouds(div)
+    ts = np.array([1.0, 10.0, 1e3])
+    rng = np.random.default_rng(3)
+    x = 0.1 * rng.standard_normal((3, p.n_x + p.n_y))
+    step = rng.standard_normal((3, p.n_x + p.n_y))
+    block = _dual_terms(p, ts)
+    for rows in (np.arange(3), np.array([0, 2]), 1):
+        value, gradient = block.value(x[rows], rows), block.gradient(x[rows], rows)
+        G, d = block.hessian(x[rows], rows)
+        rise = block.rise(step[rows], rows)
+        if np.ndim(rows) == 0:
+            rows, value, gradient, G, d, rise = [rows], [value], [gradient], [G], [d], [rise]
+        for j, r in enumerate(rows):
+            alone = _dual_terms(p, float(ts[r]))
+            assert value[j] == alone.value(x[r]) and rise[j] == alone.rise(step[r])
+            assert gradient[j].tobytes() == alone.gradient(x[r]).tobytes()
+            G_r, d_r = alone.hessian(x[r])
+            assert G[j].tobytes() == G_r.tobytes() and d[j].tobytes() == d_r.tobytes()
+
+
+@pytest.mark.parametrize("div", ENTROPIES)
+def test_newton_rows_are_each_row_solved_alone(div):
+    # a block of six points, started from the solutions at t / 3 (unscaled,
+    # so the rise bound and the line search act) and one from its own
+    # solution: each row's point, plan, iterations and flags are byte for
+    # byte those of the row solved alone, by the block of one row and by the
+    # 1-D kernel; the converged row takes no step and keeps its start
+    p = _clouds(div)
+    cfg = RegSolveConfig(grad_tol=1e-12)
+    ts = np.array([1.0, 3.0, 10.0, 30.0, 100.0, 1e3])
+    starts = np.array([solve_dual_t(p, t / 3, cfg).xi.stacked for t in ts])
+    starts[2] = solve_dual_t(p, ts[2], cfg).xi.stacked
+    before = starts.copy()
+    block = reg_solver._newton_rows(p, ts, cfg, starts)
+    assert np.array_equal(starts, before)
+    assert block[2].iters == 0 and block[2].xi.stacked.tobytes() == before[2].tobytes()
+    assert sum(sol.iters for sol in block) > 10
+    for r, sol in enumerate(block):
+        alone = reg_solver._newton_solve(p, float(ts[r]), cfg, before[r].copy())
+        assert sol.xi.stacked.tobytes() == alone.xi.stacked.tobytes(), r
+        assert sol.gamma.tobytes() == alone.gamma.tobytes(), r
+        assert (sol.t, sol.iters, sol.flags, sol.grad_norm, sol.converged) == (
+            alone.t, alone.iters, alone.flags, alone.grad_norm, alone.converged)
+        terms = _dual_terms(p, float(ts[r]))
+        x, _, _, iters, flags = newton_minimize(
+            terms.value, terms.gradient, terms.hessian, before[r].copy(),
+            cfg.grad_tol, reg_solver.MAX_NEWTON_ITERS, rise=terms.rise,
+        )
+        assert x.tobytes() == sol.xi.stacked.tobytes() and (iters, flags) == (sol.iters, sol.flags)
