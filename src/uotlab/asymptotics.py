@@ -23,6 +23,8 @@ from .reg_solver import ode_terms
 
 # sweep errors below this are solver noise and are excluded from rate fits
 ERROR_FLOOR = 1e-12
+# fewest usable points a rate fit takes
+FIT_POINTS = 8
 
 
 @dataclass
@@ -169,7 +171,8 @@ def fit_rate(series):
 
     `series` is a list of (t, err) pairs.  The fit covers the upper half of
     the grid in log scale, or the whole grid when that half holds fewer than
-    8 usable points.  Points at or below the numerical floor are excluded.
+    FIT_POINTS usable points.  Points at or below the numerical floor are
+    excluded.
     """
     pts = [(t, e) for t, e in series if e > ERROR_FLOOR]
     if not pts:
@@ -177,12 +180,12 @@ def fit_rate(series):
     ts = np.array([p[0] for p in pts])
     log_mid = 0.5 * (np.log(ts.min()) + np.log(ts.max()))
     lo = float(np.exp(log_mid))
-    if np.sum(ts >= lo) < 8:
+    if np.sum(ts >= lo) < FIT_POINTS:
         # short series: widen to the whole grid rather than refuse
         lo = float(ts.min())
     sel = ts >= lo
-    if sel.sum() < 8:
-        raise InvalidInput("rate fit requires at least 8 usable points")
+    if sel.sum() < FIT_POINTS:
+        raise InvalidInput(f"rate fit requires at least {FIT_POINTS} usable points")
     x = np.log(ts[sel])
     y = np.log(np.array([p[1] for p in pts])[sel])
     slope, intercept = np.polyfit(x, y, 1)

@@ -12,6 +12,10 @@ length, ridge, exit, iteration count and flags).  Every loop takes one
 Newton iteration of each row still running, with one stacked call of each
 function and one stacked Schur solve, so the per-call overhead, which
 dominates at small sizes, is paid once per loop instead of once per row.
+The line search evaluates every running row on each backtrack, each at its
+own step length; a row keeps the length it was accepted at (a row at its
+rounding floor the full step), so the last trial holds every accepted row
+at its accepted point, and the gradient is taken there once per iteration.
 A 1-D start is the block of one row.
 
 For a sum of exponentials the full Newton step can raise some exponents far
@@ -61,6 +65,17 @@ def last_point_cache(fn):
     return cached
 
 
+def _floats(a, single):
+    """A row's number, or a block's numbers, as a list of Python floats."""
+    return [float(a)] if single else a.tolist()
+
+
+def _take(keep, *items):
+    """Each array or list of per-row items at the positions keep (a list, or one)."""
+    at = keep if isinstance(keep, list) else [keep]
+    return [a[keep] if isinstance(a, np.ndarray) else [a[i] for i in at] for a in items]
+
+
 def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None):
     """Minimize a smooth strictly convex function from x0, or one per row of x0.
 
@@ -92,9 +107,13 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
     of one row, and its functions take the point alone.  x0 is read, not
     modified.
     """
-    one = x0.ndim == 1  # the functions take the point alone
-    if one:
+    one = x0.ndim == 1
+    if one:  # the block of one row, whose functions take the point alone
         x0 = x0[None]
+        value, gradient, hessian, rise = (
+            f if f is None else (lambda x, rows, f=f: f(x))
+            for f in (value, gradient, hessian, rise)
+        )
     top = np.maximum.reduce
     n_rows = len(x0)
     # each row's result, filled as it stops: its point and gradient as rows
@@ -108,13 +127,10 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
     # array identity, so a point's value, gradient and Hessian are computed
     # at one array, and the arrays are replaced, never written.  Per-row
     # numbers are Python floats, and each row's tests are the scalar tests
-    # of a 1-D solve: on a few rows they cost less than numpy calls, and the
-    # loop makes no Python call it can avoid
+    # of a 1-D solve: on a few rows they cost less than numpy calls
     rows, xa = (0, x0[0]) if n_rows == 1 else (np.arange(n_rows), x0)
-    positions = list(range(n_rows))
-    va = value(xa) if one else value(xa, rows)
-    va = [float(va)] if xa.ndim == 1 else va.tolist()
-    ga = gradient(xa) if one else gradient(xa, rows)
+    va = _floats(value(xa, rows), xa.ndim == 1)
+    ga = gradient(xa, rows)
 
     def finish(stop, count):
         """Write out the running rows at the positions `stop`; keep the others.
@@ -122,47 +138,32 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
         Returns the kept positions: a list, or one position when one row
         runs on (as its 1-D point and its index), or None when none does.
         """
-        nonlocal rows, positions, xa, va, ga, whole
-        if xa.ndim == 1:
-            x[rows], grad[rows], val[rows], iters[rows] = xa, ga, va[0], count
-            keep = []
-        else:
-            for i in stop:
-                r = rows[i]
-                x[r], grad[r], val[r], iters[r] = xa[i], ga[i], va[i], count
-            keep = [i for i in range(len(va)) if i not in stop]
+        nonlocal rows, xa, va, ga, whole
+        for i in stop:
+            r, x_r, g_r = (rows, xa, ga) if xa.ndim == 1 else (rows[i], xa[i], ga[i])
+            x[r], grad[r], val[r], iters[r] = x_r, g_r, va[i], count
+        keep = [i for i in range(len(va)) if i not in stop]
         if not keep:
             if len(stop) == n_rows:
                 # handed back as they are: the functions' caches know them
                 whole = xa, ga
-            va = []
             return None
-        if len(keep) == 1:
-            (keep,) = keep
-        rows, xa, ga = rows[keep], xa[keep], ga[keep]
-        va = [va[i] for i in np.atleast_1d(keep).tolist()]
-        positions = list(range(len(va)))
+        keep = keep[0] if len(keep) == 1 else keep
+        rows, xa, va, ga = _take(keep, rows, xa, va, ga)
         return keep
 
     for it in range(1, max_iters + 1):
         single = xa.ndim == 1
-        gnorm = top(np.abs(ga), axis=-1, initial=0.0)
-        gnorm = [float(gnorm)] if single else gnorm.tolist()
-        converged = []
-        # no row has converged when the smallest norm is above grad_tol; a
-        # NaN first norm makes min NaN, and the exact test runs
-        if not min(gnorm) > grad_tol:
-            converged = [i for i, g in enumerate(gnorm) if g <= grad_tol]
-            if len(converged) == len(va):
-                finish(converged, it - 1)
-                break
+        gnorm = _floats(top(np.abs(ga), axis=-1, initial=0.0), single)
+        converged = [i for i, g in enumerate(gnorm) if g <= grad_tol]
+        if len(converged) == len(va):
+            finish(converged, it - 1)
+            break
         # the Hessians at the arrays just evaluated, then those of the rows
         # that go on
-        Ga, da = hessian(xa) if one else hessian(xa, rows)
+        Ga, da = hessian(xa, rows)
         if converged:
-            keep = finish(converged, it - 1)
-            Ga, da = Ga[keep], da[keep]
-            gnorm = [g for g in gnorm if not g <= grad_tol]
+            Ga, da, gnorm = _take(finish(converged, it - 1), Ga, da, gnorm)
             single = xa.ndim == 1
         ridge = None  # each row's ridge, once one needs it
         while True:
@@ -193,84 +194,57 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
             slope = [float(ga @ step)]
         else:
             slope = (ga[:, None, :] @ step[:, :, None])[:, 0, 0].tolist()
-        rises = None
-        if rise is not None:
-            rises = rise(step) if one else rise(step, rows)
-            rises = [float(rises)] if single else rises.tolist()
+        rises = None if rise is None else _floats(rise(step, rows), single)
         # a row whose predicted decrease is below its value's rounding floor
         # can't have its progress certified by Armijo; it takes the full
         # Newton step while that still reduces the gradient, and stops at
-        # numerical stationarity otherwise
-        floor, alpha = [], [1.0] * len(va)
-        for i in positions:
-            if -slope[i] <= ROUNDING_FLOOR * (1.0 + abs(va[i])):
-                floor.append(i)
-            elif rises is not None and rises[i] > RISE_MAX:  # a NaN rise leaves 1
-                alpha[i] = RISE_MAX / rises[i]
-        moves = []  # (positions, points, values, gradients) of the accepted steps
-        stop = []  # positions of the rows that stop in this iteration
-        pending = positions
-        for _ in range(60):
-            if len(pending) == len(va):
-                at, x_p, step_p, a = rows, xa, step, alpha
-            else:  # two or more rows run, so pending indexes the stacks
-                at, x_p, step_p = rows[pending], xa[pending], step[pending]
-                a = [alpha[i] for i in pending]
-            if min(a) < 1.0:
-                step_p = (a[0] if single else np.array(a)[:, None]) * step_p
-            trial = x_p + step_p
-            tval = value(trial) if one else value(trial, at)
-            tval = [float(tval)] if single else tval.tolist()
-            ok = []
-            for i, tv in zip(pending, tval):
-                ok.append(
-                    i in floor
-                    or math.isfinite(tv) and tv <= va[i] + ARMIJO_SLOPE * alpha[i] * slope[i]
-                )
-            if all(ok):
-                moved, pending = pending, []
+        # numerical stationarity otherwise.  floor[i] holds such a row's
+        # gradient norm, None for the others
+        floor, alpha, pending = [None] * len(va), [1.0] * len(va), []
+        for i, s in enumerate(slope):
+            if -s <= ROUNDING_FLOOR * (1.0 + abs(va[i])):
+                floor[i] = gnorm[i]
             else:
-                moved = [i for i, good in zip(pending, ok) if good]
-                pending = [i for i, good in zip(pending, ok) if not good]
-                if moved:
-                    sel = [j for j, good in enumerate(ok) if good]
-                    trial, at, tval = trial[sel], at[sel], [tval[j] for j in sel]
-            if moved:
-                tgrad = gradient(trial) if one else gradient(trial, at)
-            if floor and moved:
-                # the floor rows, all in moved, keep their step only if it
-                # reduces the gradient
-                tnorm = top(np.abs(tgrad), axis=-1)
-                tnorm = [float(tnorm)] if single else tnorm.tolist()
-                better = [i not in floor or tn < gnorm[i] for i, tn in zip(moved, tnorm)]
-                if not all(better):
-                    sel = [j for j, good in enumerate(better) if good]
-                    stop += [i for i, good in zip(moved, better) if not good]
-                    moved, tval = [moved[j] for j in sel], [tval[j] for j in sel]
-                    if moved:
-                        trial, at, tgrad = trial[sel], at[sel], tgrad[sel]
-                floor = []
-            if moved:
-                moves.append((moved, trial, tval, tgrad))
+                pending.append(i)
+                if rises is not None and rises[i] > RISE_MAX:  # a NaN rise leaves 1
+                    alpha[i] = RISE_MAX / rises[i]
+        # each backtrack evaluates every running row at its own step length,
+        # which stays where the row passed Armijo, so the last trial holds
+        # every accepted row at its accepted point and value
+        for _ in range(60):
+            scaled = step
+            if min(alpha) < 1.0:
+                scaled = (alpha[0] if single else np.array(alpha)[:, None]) * step
+            trial = xa + scaled
+            tval = _floats(value(trial, rows), single)
+            pending = [i for i in pending if not (math.isfinite(tval[i])
+                       and tval[i] <= va[i] + ARMIJO_SLOPE * alpha[i] * slope[i])]
             if not pending:
                 break
             for i in pending:
                 alpha[i] *= BACKTRACK
         else:
-            stop += pending
+            # the rows still pending stall, and stop where they are before
+            # the gradient is taken at the accepted rows
             for i in pending:
                 flags[rows if single else rows[i]].append("linesearch-stalled")
-        if len(moves) == 1 and len(moves[0][0]) == len(va):
-            _, xa, va, ga = moves[0]
-        elif moves:
-            xa, va, ga = xa.copy(), list(va), ga.copy()
-            for at, trial, tval, tgrad in moves:
-                xa[at], ga[at] = trial, tgrad
-                for i, v in zip(at, tval):
-                    va[i] = v
-        if stop and finish(sorted(stop), it) is None:
-            break
-    if va:
+            keep = finish(pending, it)
+            if keep is None:
+                break
+            trial, tval, floor = _take(keep, trial, tval, floor)
+            single = xa.ndim == 1
+        tgrad = gradient(trial, rows)
+        if floor.count(None) < len(floor):
+            # a floor row keeps its full step only if that lowers its gradient
+            tnorm = _floats(top(np.abs(tgrad), axis=-1), single)
+            stop = [i for i, g in enumerate(floor) if g is not None and not tnorm[i] < g]
+            if stop:
+                keep = finish(stop, it)
+                if keep is None:
+                    break
+                trial, tval, tgrad = _take(keep, trial, tval, tgrad)
+        xa, va, ga = trial, tval, tgrad
+    else:
         finish(list(range(len(va))), max_iters)
     if one:
         return whole[0], val[0], whole[1], iters[0], flags[0]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (
+    FIT_POINTS,
     RateFit,
     TrajectoryPoint,
     compute_d,
@@ -68,8 +69,17 @@ class SweepConfig:
                 raise InvalidInput(f"{name} must be {what}, got {value!r}")
         if not 0 < self.t_min < self.t_max < math.inf:
             raise InvalidInput("need 0 < t_min < t_max < inf")
-        if self.n_points < 8:
-            raise InvalidInput("sweep needs at least 8 points")
+        if self.n_points < FIT_POINTS:
+            raise InvalidInput(f"sweep needs at least {FIT_POINTS} points")
+
+
+class TooFewConverged(RuntimeError):
+    """Fewer sweep points converged than a rate fit takes."""
+
+    def __init__(self, converged, needed):
+        super().__init__(f"{converged} sweep points converged, and the rate fit "
+                         f"needs {needed}")
+        self.converged, self.needed = converged, needed
 
 
 @dataclass
@@ -145,7 +155,8 @@ def run_sweep(problem, config=None, exact=None):
     array passes over xs, the plan stack and one plan-exponent array: the
     exponent gives the off-support maxima and then the ODE forcing, and one
     xi_dot_log_grid and one ode_residual call, on the solved plans, give
-    every interior point's residual.
+    every interior point's residual.  The rate fits take the converged
+    points only, and fewer than FIT_POINTS of them raise TooFewConverged.
     """
     config = config or SweepConfig()
     if exact is None:
@@ -225,6 +236,8 @@ def run_sweep(problem, config=None, exact=None):
     ]
 
     usable = [p for p in points if p.converged]
+    if len(usable) < FIT_POINTS:
+        raise TooFewConverged(len(usable), FIT_POINTS)
     dual_fit = fit_rate([(p.t, p.dual_err) for p in usable])
     primal_fit = fit_rate([(p.t, p.primal_err) for p in usable])
     d_star = solve_d_star(exact, problem.penalty, shape)

@@ -116,6 +116,21 @@ def test_exact_names_a_numerical_failure(tmp_path, capsys):
     assert "TangentFailed" in capsys.readouterr().err
 
 
+def test_sweep_with_too_few_converged_points_is_nonconverged(tmp_path, capsys):
+    # at t_max = 1e6 the top two of 8 points stop at the t-growing gradient
+    # floor, so 6 converged points are left for fits that need 8: a failed
+    # sweep, not invalid input, and no CSV is written
+    prob = tmp_path / "p.json"
+    csv = tmp_path / "s.csv"
+    cli_main(["gen", "--dataset", "point-clouds", "--seed", "4", "-o", str(prob)])
+    for argv in (["sweep", "--out", str(csv)], ["check"]):
+        argv += ["--problem", str(prob), "--n-points", "8", "--t-max", "1e6"]
+        assert cli_main(argv) == EXIT_NONCONVERGED
+        assert "TooFewConverged: 6 sweep points converged, and the rate fit needs 8" \
+            in capsys.readouterr().err
+    assert not csv.exists()
+
+
 def test_solve_writes_solution(tmp_path):
     prob = tmp_path / "p.json"
     out = tmp_path / "sol.json"

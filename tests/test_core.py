@@ -226,11 +226,28 @@ def test_newton_rise_bound_limits_each_step():
 def test_newton_nan_hessian_raises():
     # a NaN Hessian pair never factors and makes the ridge NaN; the retry
     # must end with the factorization error instead of spinning
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(core.NotPositiveDefinite) as one:
         newton_minimize(
             lambda x: float(x @ x), lambda x: 2 * x,
             lambda x: (np.full((1, 1), np.nan), np.ones(2)), np.ones(2), 1e-12, 5,
         )
+    assert one.value.row is None
+    # in a block the error names the failing row, also when the rows before
+    # it start converged and it runs alone as its 1-D point
+    rng = np.random.default_rng(6)
+    G = rng.uniform(0.1, 2.0, (3, 3, 4))
+    d = rng.uniform(0.1, 1.0, (3, 7))
+    b = rng.standard_normal((3, 7))
+    *_, alone, H = _quadratic_rows(G, d, b)
+    nan_pair = np.full((3, 4), np.nan), d[2]
+    rows = [alone(0), alone(1), (*alone(2)[:2], lambda x: nan_pair)]
+    x0 = np.zeros((3, 7))
+    for converged in (False, True):
+        if converged:
+            x0[:2] = [np.linalg.solve(H[r], b[r]) for r in range(2)]
+        with pytest.raises(core.NotPositiveDefinite) as block:
+            newton_minimize(*_block_of(rows), x0, 1e-9, 5)
+        assert block.value.row == 2
 
 
 @pytest.mark.parametrize("n_x,n_y", [(3, 5), (5, 3), (13, 15), (15, 13)])
@@ -323,6 +340,67 @@ def test_newton_block_rows_are_each_row_minimized_alone():
             xr, vr, gr, ir, fr = newton_minimize(*alone(r), start[r], 1e-9, max_iters)
             assert x[r].tobytes() == xr.tobytes() and grad[r].tobytes() == gr.tobytes()
             assert (val[r], iters[r], flags[r]) == (vr, ir, fr), r
+
+
+def _block_of(alone):
+    """Block functions whose rows are evaluated by the 1-D functions alone[r].
+
+    alone[r] is (value, gradient, hessian) of row r; a single running row
+    comes as its 1-D point and its index.
+    """
+
+    def stacked(k, pair=False):
+        def f(x, rows):
+            if x.ndim == 1:
+                return alone[rows][k](x)
+            out = [alone[r][k](xr) for xr, r in zip(x, rows)]
+            return tuple(map(np.array, zip(*out))) if pair else np.array(out)
+
+        return f
+
+    return stacked(0), stacked(1), stacked(2, pair=True)
+
+
+def test_newton_block_rows_stall_and_stop_at_the_rounding_floor_alone():
+    # with grad_tol = 0 no row converges: row 0 is an ordinary quadratic,
+    # which ends at its rounding floor; row 1 is finite only at its start,
+    # where it is 0, so every trial is rejected (also one that rounds back to
+    # the start, which lies above the Armijo bound there) and it stalls at
+    # iteration 1 with its start kept byte for byte; row 2 is offset by 1e20,
+    # so each predicted decrease is below its rounding floor and it takes
+    # full steps until one no longer lowers its gradient, then stops without
+    # a flag.  Every returned quantity of a row is bitwise that of the row
+    # minimized alone
+    rng = np.random.default_rng(7)
+    G = rng.uniform(0.1, 2.0, (3, 3, 4))
+    d = rng.uniform(0.1, 1.0, (3, 7))
+    b = rng.standard_normal((3, 7))
+    H = [bipartite_hessian(g, dd) for g, dd in zip(G, d)]
+    x0 = rng.standard_normal((3, 7))
+    start = x0.copy()
+
+    def quadratic(r, offset=0.0, domain=None):
+        def value(x):
+            if domain is not None and not np.array_equal(x, domain):
+                return np.inf
+            return 0.5 * x @ H[r] @ x - b[r] @ x + offset
+
+        return value, lambda x: H[r] @ x - b[r], lambda x: (G[r], d[r])
+
+    at_start = 0.5 * start[1] @ H[1] @ start[1] - b[1] @ start[1]
+    alone = [quadratic(0), quadratic(1, -at_start, start[1]), quadratic(2, 1e20)]
+    for max_iters in (1, 5, 50):
+        x, val, grad, iters, flags = newton_minimize(*_block_of(alone), x0, 0.0, max_iters)
+        assert np.array_equal(x0, start)
+        assert flags == [[], ["linesearch-stalled"], []] and iters[1] == 1
+        assert x[1].tobytes() == start[1].tobytes()
+        for r in range(3):
+            xr, vr, gr, ir, fr = newton_minimize(*alone[r], start[r], 0.0, max_iters)
+            assert x[r].tobytes() == xr.tobytes() and grad[r].tobytes() == gr.tobytes()
+            assert (val[r], iters[r], flags[r]) == (vr, ir, fr), (max_iters, r)
+    # the unbounded runs end on their own, before the cap and with a nonzero
+    # gradient: rows 0 and 2 at the rounding-floor stop
+    assert iters.tolist() == [3, 1, 6] and np.abs(grad[[0, 2]]).max(axis=1).min() > 0.0
 
 
 def test_adjoint_small():
