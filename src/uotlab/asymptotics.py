@@ -86,9 +86,9 @@ def solve_d_star(exact, div, shape):
 
     On the saturated set the limit plan is gamma* = exp(A* d*), so d* solves
     (A* z)_{I0} = log gamma*_{I0}.  One bipartite_solve on I0's grounded pair
-    (unit weights, core.component_roots) gives one solution z0; d* is the
-    minimal weighted-norm point (weight grad^2 F*(-xi*)) of the affine
-    solution set z0 + range(N).
+    (unit weights G, diagonal apply_A(G) + core.component_roots) gives one
+    solution z0; d* is the minimal weighted-norm point (weight
+    grad^2 F*(-xi*)) of the affine solution set z0 + range(N).
     """
     if not exact.I0:
         raise InvalidInput("saturated set is empty")
@@ -99,7 +99,7 @@ def solve_d_star(exact, div, shape):
     G = np.zeros(shape)
     G[tuple(np.asarray(exact.I0, dtype=int).T)] = 1.0
     rhs = apply_A(np.log(np.where(G > 0, exact.gamma_star, 1.0)))
-    z0 = bipartite_solve(G, component_roots(N), rhs)
+    z0 = bipartite_solve(G, apply_A(G) + component_roots(N), rhs)
     # minimal weighted norm over z0 + range(N): disjoint columns, diagonal system
     weights = F_conj_hess_diag(-exact.xi_star.stacked, div)
     return z0 + N @ (-(N.T @ (weights * z0)) / (weights @ N**2))

@@ -270,17 +270,17 @@ def spanning_forest(entries, n_x, n_y):
     return kept, N
 
 
-def bipartite_hessian(G, diag):
-    """Dense A diag(G) A* + diag(diag) for a plan-shaped weight G.
+def bipartite_hessian(G, D):
+    """Dense [[diag D_x, G], [G^T, diag D_y]] for a plan-shaped G and a stacked D.
 
-    This is the transport-shaped Hessian [[diag(G 1), G], [G^T, diag(G^T 1)]]
-    plus a diagonal; `bipartite_solve` solves with it without assembling it.
+    For the transport Hessian A diag(G) A* + diag(d), D is its full diagonal
+    apply_A(G) + d; `bipartite_solve` solves with it without assembling it.
     """
     n_x, n_y = G.shape
     H = np.zeros((n_x + n_y, n_x + n_y))
     H[:n_x, n_x:] = G
     H[n_x:, :n_x] = G.T
-    H.flat[::n_x + n_y + 1] = apply_A(G) + diag
+    H.flat[::n_x + n_y + 1] = D
     return H
 
 
@@ -340,16 +340,19 @@ def cholesky_solve(S, rhs):
     return s
 
 
-def bipartite_solve(G, d, rhs, ridge=0.0):
-    """Solve (bipartite_hessian(G, d) + ridge I) s = rhs; d is stacked like rhs.
+def bipartite_solve(G, D, rhs, ridge=0.0):
+    """Solve (bipartite_hessian(G, D) + ridge I) s = rhs; D is stacked like rhs.
 
+    D is the full diagonal: for the transport Hessian A diag(G) A* + diag(d)
+    it is apply_A(G) + d, which the caller builds (a Newton loop usually
+    holds the plan's marginals already), so G itself is never reduced here.
     Both diagonal blocks are diagonal, so the larger side is eliminated and
     only the min(n_x, n_y) Schur complement diag(b) - W^T W, W = G / sqrt(a),
-    is Cholesky-factored (a, b: diagonals of the eliminated and kept sides).
-    Raises NotPositiveDefinite, a numpy.linalg.LinAlgError, when the matrix
-    is not positive definite.
+    is Cholesky-factored (a, b: the parts of D on the eliminated and kept
+    sides).  Raises NotPositiveDefinite, a numpy.linalg.LinAlgError, when the
+    matrix is not positive definite.  D is read, not modified.
 
-    A leading row axis on G, d and rhs (and on ridge, when it is an array)
+    A leading row axis on G, D and rhs (and on ridge, when it is an array)
     stacks independent systems, one per row, and each row's solution is
     bitwise that of its system solved alone: the Gram products, the
     matrix-vector products and the factorization (one LAPACK call per row)
@@ -361,13 +364,10 @@ def bipartite_solve(G, d, rhs, ridge=0.0):
     same matrix, Fortran-contiguous, which LAPACK takes without a copy.
     """
     n_x, n_y = G.shape[-2:]
-    add = np.add.reduce
-    a = d[..., :n_x] + add(G, axis=-1)
-    b = d[..., n_x:] + add(G, axis=-2)
+    a, b = D[..., :n_x], D[..., n_x:]
     if isinstance(ridge, np.ndarray) or ridge:
         ridge = np.asarray(ridge)[..., None]
-        a += ridge
-        b += ridge
+        a, b = a + ridge, b + ridge
     r_a, r_b = rhs[..., :n_x], rhs[..., n_x:]
     flip = n_x < n_y
     if flip:
@@ -390,9 +390,10 @@ def component_roots(N):
     """0/1 indicator of each component's root, the first node of its column of N.
 
     N is spanning_forest's null basis on the support of G.  A unit diagonal
-    at one root per component makes the pair (G, roots) definite, and for rhs
-    orthogonal to N, bipartite_solve(G, roots, rhs) is 0 at the roots and
-    solves the singular bipartite_hessian(G, 0) (the network-simplex grounding).
+    at one root per component makes the pair (G, apply_A(G) + roots)
+    definite, and for rhs orthogonal to N, bipartite_solve on that pair is 0
+    at the roots and solves the singular bipartite_hessian(G, apply_A(G))
+    (the network-simplex grounding).
     """
     root = np.zeros(N.shape[0])
     root[np.argmax(N != 0, axis=0)] = 1.0

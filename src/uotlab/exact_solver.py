@@ -87,7 +87,8 @@ def _crossover(problem, x):
     test).  Returns the point, the flows, the forest and the number of pivots
     once neither rule applies.  Any start works; one near xi* needs few
     pivots.  The face point, flows and cycle path of a forest are
-    bipartite_solve calls on its one grounded pair (G, component_roots(N)).
+    bipartite_solve calls on its one grounded pair (G, apply_A(G) + roots),
+    roots = component_roots(N).
     The columns of N share no node, so on the face F*(-xi) splits into one
     scalar problem per component (+v on its x-potentials, -v on its
     y-potentials), solved by the entropy's closed-form `balance`.  A kl
@@ -105,14 +106,14 @@ def _crossover(problem, x):
     for pivots in range(MAX_PIVOTS + 1):
         edges, G = np.argwhere(forest), forest * 1.0
         _, N = spanning_forest(edges, n_x, n_y)  # the face's free directions
-        root = component_roots(N)
+        D = apply_A(G) + component_roots(N)
         # a point on the face, then each component balanced along it
-        x = x + bipartite_solve(G, root, apply_A(G * (c - apply_A_adjoint(x, n_x))))
+        x = x + bipartite_solve(G, D, apply_A(G * (c - apply_A_adjoint(x, n_x))))
         S = np.sign(N)  # +1 on a component's x-nodes, -1 on its y-nodes
         g, h = F_conj_derivatives(-x, div)
         v = div.entropy.balance(g[:n_x] @ S[:n_x], -(g[n_x:] @ S[n_x:]), h @ np.abs(S))
         x = x + S @ v
-        lam = apply_A_adjoint(bipartite_solve(G, root, F_conj_grad(-x, div)), n_x)[forest]
+        lam = apply_A_adjoint(bipartite_solve(G, D, F_conj_grad(-x, div)), n_x)[forest]
         off = np.where(forest, math.inf, c - apply_A_adjoint(x, n_x))
         i, j = enter = np.unravel_index(np.argmin(off), c.shape)
         min_flow = float(np.min(lam, initial=math.inf))
@@ -129,7 +130,7 @@ def _crossover(problem, x):
             # the entering column is a signed sum of the cycle's forest
             # columns; pushing flow onto it decreases those of sign +1
             b_enter = np.bincount([i, n_x + j], minlength=n_x + n_y) * 1.0
-            path = apply_A_adjoint(bipartite_solve(G, root, b_enter), n_x)[forest]
+            path = apply_A_adjoint(bipartite_solve(G, D, b_enter), n_x)[forest]
             forest[tuple(edges[np.argmin(np.where(path > 0.5, lam, math.inf))])] = False
         forest[enter] = True
 
@@ -157,10 +158,12 @@ def minimal_entropy_plan(I0, m_star, shape):
         gamma[rows, cols] = clamped_exp(z[rows] + z[n_x + cols])
         return gamma
 
+    # the gradient's marginals of the plan are the Hessian's diagonal too
+    marginals = last_point_cache(lambda z: apply_A(plan(z)))
     z, *_ = newton_minimize(
         lambda z: float(plan(z).sum() - m @ z + 0.5 * root @ z**2),
-        lambda z: apply_A(plan(z)) - m + root * z,
-        lambda z: (plan(z), root),
+        lambda z: marginals(z) - m + root * z,
+        lambda z: (plan(z), marginals(z) + root),
         np.zeros(n_x + n_y),
         1e-13 * float(np.max(m)),
         200,

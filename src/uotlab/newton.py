@@ -3,8 +3,13 @@
 One loop serves the regularized dual and the limit-plan functional of the
 exact reference: Newton steps with a ridge retry, Armijo backtracking, and
 an exit at the objective's rounding floor.  Both have transport-shaped
-Hessians, pairs (G, d) that `core.bipartite_solve` takes whole for a Schur
-step.
+Hessians, pairs (G, D) of the plan-shaped weight G and the full diagonal D,
+which `core.bipartite_solve` takes whole for a Schur step.  The value runs
+at the start and at the trial points of the line search, the gradient and
+the Hessian at accepted points only, so a caller can evaluate a trial
+relative to the point it comes from: the regularized dual rescales the plan
+of a base point instead of recomputing it, and recomputes it directly once
+the plan exponents would move by more than RISE_MAX from that base.
 
 The loop runs over a leading row axis: a block of independent problems,
 such as consecutive points of a sweep, each row with its own state (step
@@ -83,11 +88,16 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
     +inf off the function's domain; the line search rejects such trial
     points like any other failed Armijo test.  Stops when max|gradient| <=
     grad_tol, after max_iters steps, at numerical stationarity, or when
-    backtracking stalls (flag "linesearch-stalled").  `hessian` returns a
-    pair (G, d) standing for the transport-shaped `core.bipartite_hessian(G,
-    d)`, and each step is one `core.bipartite_solve` on it.  A Hessian that
-    is not positive definite is retried with a growing ridge (flag "ridge"),
-    up to 1e8 times its mean diagonal (or 1e8, when that is below 1).
+    backtracking stalls (flag "linesearch-stalled": 60 halvings, or a
+    predicted decrease alpha |slope| at the value's rounding floor, where a
+    trial that rounds back to the current point would pass Armijo).
+    `hessian` returns a pair (G, D) standing for the transport-shaped
+    `core.bipartite_hessian(G, D)`, D its full diagonal, and each step is one
+    `core.bipartite_solve` on it.  A Hessian that is not positive definite is
+    retried with a growing ridge (flag "ridge"), up to 1e8 times its mean
+    diagonal mean(D) (or 1e8, when that is below 1).  Between two gradient
+    calls, `value` is called at the trials of one ray, x + alpha step with
+    alpha falling from the first trial's.
 
     `rise`, when given, maps a Newton step to the largest increase the full
     step causes in any exponent of the objective; the Armijo search then
@@ -182,8 +192,8 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
                 if ridge[i]:
                     ridge[i] *= 10
                 else:
-                    G_i, d_i = (Ga, da) if single else (Ga[i], da[i])
-                    scale[i] = max((2 * G_i.sum() + d_i.sum()) / d_i.size, 1.0)
+                    D_i = da if single else da[i]
+                    scale[i] = max(float(D_i.sum()) / D_i.size, 1.0)
                     ridge[i] = 1e-12 * scale[i]
                 row = rows if single else rows[i]
                 if "ridge" not in flags[row]:
@@ -210,7 +220,11 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
                     alpha[i] = RISE_MAX / rises[i]
         # each backtrack evaluates every running row at its own step length,
         # which stays where the row passed Armijo, so the last trial holds
-        # every accepted row at its accepted point and value
+        # every accepted row at its accepted point and value.  A row stalls
+        # once its predicted decrease falls to its value's rounding floor:
+        # below it a trial that rounds back to the current point passes
+        # Armijo without progress
+        stalled = []
         for _ in range(60):
             scaled = step
             if min(alpha) < 1.0:
@@ -223,12 +237,20 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
                 break
             for i in pending:
                 alpha[i] *= BACKTRACK
+                if -alpha[i] * slope[i] <= ROUNDING_FLOOR * (1.0 + abs(va[i])):
+                    stalled.append(i)
+            if stalled:
+                pending = [i for i in pending if i not in stalled]
+                if not pending:
+                    break
         else:
-            # the rows still pending stall, and stop where they are before
-            # the gradient is taken at the accepted rows
-            for i in pending:
+            stalled += pending
+        if stalled:
+            # the stalled rows stop where they are before the gradient is
+            # taken at the accepted rows
+            for i in stalled:
                 flags[rows if single else rows[i]].append("linesearch-stalled")
-            keep = finish(pending, it)
+            keep = finish(stalled, it)
             if keep is None:
                 break
             trial, tval, floor = _take(keep, trial, tval, floor)

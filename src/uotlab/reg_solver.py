@@ -27,6 +27,20 @@ range, where arithmetic is 10-100x slower.
 Each Newton step raises the plan exponent t (A* xi - c) by at most
 t (max step_x + max step_y); newton_minimize shortens the step so that this
 rise stays below its RISE_MAX, which keeps a warm start from overshooting.
+
+A point x differs from a base point x_b, where the plan gamma_b was computed
+directly, by a shift of the potentials, so its plan is diag(u) gamma_b
+diag(v) with (u, v) = exp(t (x - x_b)): the diagonal-scaling form of the
+Gibbs kernel (Chizat, Peyre, Schmitzer & Vialard 2018).  Newton's trial
+points therefore need no plan-sized pass beyond one matrix-vector product
+for their value, and a plan is built, by two scalings, only at an accepted
+point, for its Hessian.  The scalings are absorbed into a new direct base
+before they drift (the stabilization of Schmitzer 2019): at the first point,
+whenever the exponents would move by more than RISE_MAX from the base, and
+where the direct plan is clamped.  So an entry flushed at the base stays
+below exp(EXP_MIN + RISE_MAX), no exp sees an argument above RISE_MAX, and
+the returned plan, computed directly once more, is the one a direct
+evaluation gives.
 """
 
 from __future__ import annotations
@@ -48,7 +62,7 @@ from .core import (
     discrete_entropy,
 )
 from .divergence import F_conj, F_conj_derivatives, F_conj_hess_diag, csiszar
-from .newton import last_point_cache, newton_minimize
+from .newton import RISE_MAX, last_point_cache, newton_minimize
 
 # exponent clamp keeping exp() representable; hit only on wild line-search
 # trial points, never at accepted iterates of a warm-started sweep
@@ -140,22 +154,40 @@ class _DualTerms(NamedTuple):
 def _dual_terms(problem, t):
     """Plan, value, gradient and Hessian of K_t, as functions of the stacked xi.
 
-    The penalty F is problem.penalty.  The plan at a point, and the
-    conjugate derivatives there, are each computed once and reused by the
-    others at the same array.  The Hessian comes as the pair (t gamma,
-    grad^2 F*(-xi)) standing for core.bipartite_hessian of it.  `rise` maps a
-    step to the largest increase it causes in a plan exponent, in O(n) and
-    with no pass over the plan.  `clamped` tells whether some plan exponent
-    at a point exceeds EXP_MAX, from the exponent the plan was computed from.
+    The penalty F is problem.penalty.  A point's plan differs from the plan
+    gamma_b at a base point x_b by diag(u) gamma_b diag(v), (u, v) = exp(t (x
+    - x_b)) stacked, so a point needs no plan-sized pass beyond
+    matrix-vector products with gamma_b: its value the total mass u^T
+    (gamma_b v), its gradient the marginals u * (gamma_b v) and v * (gamma_b^T
+    u); only its Hessian builds the scaled plan.  The base plan is computed
+    directly (plan_exponent, clamped_exp) at the first point, at every point
+    whose exponent movement t (max|x_x - x_b,x| + max|x_y - x_b,y|) from the
+    base exceeds RISE_MAX, and at every point after a clamped one (a clamped
+    plan is no scaling of its neighbours'); such a point is the new base,
+    with u = v = 1 exactly.  The movement is checked once per ray: value
+    calls between two gradient calls are taken to be the trials of
+    newton_minimize's line search, x + alpha step for falling alpha, and the
+    movement of the first bounds the others' (it is convex along the ray);
+    the gradient and the Hessian check it at a point the value has not seen.
+    `plan` is the direct plan, for the returned solution.
+
+    The conjugate derivatives at a point, like its scalings, are computed
+    once and reused by the others at the same array.  The Hessian comes as
+    the pair (t gamma, t A gamma + grad^2 F*(-xi)), the weight and the full
+    diagonal of core.bipartite_hessian.  `rise` maps a step to the largest
+    increase it causes in a plan exponent, in O(n) and with no pass over the
+    plan.  `clamped` tells whether some plan exponent at a point exceeds
+    EXP_MAX, from the exponent the plan was computed from.
 
     An array of t is a block of problems, one per value, in newton_minimize's
     block form: each function takes (x, rows), x stacking the block's rows
     `rows` (increasing indices), or one row's 1-D point with its index, and
-    gives one result per row, bitwise the one of that row alone.
+    gives one result per row, bitwise the one of that row alone.  The base is
+    kept for the rows of the last call and subset when rows leave.
     """
     check_positive_finite(t, "t")
     div, n_x = problem.penalty, problem.n_x
-    add, top = np.add.reduce, np.maximum.reduce
+    top = np.maximum.reduce
     block = np.ndim(t) == 1
     sides = np.array([0, n_x])  # where each side of a stacked vector starts
 
@@ -172,23 +204,120 @@ def _dual_terms(problem, t):
     point = last_point_cache(evaluate)
     # the gradient and the Hessian run at accepted points only
     conj = last_point_cache(lambda x, rows=None: F_conj_derivatives(-x, div))
+    # the base's rows, points and direct plans; the rows that the trials of
+    # the current ray rebase (None: not checked yet); and, at the last point,
+    # [x, exp(t (x - x_b)), gamma_b v as a column, A gamma or None]
+    base_rows = base_x = base_plan = ray = last = None
+
+    def held(rows):
+        """Whether the base covers rows; it is subset to them when rows left."""
+        nonlocal base_rows, base_x, base_plan, ray
+        if base_x is None:
+            return False
+        if rows is base_rows:
+            return True
+        one, stack = np.ndim(rows) == 0, np.ndim(base_rows) == 1
+        have = base_rows.tolist() if stack else [base_rows]
+        want = [rows] if one else rows.tolist()
+        if not set(want) <= set(have):
+            return False
+        if stack:  # keep the rows that stay, a lone one as its 1-D point
+            at = [have.index(r) for r in want]
+            at = at[0] if one else at
+            base_x, base_plan = base_x[at], base_plan[at]
+        base_rows, ray = rows, None
+        return True
+
+    def moved(delta):
+        """The rows whose exponent movement t (x - x_b) exceeds RISE_MAX (NaN too).
+
+        A 1-D point gives a bool, a stack the list of its positions.
+        """
+        move = np.maximum.reduceat(np.abs(delta), sides, axis=-1).tolist()
+        if delta.ndim == 1:
+            return not move[0] + move[1] <= RISE_MAX
+        return [i for i, (a, b) in enumerate(move) if not a + b <= RISE_MAX]
+
+    def direct(x, rows):
+        """The direct plans at x, and the base points that they give.
+
+        A plan clamped at EXP_MAX is no scaling of the plan at its point, so
+        its base point is NaN: every later point then rebases it.  A block's
+        base is rebased row by row, in place, so it owns its arrays; a lone
+        row's base is the point and the cached plan, which nothing writes.
+        """
+        if x.ndim == 1:
+            exponent, gamma = point(x, rows)
+            return gamma, np.full_like(x, np.nan) if top(exponent, axis=None) > EXP_MAX else x
+        exponent, gamma = evaluate(x, rows)
+        wild = top(exponent, axis=(-2, -1)) > EXP_MAX
+        return gamma, np.where(wild[:, None], np.nan, x) if wild.any() else x.copy()
+
+    def scalings(x, rows, trial=False):
+        """[x, exp(t (x - x_b)), gamma_b v, None] at x, rebasing where needed.
+
+        A trial is a value call: the first after a gradient call checks the
+        movement and the others of its ray rebase the rows it rebased.
+        """
+        nonlocal base_rows, base_x, base_plan, ray, last
+        if last is not None and x is last[0]:
+            return last
+        if not held(rows):  # x becomes the base, with scalings of exactly 1
+            base_rows, ray = rows, None
+            base_plan, base_x = direct(x, rows)
+            scaling = np.ones_like(x)
+        else:
+            scale = t_of(rows)
+            delta = x - base_x
+            delta *= scale[:, None] if isinstance(scale, np.ndarray) else scale
+            fresh = ray if trial and ray is not None else moved(delta)
+            if trial:
+                ray = fresh
+            if not fresh:
+                scaling = np.exp(delta, out=delta)
+            elif x.ndim == 1:
+                base_plan, base_x = direct(x, rows)
+                scaling = np.ones_like(x)
+            else:
+                base_plan[fresh], base_x[fresh] = direct(x[fresh], rows[fresh])
+                delta[fresh] = 0.0  # x - x_b, exactly
+                scaling = np.exp(delta, out=delta)
+        last = [x, scaling, base_plan @ scaling[..., n_x:, None], None]
+        return last
+
+    def marginals(at):
+        """A gamma at the point of scalings `at`: u * (gamma_b v) over v * (gamma_b^T u)."""
+        if at[3] is None:
+            scaling, row_sums = at[1], at[2]
+            col_sums = scaling[..., None, :n_x] @ base_plan
+            at[3] = scaling * np.concatenate([row_sums[..., 0], col_sums[..., 0, :]], axis=-1)
+        return at[3]
 
     def plan(x, rows=None):
         return point(x, rows)[1]
 
     def value(x, rows=None):
-        return F_conj(-x, div) + add(plan(x, rows), axis=(-2, -1)) / t_of(rows)
+        _, scaling, row_sums, _ = scalings(x, rows, trial=True)
+        mass = (scaling[..., None, :n_x] @ row_sums)[..., 0, 0]
+        return F_conj(-x, div) + mass / t_of(rows)
 
     def gradient(x, rows=None):
-        g = apply_A(plan(x, rows))
-        g -= conj(x, rows)[0]
+        nonlocal ray
+        g = marginals(scalings(x, rows)) - conj(x, rows)[0]
+        ray = None  # the next value call is the first trial of a new ray
         return g
 
     def hessian(x, rows=None):
+        at = scalings(x, rows)
         scale = t_of(rows)
         if isinstance(scale, np.ndarray):
-            scale = scale[:, None, None]
-        return scale * plan(x, rows), conj(x, rows)[1]
+            scale = scale[:, None]
+        if base_x is x:  # a lone row's base point: its plan is the base plan
+            G = scale * base_plan
+        else:
+            G = base_plan * (scale * at[1][..., :n_x])[..., None]
+            G *= at[1][..., None, n_x:]
+        return G, scale * marginals(at) + conj(x, rows)[1]
 
     def rise(step, rows=None):
         top_x, top_y = np.maximum.reduceat(step, sides, axis=-1).T
@@ -375,13 +504,14 @@ def trajectory_tangent(problem, sol):
 
     The ODE (see ode_terms) reads H xi_dot = -A(gamma log gamma) / t, with H
     the Hessian of K_t at the solution and F the problem's penalty; one
-    Schur-complement solve on its pair (t gamma, grad^2 F*(-xi)), with the
-    solved plan sol.gamma as gamma.  Raises TangentFailed when that Hessian
+    Schur-complement solve on its pair (G, apply_A(G) + grad^2 F*(-xi)), G =
+    t gamma, with the solved plan sol.gamma as gamma.  Raises TangentFailed when that Hessian
     is not numerically positive definite.
     """
     gamma, d, forcing = ode_terms(sol.xi.stacked, sol.t, problem, plan=sol.gamma)
+    G = sol.t * gamma
     try:
-        return bipartite_solve(sol.t * gamma, d, -forcing / sol.t)
+        return bipartite_solve(G, apply_A(G) + d, -forcing / sol.t)
     except np.linalg.LinAlgError as exc:
         raise TangentFailed(sol.t, getattr(exc, "minor", None)) from exc
 

@@ -267,7 +267,7 @@ assert {_LOADED_SCIPY} == []
 rng = np.random.default_rng(3)
 G = rng.uniform(0.1, 1.0, (5, 4))
 for _ in range(2):
-    core.bipartite_solve(G, np.ones(9), rng.standard_normal(9))
+    core.bipartite_solve(G, core.apply_A(G) + 1.0, rng.standard_normal(9))
 assert core.dposv is counting
 print(calls)
 """

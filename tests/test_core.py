@@ -48,13 +48,19 @@ def test_apply_A_matches_dense_operator():
     [(3, 5, 0.0), (5, 3, 0.0), (4, 4, 0.0), (1, 6, 0.0), (6, 1, 0.0), (4, 7, 0.3)],
 )
 def test_bipartite_solve_matches_dense_cholesky(n_x, n_y, ridge):
+    # the pair (G, D) with D = apply_A(G) + d is the transport Hessian
+    # A diag(G) A* + diag(d), assembled here from the dense marginal operator
     rng = np.random.default_rng(10 * n_x + n_y)
     G = rng.uniform(0.1, 2.0, (n_x, n_y))
     d = rng.uniform(0.01, 1.0, n_x + n_y)
+    D = apply_A(G) + d
     rhs = rng.standard_normal(n_x + n_y)
-    H = bipartite_hessian(G, d) + ridge * np.eye(n_x + n_y)
+    A = marginal_matrix(n_x, n_y)
+    dense = A @ np.diag(G.ravel()) @ A.T + np.diag(d)
+    assert np.allclose(bipartite_hessian(G, D), dense, rtol=1e-15, atol=0)
+    H = bipartite_hessian(G, D) + ridge * np.eye(n_x + n_y)
     ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), rhs)
-    s = bipartite_solve(G, d, rhs, ridge)
+    s = bipartite_solve(G, D, rhs, ridge)
     assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -66,11 +72,11 @@ def test_bipartite_solve_rejects_indefinite(n_x, n_y):
     # d = -0.1 makes (1, -1) a direction of negative curvature; -10 also
     # makes the eliminated diagonal itself negative
     for shift in (-0.1, -10.0):
-        d = np.full(n_x + n_y, shift)
+        D = apply_A(G) + shift
         with pytest.raises(np.linalg.LinAlgError):
-            scipy.linalg.cho_factor(bipartite_hessian(G, d))
+            scipy.linalg.cho_factor(bipartite_hessian(G, D))
         with pytest.raises(np.linalg.LinAlgError):
-            bipartite_solve(G, d, rhs)
+            bipartite_solve(G, D, rhs)
 
 
 @pytest.mark.parametrize("n", [1, 13, 240])
@@ -94,7 +100,7 @@ def test_cholesky_solve_makes_one_lapack_call(monkeypatch):
     monkeypatch.setattr(core, "dposv", counting)
     rng = np.random.default_rng(3)
     G = rng.uniform(0.1, 1.0, (5, 4))
-    bipartite_solve(G, np.ones(9), rng.standard_normal(9))
+    bipartite_solve(G, apply_A(G) + 1.0, rng.standard_normal(9))
     assert calls == [(4, 4)]
 
 
@@ -114,8 +120,8 @@ def test_schur_complement_reaches_lapack_fortran_ordered(monkeypatch, n_x, n_y):
     monkeypatch.setattr(core, "dposv", capture)
     rng = np.random.default_rng(n_x)
     G = rng.uniform(0.1, 2.0, (n_x, n_y))
-    d = rng.uniform(0.01, 1.0, n_x + n_y)
-    s = bipartite_solve(G, d, rng.standard_normal(n_x + n_y))
+    D = apply_A(G) + rng.uniform(0.01, 1.0, n_x + n_y)
+    s = bipartite_solve(G, D, rng.standard_normal(n_x + n_y))
     [(fortran, S, rhs)] = seen
     assert fortran
     assert S.shape == (min(n_x, n_y),) * 2 and np.array_equal(S, S.T)
@@ -154,22 +160,23 @@ def test_newton_bipartite_step_and_ridge_flag():
     # ridge leaves the caller's diagonal unchanged
     rng = np.random.default_rng(6)
     G = rng.uniform(0.1, 2.0, (3, 4))
-    d = rng.uniform(0.1, 1.0, 7)
-    H = bipartite_hessian(G, d)
+    D = apply_A(G) + rng.uniform(0.1, 1.0, 7)
+    H = bipartite_hessian(G, D)
     b = rng.standard_normal(7)
     x, _, grad, iters, flags = newton_minimize(
         lambda x: 0.5 * x @ H @ x - b @ x, lambda x: H @ x - b,
-        lambda x: (G, d), np.zeros(7), 1e-12, 5,
+        lambda x: (G, D), np.zeros(7), 1e-12, 5,
     )
     assert np.allclose(x, np.linalg.solve(H, b), atol=1e-12)
     assert iters == 1 and flags == []
-    indefinite = np.full(7, -0.1)
+    indefinite = apply_A(G) - 0.1
+    before = indefinite.copy()
     *_, flags = newton_minimize(
         lambda x: 0.5 * x @ H @ x - b @ x, lambda x: H @ x - b,
         lambda x: (G, indefinite), np.zeros(7), 1e-12, 1,
     )
     assert "ridge" in flags
-    assert np.array_equal(indefinite, np.full(7, -0.1))
+    assert np.array_equal(indefinite, before)
 
 
 def test_newton_ridge_cap_scales_with_the_hessian():
@@ -178,22 +185,22 @@ def test_newton_ridge_cap_scales_with_the_hessian():
     # diagonal, is far above 1e8, and the retry must still run up to 1e13
     rng = np.random.default_rng(6)
     G = 1e22 * rng.uniform(0.1, 0.5, (3, 4))
-    d = np.full(7, -1e12)
-    assert 1e21 < (2 * G.sum() + d.sum()) / 7 < 1e23
+    D = apply_A(G) - 1e12
+    assert 1e21 < D.mean() < 1e23
     with pytest.raises(core.NotPositiveDefinite):
-        bipartite_solve(G, d, np.ones(7))
-    H = bipartite_hessian(G, d)
+        bipartite_solve(G, D, np.ones(7))
+    H = bipartite_hessian(G, D)
     b = 1e10 * rng.standard_normal(7)
     x, val, _, iters, flags = newton_minimize(
         lambda x: 0.5 * x @ H @ x - b @ x, lambda x: H @ x - b,
-        lambda x: (G, d), np.zeros(7), 1e-12, 1,
+        lambda x: (G, D), np.zeros(7), 1e-12, 1,
     )
     assert iters == 1 and flags == ["ridge"] and val < 0.0
 
 
 def test_newton_rise_bound_limits_each_step():
     # e^(x0 + x1) - c (x0 + x1) + |x - a|^2 / 2 with a = (log c / 2, log c / 2),
-    # whose Hessian is the pair ([[e^(x0 + x1)]], (1, 1)) and whose minimizer
+    # whose Hessian is the pair ([[e^(x0 + x1)]], e^(x0 + x1) + (1, 1)) and whose minimizer
     # is a, from x0 = a - 10: the full Newton step raises the one exponent
     # x0 + x1 by about 26, far past its target log c; with the rise bound no
     # accepted step raises it by more than RISE_MAX, and the solve still
@@ -206,7 +213,7 @@ def test_newton_rise_bound_limits_each_step():
 
         def hessian(x):
             accepted.append(x.sum())
-            return np.exp(x.sum()).reshape(1, 1), np.ones(2)
+            return np.exp(x.sum()).reshape(1, 1), np.exp(x.sum()) + np.ones(2)
 
         x, _, grad, _, flags = newton_minimize(
             lambda x: float(np.exp(x.sum()) - c * x.sum() + 0.5 * (x - a) @ (x - a)),
@@ -229,17 +236,17 @@ def test_newton_nan_hessian_raises():
     with pytest.raises(core.NotPositiveDefinite) as one:
         newton_minimize(
             lambda x: float(x @ x), lambda x: 2 * x,
-            lambda x: (np.full((1, 1), np.nan), np.ones(2)), np.ones(2), 1e-12, 5,
+            lambda x: (np.full((1, 1), np.nan), np.full(2, np.nan)), np.ones(2), 1e-12, 5,
         )
     assert one.value.row is None
     # in a block the error names the failing row, also when the rows before
     # it start converged and it runs alone as its 1-D point
     rng = np.random.default_rng(6)
     G = rng.uniform(0.1, 2.0, (3, 3, 4))
-    d = rng.uniform(0.1, 1.0, (3, 7))
+    D = apply_A(G) + rng.uniform(0.1, 1.0, (3, 7))
     b = rng.standard_normal((3, 7))
-    *_, alone, H = _quadratic_rows(G, d, b)
-    nan_pair = np.full((3, 4), np.nan), d[2]
+    *_, alone, H = _quadratic_rows(G, D, b)
+    nan_pair = np.full((3, 4), np.nan), np.full(7, np.nan)
     rows = [alone(0), alone(1), (*alone(2)[:2], lambda x: nan_pair)]
     x0 = np.zeros((3, 7))
     for converged in (False, True):
@@ -256,16 +263,18 @@ def test_stacked_bipartite_solve_is_each_row_solved_alone(n_x, n_y):
     # bitwise the one of its system alone, with a ridge per row or none
     rng = np.random.default_rng(10 * n_x + n_y)
     G = rng.uniform(0.1, 2.0, (4, n_x, n_y))
-    d = rng.uniform(0.01, 1.0, (4, n_x + n_y))
+    D = apply_A(G) + rng.uniform(0.01, 1.0, (4, n_x + n_y))
+    before = D.copy()
     rhs = rng.standard_normal((4, n_x + n_y))
     for ridge in (np.zeros(4), np.array([0.0, 0.3, 0.0, 1e-3])):
-        s = bipartite_solve(G, d, rhs, ridge)
+        s = bipartite_solve(G, D, rhs, ridge)
         assert s.shape == rhs.shape
         for r in range(4):
-            alone = bipartite_solve(G[r], d[r], rhs[r], float(ridge[r]))
+            alone = bipartite_solve(G[r], D[r], rhs[r], float(ridge[r]))
             assert s[r].tobytes() == alone.tobytes(), (ridge, r)
-    alone = np.array([bipartite_solve(G[r], d[r], rhs[r]) for r in range(4)])
-    assert bipartite_solve(G, d, rhs).tobytes() == alone.tobytes()
+    alone = np.array([bipartite_solve(G[r], D[r], rhs[r]) for r in range(4)])
+    assert bipartite_solve(G, D, rhs).tobytes() == alone.tobytes()
+    assert np.array_equal(D, before)  # the ridge is not added in place
 
 
 @pytest.mark.parametrize("shift", [-0.1, -10.0])
@@ -277,23 +286,24 @@ def test_stacked_bipartite_solve_names_the_row_that_fails(shift):
     G = rng.uniform(0.1, 2.0, (3, 3, 5))
     d = rng.uniform(0.1, 1.0, (3, 8))
     d[1] = shift
+    D = apply_A(G) + d
     rhs = np.ones((3, 8))
     with pytest.raises(core.NotPositiveDefinite) as alone:
-        bipartite_solve(G[1], d[1], rhs[1])
+        bipartite_solve(G[1], D[1], rhs[1])
     with pytest.raises(core.NotPositiveDefinite, match="row 1: ") as stacked:
-        bipartite_solve(G, d, rhs)
+        bipartite_solve(G, D, rhs)
     assert alone.value.row is None and stacked.value.row == 1
     assert stacked.value.minor == alone.value.minor
     assert (alone.value.minor is None) == (shift == -10.0)
 
 
-def _quadratic_rows(G, d, b):
-    """Block functions of 0.5 x^T H_r x - b_r^T x, H_r = bipartite_hessian(G[r], d[r]).
+def _quadratic_rows(G, D, b):
+    """Block functions of 0.5 x^T H_r x - b_r^T x, H_r = bipartite_hessian(G[r], D[r]).
 
     Each row is evaluated as the 1-D lambdas below evaluate it alone; a
     single running row comes as its 1-D point and its index.
     """
-    H = [bipartite_hessian(g, dd) for g, dd in zip(G, d)]
+    H = [bipartite_hessian(g, dd) for g, dd in zip(G, D)]
 
     def value(x, rows):
         if x.ndim == 1:
@@ -309,10 +319,10 @@ def _quadratic_rows(G, d, b):
         return (
             lambda x: 0.5 * x @ H[r] @ x - b[r] @ x,
             lambda x: H[r] @ x - b[r],
-            lambda x: (G[r], d[r]),
+            lambda x: (G[r], D[r]),
         )
 
-    return value, gradient, lambda x, rows: (G[rows], d[rows]), alone, H
+    return value, gradient, lambda x, rows: (G[rows], D[rows]), alone, H
 
 
 def test_newton_block_rows_are_each_row_minimized_alone():
@@ -325,7 +335,7 @@ def test_newton_block_rows_are_each_row_minimized_alone():
     d = rng.uniform(0.1, 1.0, (3, 7))
     d[1] = -0.1
     b = rng.standard_normal((3, 7))
-    value, gradient, hessian, alone, H = _quadratic_rows(G, d, b)
+    value, gradient, hessian, alone, H = _quadratic_rows(G, apply_A(G) + d, b)
     x0 = np.zeros((3, 7))
     x0[2] = np.linalg.solve(H[2], b[2])
     start = x0.copy()
@@ -364,18 +374,17 @@ def _block_of(alone):
 def test_newton_block_rows_stall_and_stop_at_the_rounding_floor_alone():
     # with grad_tol = 0 no row converges: row 0 is an ordinary quadratic,
     # which ends at its rounding floor; row 1 is finite only at its start,
-    # where it is 0, so every trial is rejected (also one that rounds back to
-    # the start, which lies above the Armijo bound there) and it stalls at
-    # iteration 1 with its start kept byte for byte; row 2 is offset by 1e20,
+    # where it is 0, so every trial is rejected and it stalls at iteration 1
+    # with its start kept byte for byte; row 2 is offset by 1e20,
     # so each predicted decrease is below its rounding floor and it takes
     # full steps until one no longer lowers its gradient, then stops without
     # a flag.  Every returned quantity of a row is bitwise that of the row
     # minimized alone
     rng = np.random.default_rng(7)
     G = rng.uniform(0.1, 2.0, (3, 3, 4))
-    d = rng.uniform(0.1, 1.0, (3, 7))
+    D = apply_A(G) + rng.uniform(0.1, 1.0, (3, 7))
     b = rng.standard_normal((3, 7))
-    H = [bipartite_hessian(g, dd) for g, dd in zip(G, d)]
+    H = [bipartite_hessian(g, dd) for g, dd in zip(G, D)]
     x0 = rng.standard_normal((3, 7))
     start = x0.copy()
 
@@ -385,7 +394,7 @@ def test_newton_block_rows_stall_and_stop_at_the_rounding_floor_alone():
                 return np.inf
             return 0.5 * x @ H[r] @ x - b[r] @ x + offset
 
-        return value, lambda x: H[r] @ x - b[r], lambda x: (G[r], d[r])
+        return value, lambda x: H[r] @ x - b[r], lambda x: (G[r], D[r])
 
     at_start = 0.5 * start[1] @ H[1] @ start[1] - b[1] @ start[1]
     alone = [quadratic(0), quadratic(1, -at_start, start[1]), quadratic(2, 1e20)]
@@ -401,6 +410,31 @@ def test_newton_block_rows_stall_and_stop_at_the_rounding_floor_alone():
     # the unbounded runs end on their own, before the cap and with a nonzero
     # gradient: rows 0 and 2 at the rounding-floor stop
     assert iters.tolist() == [3, 1, 6] and np.abs(grad[[0, 2]]).max(axis=1).min() > 0.0
+
+
+def test_newton_stalls_before_a_trial_rounds_back_to_its_start():
+    # a value finite only at the start (35.1 there): every trial that moves
+    # is rejected, and a trial that rounds back to the start would pass
+    # Armijo, since 1e-4 alpha slope is then below half an ulp of 35.1.  The
+    # row stops backtracking once alpha |slope| falls to the rounding floor
+    # ROUNDING_FLOOR (1 + |value|), at iteration 1, flagged, with its start
+    # byte for byte; before, it ran all 50 iterations in place, unflagged,
+    # in 2851 value calls
+    start = np.array([0.3, -0.7])
+    calls = []
+
+    def value(x):
+        calls.append(x)
+        return 35.1 if np.array_equal(x, start) else np.inf
+
+    x, val, grad, iters, flags = newton_minimize(
+        value, lambda x: np.array([1.0, -2.0]),
+        lambda x: (np.zeros((1, 1)), np.ones(2)), start.copy(), 1e-12, 50,
+    )
+    assert (iters, flags, val) == (1, ["linesearch-stalled"], 35.1)
+    assert x.tobytes() == start.tobytes() and len(calls) <= 60
+    # the last trial is still a real move, not the start rounded back
+    assert not np.array_equal(calls[-1], start)
 
 
 def test_adjoint_small():
@@ -641,7 +675,7 @@ def test_spanning_forest_null_basis_matches_svd():
 
 
 def test_grounded_solve_matches_laplacian_and_least_squares():
-    # grounded at the pair (G, component_roots(N)): for rhs orthogonal to the
+    # grounded at the pair (G, apply_A(G) + component_roots(N)): for rhs orthogonal to the
     # null basis, the solution solves the singular transport Hessian and is 0
     # at each component's first node; on a forest its edge values A* y are
     # the least-squares flows B lam = rhs
@@ -652,8 +686,8 @@ def test_grounded_solve_matches_laplacian_and_least_squares():
         kept, N = spanning_forest(entries, n_x, n_y)
         rhs = rng.standard_normal(n_x + n_y)
         rhs -= N @ (N.T @ rhs)
-        y = bipartite_solve(G, component_roots(N), rhs)
-        residual = bipartite_hessian(G, np.zeros(n_x + n_y)) @ y - rhs
+        y = bipartite_solve(G, apply_A(G) + component_roots(N), rhs)
+        residual = bipartite_hessian(G, apply_A(G)) @ y - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
         assert np.max(np.abs(y[component_roots(N) == 1])) <= 1e-12
         if len(kept) == len(entries):

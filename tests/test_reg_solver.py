@@ -577,3 +577,138 @@ def test_newton_rows_are_each_row_solved_alone(div):
             cfg.grad_tol, reg_solver.MAX_NEWTON_ITERS, rise=terms.rise,
         )
         assert x.tobytes() == sol.xi.stacked.tobytes() and (iters, flags) == (sol.iters, sol.flags)
+
+
+def _checked_hessians(monkeypatch, seen):
+    """Check every Hessian pair of the solves against the direct plan at its point.
+
+    The Hessian runs at accepted points only; its G is t times the rescaled
+    plan there and its D is t A gamma + grad^2 F*(-xi).  Entrywise, each
+    agrees with the direct one to rtol = 1e-13 + t eps (2 max|xi| + max c),
+    the rounding of a direct plan exponent t (A* xi - c) (at t = 1e6 the
+    direct plans at two nearby points already differ by that much).  An entry
+    of the direct plan below exp(EXP_MIN + RISE_MAX) may be 0 in the
+    rescaled one, flushed at its base, so it is compared absolutely.  `seen`
+    collects, per row of each Hessian, its t and its largest entry error
+    relative to the plan's largest entry.
+    """
+    dual_terms = reg_solver._dual_terms
+    eps, floor = np.finfo(float).eps, np.exp(EXP_MIN + reg_solver.RISE_MAX)
+
+    def checked(problem, t):
+        terms = dual_terms(problem, t)
+
+        def hessian(x, rows=None):
+            G, D = terms.hessian(x, rows)
+            for r, x_r in enumerate(np.atleast_2d(x)):
+                t_r = float(t if np.ndim(t) == 0 else np.atleast_1d(t[rows])[r])
+                G_r, D_r = np.reshape(G, (-1,) + G.shape[-2:])[r], np.atleast_2d(D)[r]
+                exact = t_r * clamped_exp(plan_exponent(x_r, t_r, problem))
+                rtol = 1e-13 + t_r * eps * (2 * np.abs(x_r).max() + problem.cost.max())
+                big = exact >= t_r * floor
+                assert np.all(np.abs(G_r - exact)[big] <= rtol * exact[big]), t_r
+                assert np.all(np.abs(G_r - exact)[~big] <= t_r * floor), t_r
+                D_exact = apply_A(exact) + (D_r - apply_A(G_r))  # the conjugate part as is
+                assert np.all(np.abs(D_r - D_exact) <= rtol * D_exact), t_r
+                seen.append((np.abs(G_r - exact).max() / exact.max(), t_r))
+            return G, D
+
+        return terms._replace(hessian=hessian)
+
+    monkeypatch.setattr(reg_solver, "_dual_terms", checked)
+
+
+@pytest.mark.parametrize("n_x", [60, 240])
+def test_rescaled_plans_match_direct_plans_along_the_size_ladder(monkeypatch, n_x):
+    # every accepted point of the warm chain (t up to 1e4) is evaluated from
+    # its base: its plan agrees with the plan computed there directly to
+    # 1e-12 of the largest entry (1.2e-13 at n_x = 60, 3.5e-14 at 240), and
+    # each returned plan is the direct one, bitwise
+    seen = []
+    _checked_hessians(monkeypatch, seen)
+    sols = _ladder_chain("kl", n_x=n_x)
+    assert len(seen) == sum(sol.iters for sol in sols) > 50
+    assert max(err for err, _ in seen) <= 1e-12
+    p = gen_dataset(DatasetSpec(
+        kind="point-clouds", seed=4, n_x=n_x, n_y=n_x + 2, mass_x=float(n_x),
+        mass_y=float(n_x + 2), divergence="kl",
+    ))
+    for sol in sols:
+        direct = clamped_exp(plan_exponent(sol.xi.stacked, sol.t, p))
+        assert sol.gamma.tobytes() == direct.tobytes(), sol.t
+
+
+@pytest.mark.parametrize("div", ["kl", "quadratic"])
+def test_rescaled_plans_match_direct_plans_in_sweep_blocks(monkeypatch, div):
+    # the blocks of a shipped sweep run to t = 1e6, where the rounding of a
+    # direct exponent reaches 2e-11 of the largest entry; below t = 1e4 the
+    # plans agree to 1e-12 of it
+    from uotlab.sweep import SweepConfig, run_sweep
+
+    seen = []
+    _checked_hessians(monkeypatch, seen)
+    result = run_sweep(_clouds(div), SweepConfig())
+    assert all(pt.converged for pt in result.points)
+    assert len(seen) > 100
+    assert max(err for err, t in seen if t < 1e4) <= 1e-12
+
+
+@pytest.mark.parametrize("block", [False, True])
+def test_a_plan_is_rebuilt_directly_once_its_movement_passes_rise_max(block):
+    # from the solution x0 at t = 100, raise every phi by 0.9 RISE_MAX / t
+    # twice: the first point moves the plan exponents by 3.6 from the base,
+    # and is rescaled, so the entries flushed at x0 stay 0 although their
+    # direct values at x1 are positive; the second moves them by 7.2, past
+    # RISE_MAX, and its plan is the direct one, byte for byte.  A block of
+    # two rows (the second at t = 10, moved alike) does the same per row
+    p = _clouds("kl")
+    t = 100.0
+    x0 = solve_dual_t(p, t).xi.stacked
+    lift = np.zeros_like(x0)
+    lift[:p.n_x] = 0.9 * reg_solver.RISE_MAX / t
+    ts = np.array([t, 10.0])
+    if block:
+        x0 = np.array([x0, solve_dual_t(p, 10.0).xi.stacked])
+        lift = np.array([lift, lift * 10.0])
+    terms = _dual_terms(p, ts if block else t)
+    rows = np.arange(2) if block else None
+    t_G = ts[:, None, None] if block else t
+
+    def direct(x):
+        return clamped_exp(plan_exponent(x, ts if block else t, p))
+
+    flushed = direct(x0) == 0.0
+    points = [x0, x0 + lift, x0 + 2 * lift]
+    assert np.any(flushed & (direct(points[1]) > 0.0))
+    plans = []
+    for x in points:
+        terms.value(x, rows)  # the first trial from the point before
+        terms.gradient(x, rows)  # x accepted
+        plans.append(terms.hessian(x, rows)[0])
+    assert plans[0].tobytes() == (t_G * direct(points[0])).tobytes()
+    assert np.all(plans[1][flushed] == 0.0)
+    assert plans[1].tobytes() != (t_G * direct(points[1])).tobytes()
+    assert plans[2].tobytes() == (t_G * direct(points[2])).tobytes()
+    assert np.any(plans[2][flushed] > 0.0)
+
+
+@pytest.mark.parametrize("block", [False, True])
+def test_a_clamped_plan_is_never_rescaled(block):
+    # at phi = psi = 5 and t = 100 every plan exponent is far above EXP_MAX,
+    # so the direct plan is clamped there and is no scaling of the plan at a
+    # nearby point: a point that moves the exponents by only 0.4 gets its
+    # plan directly, byte for byte, and keeps the clamp flag; in a block of
+    # two such rows (t = 100 and 120), each row alike
+    p = _clouds("kl")
+    t = np.array([100.0, 120.0]) if block else 100.0
+    rows = np.arange(2) if block else None
+    terms = _dual_terms(p, t)
+    x0 = np.full((2, p.n_x + p.n_y) if block else p.n_x + p.n_y, 5.0)
+    x1 = x0 - 0.002
+    assert np.all(terms.clamped(x0, rows)) and np.all(terms.clamped(x1, rows))
+    for x in (x0, x1):
+        terms.value(x, rows)
+        terms.gradient(x, rows)
+    G, _ = terms.hessian(x1, rows)
+    t_G = t[:, None, None] if block else t
+    assert G.tobytes() == (t_G * clamped_exp(plan_exponent(x1, t, p))).tobytes()
