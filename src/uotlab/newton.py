@@ -95,9 +95,7 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
     `core.bipartite_hessian(G, D)`, D its full diagonal, and each step is one
     `core.bipartite_solve` on it.  A Hessian that is not positive definite is
     retried with a growing ridge (flag "ridge"), up to 1e8 times its mean
-    diagonal mean(D) (or 1e8, when that is below 1).  Between two gradient
-    calls, `value` is called at the trials of one ray, x + alpha step with
-    alpha falling from the first trial's.
+    diagonal mean(D) (or 1e8, when that is below 1).
 
     `rise`, when given, maps a Newton step to the largest increase the full
     step causes in any exponent of the objective; the Armijo search then

@@ -164,11 +164,7 @@ def _dual_terms(problem, t):
     whose exponent movement t (max|x_x - x_b,x| + max|x_y - x_b,y|) from the
     base exceeds RISE_MAX, and at every point after a clamped one (a clamped
     plan is no scaling of its neighbours'); such a point is the new base,
-    with u = v = 1 exactly.  The movement is checked once per ray: value
-    calls between two gradient calls are taken to be the trials of
-    newton_minimize's line search, x + alpha step for falling alpha, and the
-    movement of the first bounds the others' (it is convex along the ray);
-    the gradient and the Hessian check it at a point the value has not seen.
+    with u = v = 1 exactly, and its Hessian takes the base plan as it is.
     `plan` is the direct plan, for the returned solution.
 
     The conjugate derivatives at a point, like its scalings, are computed
@@ -182,8 +178,10 @@ def _dual_terms(problem, t):
     An array of t is a block of problems, one per value, in newton_minimize's
     block form: each function takes (x, rows), x stacking the block's rows
     `rows` (increasing indices), or one row's 1-D point with its index, and
-    gives one result per row, bitwise the one of that row alone.  The base is
-    kept for the rows of the last call and subset when rows leave.
+    gives one result per row, bitwise the one of that row alone.  The rows
+    of a call are those of the last call or some of them, as in
+    newton_minimize, where rows only leave: the base is kept for the rows of
+    the last call and subset when rows leave.
     """
     check_positive_finite(t, "t")
     div, n_x = problem.penalty, problem.n_x
@@ -204,28 +202,19 @@ def _dual_terms(problem, t):
     point = last_point_cache(evaluate)
     # the gradient and the Hessian run at accepted points only
     conj = last_point_cache(lambda x, rows=None: F_conj_derivatives(-x, div))
-    # the base's rows, points and direct plans; the rows that the trials of
-    # the current ray rebase (None: not checked yet); and, at the last point,
-    # [x, exp(t (x - x_b)), gamma_b v as a column, A gamma or None]
-    base_rows = base_x = base_plan = ray = last = None
+    # the base's rows, points and direct plans; at the last point,
+    # [x, exp(t (x - x_b)), gamma_b v as a column, A gamma or None]; and the
+    # last point that is the base of all its rows, where u = v = 1
+    base_rows = base_x = base_plan = last = unit = None
 
     def held(rows):
-        """Whether the base covers rows; it is subset to them when rows left."""
-        nonlocal base_rows, base_x, base_plan, ray
+        """Whether there is a base; it is subset to rows when rows left."""
+        nonlocal base_rows, base_x, base_plan
         if base_x is None:
             return False
-        if rows is base_rows:
-            return True
-        one, stack = np.ndim(rows) == 0, np.ndim(base_rows) == 1
-        have = base_rows.tolist() if stack else [base_rows]
-        want = [rows] if one else rows.tolist()
-        if not set(want) <= set(have):
-            return False
-        if stack:  # keep the rows that stay, a lone one as its 1-D point
-            at = [have.index(r) for r in want]
-            at = at[0] if one else at
-            base_x, base_plan = base_x[at], base_plan[at]
-        base_rows, ray = rows, None
+        if rows is not base_rows:  # keep the rows that stay, a lone one as its 1-D point
+            at = np.searchsorted(base_rows, rows)
+            base_rows, base_x, base_plan = rows, base_x[at], base_plan[at]
         return True
 
     def moved(delta):
@@ -253,29 +242,24 @@ def _dual_terms(problem, t):
         wild = top(exponent, axis=(-2, -1)) > EXP_MAX
         return gamma, np.where(wild[:, None], np.nan, x) if wild.any() else x.copy()
 
-    def scalings(x, rows, trial=False):
-        """[x, exp(t (x - x_b)), gamma_b v, None] at x, rebasing where needed.
-
-        A trial is a value call: the first after a gradient call checks the
-        movement and the others of its ray rebase the rows it rebased.
-        """
-        nonlocal base_rows, base_x, base_plan, ray, last
+    def scalings(x, rows):
+        """[x, exp(t (x - x_b)), gamma_b v, None] at x, rebasing where needed."""
+        nonlocal base_rows, base_x, base_plan, last, unit
         if last is not None and x is last[0]:
             return last
         if not held(rows):  # x becomes the base, with scalings of exactly 1
-            base_rows, ray = rows, None
+            base_rows, unit = rows, x
             base_plan, base_x = direct(x, rows)
             scaling = np.ones_like(x)
         else:
             scale = t_of(rows)
             delta = x - base_x
             delta *= scale[:, None] if isinstance(scale, np.ndarray) else scale
-            fresh = ray if trial and ray is not None else moved(delta)
-            if trial:
-                ray = fresh
+            fresh = moved(delta)
             if not fresh:
                 scaling = np.exp(delta, out=delta)
-            elif x.ndim == 1:
+            elif x.ndim == 1 or len(fresh) == len(x):
+                unit = x
                 base_plan, base_x = direct(x, rows)
                 scaling = np.ones_like(x)
             else:
@@ -297,23 +281,20 @@ def _dual_terms(problem, t):
         return point(x, rows)[1]
 
     def value(x, rows=None):
-        _, scaling, row_sums, _ = scalings(x, rows, trial=True)
+        _, scaling, row_sums, _ = scalings(x, rows)
         mass = (scaling[..., None, :n_x] @ row_sums)[..., 0, 0]
         return F_conj(-x, div) + mass / t_of(rows)
 
     def gradient(x, rows=None):
-        nonlocal ray
-        g = marginals(scalings(x, rows)) - conj(x, rows)[0]
-        ray = None  # the next value call is the first trial of a new ray
-        return g
+        return marginals(scalings(x, rows)) - conj(x, rows)[0]
 
     def hessian(x, rows=None):
         at = scalings(x, rows)
         scale = t_of(rows)
         if isinstance(scale, np.ndarray):
             scale = scale[:, None]
-        if base_x is x:  # a lone row's base point: its plan is the base plan
-            G = scale * base_plan
+        if unit is x:  # the base of all its rows: its plan is the base plan
+            G = base_plan * (scale[..., None] if np.ndim(scale) else scale)
         else:
             G = base_plan * (scale * at[1][..., :n_x])[..., None]
             G *= at[1][..., None, n_x:]

@@ -527,14 +527,15 @@ def test_badly_scaled_masses_raise_named_tangent_failure(div):
 def test_dual_terms_of_a_block_are_each_row_alone(div):
     # an array of t is a block of problems: value, gradient, Hessian pair and
     # rise of each row, on all rows, a subset or one row as its 1-D point
-    # and index, are bitwise the row's own
+    # and index, are bitwise the row's own; the rows leave as in
+    # newton_minimize, so the block keeps the bases of those that stay
     p = _clouds(div)
     ts = np.array([1.0, 10.0, 1e3])
     rng = np.random.default_rng(3)
     x = 0.1 * rng.standard_normal((3, p.n_x + p.n_y))
     step = rng.standard_normal((3, p.n_x + p.n_y))
     block = _dual_terms(p, ts)
-    for rows in (np.arange(3), np.array([0, 2]), 1):
+    for rows in (np.arange(3), np.array([0, 2]), 2):
         value, gradient = block.value(x[rows], rows), block.gradient(x[rows], rows)
         G, d = block.hessian(x[rows], rows)
         rise = block.rise(step[rows], rows)
@@ -588,12 +589,26 @@ def _checked_hessians(monkeypatch, seen):
     the rounding of a direct plan exponent t (A* xi - c) (at t = 1e6 the
     direct plans at two nearby points already differ by that much).  An entry
     of the direct plan below exp(EXP_MIN + RISE_MAX) may be 0 in the
-    rescaled one, flushed at its base, so it is compared absolutely.  `seen`
-    collects, per row of each Hessian, its t and its largest entry error
-    relative to the plan's largest entry.
+    rescaled one, flushed at its base, so it is compared absolutely.  The
+    same plan computed from its base, exp(e_b + t (x - x_b)_x + t (x -
+    x_b)_y), e_b the exponent of the last direct plan at its t (at x_b) and
+    entries flushed at the base kept 0, takes that rounding out.  `seen`
+    collects, per row of each Hessian, its largest entry error against the
+    direct plan and against the plan from its base, each relative to the
+    plan's largest entry, and its t.
     """
     dual_terms = reg_solver._dual_terms
     eps, floor = np.finfo(float).eps, np.exp(EXP_MIN + reg_solver.RISE_MAX)
+    exponent_of, bases = reg_solver.plan_exponent, {}
+
+    def recorded(x, t, problem):
+        # the point and exponent of the last direct plan at each t
+        exponent = exponent_of(x, t, problem)
+        rows = np.reshape(x, (-1, x.shape[-1]))
+        for x_r, t_r, e_r in zip(rows, np.broadcast_to(t, len(rows)).tolist(),
+                                 exponent.reshape(-1, *exponent.shape[-2:])):
+            bases[t_r] = x_r.copy(), e_r.copy()
+        return exponent
 
     def checked(problem, t):
         terms = dual_terms(problem, t)
@@ -610,25 +625,33 @@ def _checked_hessians(monkeypatch, seen):
                 assert np.all(np.abs(G_r - exact)[~big] <= t_r * floor), t_r
                 D_exact = apply_A(exact) + (D_r - apply_A(G_r))  # the conjugate part as is
                 assert np.all(np.abs(D_r - D_exact) <= rtol * D_exact), t_r
-                seen.append((np.abs(G_r - exact).max() / exact.max(), t_r))
+                x_b, e_b = bases[t_r]
+                shift = t_r * (x_r - x_b)
+                based = np.exp(np.minimum(e_b, EXP_MAX) + shift[:problem.n_x, None]
+                               + shift[None, problem.n_x:])
+                based = t_r * np.where(e_b >= EXP_MIN, based, 0.0)
+                seen.append((np.abs(G_r - exact).max() / exact.max(),
+                             np.abs(G_r - based).max() / based.max(), t_r))
             return G, D
 
         return terms._replace(hessian=hessian)
 
     monkeypatch.setattr(reg_solver, "_dual_terms", checked)
+    monkeypatch.setattr(reg_solver, "plan_exponent", recorded)
 
 
 @pytest.mark.parametrize("n_x", [60, 240])
 def test_rescaled_plans_match_direct_plans_along_the_size_ladder(monkeypatch, n_x):
     # every accepted point of the warm chain (t up to 1e4) is evaluated from
-    # its base: its plan agrees with the plan computed there directly to
-    # 1e-12 of the largest entry (1.2e-13 at n_x = 60, 3.5e-14 at 240), and
-    # each returned plan is the direct one, bitwise
+    # its base: its plan agrees with the plan computed there directly, and
+    # with the plan computed from its base, to 1e-12 of the largest entry
+    # (1.2e-13 at n_x = 60, 3.5e-14 at 240), and each returned plan is the
+    # direct one, bitwise
     seen = []
     _checked_hessians(monkeypatch, seen)
     sols = _ladder_chain("kl", n_x=n_x)
     assert len(seen) == sum(sol.iters for sol in sols) > 50
-    assert max(err for err, _ in seen) <= 1e-12
+    assert max(max(direct, based) for direct, based, _ in seen) <= 1e-12
     p = gen_dataset(DatasetSpec(
         kind="point-clouds", seed=4, n_x=n_x, n_y=n_x + 2, mass_x=float(n_x),
         mass_y=float(n_x + 2), divergence="kl",
@@ -641,16 +664,18 @@ def test_rescaled_plans_match_direct_plans_along_the_size_ladder(monkeypatch, n_
 @pytest.mark.parametrize("div", ["kl", "quadratic"])
 def test_rescaled_plans_match_direct_plans_in_sweep_blocks(monkeypatch, div):
     # the blocks of a shipped sweep run to t = 1e6, where the rounding of a
-    # direct exponent reaches 2e-11 of the largest entry; below t = 1e4 the
-    # plans agree to 1e-12 of it
+    # direct exponent reaches 2e-11 of the largest entry, so below t = 1e4
+    # only do the plans agree with the direct ones to 1e-12 of it; at every
+    # t they agree to 1e-12 with the plans computed from their bases
     from uotlab.sweep import SweepConfig, run_sweep
 
     seen = []
     _checked_hessians(monkeypatch, seen)
     result = run_sweep(_clouds(div), SweepConfig())
     assert all(pt.converged for pt in result.points)
-    assert len(seen) > 100
-    assert max(err for err, t in seen if t < 1e4) <= 1e-12
+    assert len(seen) > 100 and max(t for *_, t in seen) >= 1e5
+    assert max(direct for direct, _, t in seen if t < 1e4) <= 1e-12
+    assert max(based for _, based, _ in seen) <= 1e-12
 
 
 @pytest.mark.parametrize("block", [False, True])
