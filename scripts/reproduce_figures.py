@@ -10,15 +10,12 @@ import argparse
 import os
 import sys
 
-# one BLAS thread, set before uotlab loads numpy and numpy loads BLAS: on a
-# small machine several threads make the factorizations several times slower
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-from uotlab.datasets import DatasetSpec, gen_dataset  # noqa: E402
-from uotlab.io import save_json  # noqa: E402
-from uotlab.plots import emit_svg  # noqa: E402
-from uotlab.sweep import SweepConfig, diagnostics_dict, emit_csv, run_sweep  # noqa: E402
+# importing uotlab pins BLAS to one thread before numpy loads, unless the
+# environment sets a thread count
+from uotlab.datasets import DatasetSpec, gen_dataset
+from uotlab.io import save_json
+from uotlab.plots import emit_svg
+from uotlab.sweep import SweepConfig, diagnostics_dict, emit_csv, run_sweep
 
 # shipped benchmark seeds; the point-cloud seed is chosen for a
 # well-conditioned saturated set (see README)

@@ -158,17 +158,18 @@ def minimal_entropy_plan(I0, m_star, shape):
         gamma[rows, cols] = clamped_exp(z[rows] + z[n_x + cols])
         return gamma
 
-    # the gradient's marginals of the plan are the Hessian's diagonal too
+    # the gradient's marginals of the plan are the Hessian's diagonal too;
+    # the solve is a block of one row, whose functions take its 1-D point
     marginals = last_point_cache(lambda z: apply_A(plan(z)))
     z, *_ = newton_minimize(
-        lambda z: float(plan(z).sum() - m @ z + 0.5 * root @ z**2),
-        lambda z: marginals(z) - m + root * z,
-        lambda z: (plan(z), marginals(z) + root),
-        np.zeros(n_x + n_y),
+        lambda z, _: float(plan(z).sum() - m @ z + 0.5 * root @ z**2),
+        lambda z, _: marginals(z) - m + root * z,
+        lambda z, _: (plan(z), marginals(z) + root),
+        np.zeros((1, n_x + n_y)),
         1e-13 * float(np.max(m)),
         200,
     )
-    gamma = plan(z)
+    gamma = plan(z[0])
     residual = float(np.max(np.abs(apply_A(gamma) - m)))
     if residual > PROJ_RESIDUAL_TOL * max(m[:n_x].sum(), m[n_x:].sum()):
         raise ProjectionFailed(residual)

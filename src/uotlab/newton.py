@@ -21,7 +21,8 @@ The line search evaluates every running row on each backtrack, each at its
 own step length; a row keeps the length it was accepted at (a row at its
 rounding floor the full step), so the last trial holds every accepted row
 at its accepted point, and the gradient is taken there once per iteration.
-A 1-D start is the block of one row.
+A solve's shape is fixed when it starts: a block of one row runs as its 1-D
+point, a block of more rows as a stack to its end.
 
 For a sum of exponentials the full Newton step can raise some exponents far
 past their targets, and each later step then lowers them by about one.  A
@@ -76,92 +77,76 @@ def _floats(a, single):
 
 
 def _take(keep, *items):
-    """Each array or list of per-row items at the positions keep (a list, or one)."""
-    at = keep if isinstance(keep, list) else [keep]
-    return [a[keep] if isinstance(a, np.ndarray) else [a[i] for i in at] for a in items]
+    """Each array or list of per-row items at the list of positions keep."""
+    return [a[keep] if isinstance(a, np.ndarray) else [a[i] for i in keep] for a in items]
 
 
 def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None):
-    """Minimize a smooth strictly convex function from x0, or one per row of x0.
+    """Minimize a smooth strictly convex function from each row of the 2-D x0.
 
-    Returns (x, value, gradient, iterations, flags).  `value` may return
-    +inf off the function's domain; the line search rejects such trial
-    points like any other failed Armijo test.  Stops when max|gradient| <=
-    grad_tol, after max_iters steps, at numerical stationarity, or when
-    backtracking stalls (flag "linesearch-stalled": 60 halvings, or a
-    predicted decrease alpha |slope| at the value's rounding floor, where a
-    trial that rounds back to the current point would pass Armijo).
+    Each function is called as f(x, rows) on the rows still running, x
+    stacking them and `rows` holding their indices into the block, and gives
+    one value, gradient, Hessian pair or rise per row of x.  A block of one
+    row gets its 1-D point and the index 0 on every call, so that it costs
+    what a single problem costs; a block of more rows gets a stack on every
+    call, also once one row runs.  x0 is read, not modified.
+
+    Returns (x, value, gradient, iterations, flags), each with a leading row
+    axis, the flags one list per row.  A row stops on its own: when
+    max|gradient| <= grad_tol, after max_iters steps, at numerical
+    stationarity, or when backtracking stalls (flag "linesearch-stalled": 60
+    halvings, or a predicted decrease alpha |slope| at the value's rounding
+    floor, where a trial that rounds back to the current point would pass
+    Armijo).  Its result is bitwise that of its own block of one row when its
+    functions are: every reduction here is per row.  `value` may return +inf
+    off the function's domain; the line search rejects such trial points like
+    any other failed Armijo test.
+
     `hessian` returns a pair (G, D) standing for the transport-shaped
     `core.bipartite_hessian(G, D)`, D its full diagonal, and each step is one
     `core.bipartite_solve` on it.  A Hessian that is not positive definite is
     retried with a growing ridge (flag "ridge"), up to 1e8 times its mean
-    diagonal mean(D) (or 1e8, when that is below 1).
+    diagonal mean(D) (or 1e8, when that is below 1); past that
+    NotPositiveDefinite is raised with the row's index.
 
     `rise`, when given, maps a Newton step to the largest increase the full
     step causes in any exponent of the objective; the Armijo search then
     starts from alpha = min(1, RISE_MAX / rise(step)) instead of 1, so no
     step raises an exponent by more than RISE_MAX.
-
-    A 2-D x0 is a block: row r is a problem of its own, minimized from
-    x0[r], and each function is called as f(x, rows) on the rows still
-    running: x stacks them and `rows` holds their indices into the block,
-    except that a single running row comes as its 1-D point with its index,
-    so that it costs what a 1-D problem costs.  The functions give one
-    value, gradient, Hessian pair or rise per row of x.  Each row stops on
-    its own, and every returned quantity then has a leading row axis: the
-    iterations are an int array and the flags a list of one list per row.
-    A row's result is bitwise that of the row minimized alone when its
-    functions are: every reduction here is per row.  A 1-D x0 is the block
-    of one row, and its functions take the point alone.  x0 is read, not
-    modified.
     """
-    one = x0.ndim == 1
-    if one:  # the block of one row, whose functions take the point alone
-        x0 = x0[None]
-        value, gradient, hessian, rise = (
-            f if f is None else (lambda x, rows, f=f: f(x))
-            for f in (value, gradient, hessian, rise)
-        )
     top = np.maximum.reduce
     n_rows = len(x0)
+    single = n_rows == 1
     # each row's result, filled as it stops: its point and gradient as rows
     # of the running arrays, its value and its iteration count
     x, grad = [None] * n_rows, [None] * n_rows
     val, iters = [0.0] * n_rows, [0] * n_rows
-    whole = None  # the running point and gradient arrays, if all rows stop at once
     flags = [[] for _ in range(n_rows)]
-    # the running rows (indices into the block, or one index) and, at each
-    # one's current point, its value and gradient.  The functions cache by
-    # array identity, so a point's value, gradient and Hessian are computed
-    # at one array, and the arrays are replaced, never written.  Per-row
-    # numbers are Python floats, and each row's tests are the scalar tests
-    # of a 1-D solve: on a few rows they cost less than numpy calls
-    rows, xa = (0, x0[0]) if n_rows == 1 else (np.arange(n_rows), x0)
-    va = _floats(value(xa, rows), xa.ndim == 1)
+    # the running rows and, at each one's current point, its value and
+    # gradient.  The functions cache by array identity, so a point's value,
+    # gradient and Hessian are computed at one array, and the arrays are
+    # replaced, never written.  Per-row numbers are Python floats: on a few
+    # rows they cost less than numpy calls
+    rows, xa = (0, x0[0]) if single else (np.arange(n_rows), x0)
+    va = _floats(value(xa, rows), single)
     ga = gradient(xa, rows)
 
     def finish(stop, count):
         """Write out the running rows at the positions `stop`; keep the others.
 
-        Returns the kept positions: a list, or one position when one row
-        runs on (as its 1-D point and its index), or None when none does.
+        Returns the list of kept positions, or None when no row runs on.
         """
-        nonlocal rows, xa, va, ga, whole
+        nonlocal rows, xa, va, ga
         for i in stop:
-            r, x_r, g_r = (rows, xa, ga) if xa.ndim == 1 else (rows[i], xa[i], ga[i])
+            r, x_r, g_r = (rows, xa, ga) if single else (rows[i], xa[i], ga[i])
             x[r], grad[r], val[r], iters[r] = x_r, g_r, va[i], count
         keep = [i for i in range(len(va)) if i not in stop]
         if not keep:
-            if len(stop) == n_rows:
-                # handed back as they are: the functions' caches know them
-                whole = xa, ga
             return None
-        keep = keep[0] if len(keep) == 1 else keep
         rows, xa, va, ga = _take(keep, rows, xa, va, ga)
         return keep
 
     for it in range(1, max_iters + 1):
-        single = xa.ndim == 1
         gnorm = _floats(top(np.abs(ga), axis=-1, initial=0.0), single)
         converged = [i for i, g in enumerate(gnorm) if g <= grad_tol]
         if len(converged) == len(va):
@@ -172,7 +157,6 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
         Ga, da = hessian(xa, rows)
         if converged:
             Ga, da, gnorm = _take(finish(converged, it - 1), Ga, da, gnorm)
-            single = xa.ndim == 1
         ridge = None  # each row's ridge, once one needs it
         while True:
             try:
@@ -197,7 +181,7 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
                 if "ridge" not in flags[row]:
                     flags[row].append("ridge")
                 if not ridge[i] <= 1e8 * scale[i]:
-                    raise NotPositiveDefinite(exc.minor, None if one else int(row)) from exc
+                    raise NotPositiveDefinite(exc.minor, int(row)) from exc
         if single:
             slope = [float(ga @ step)]
         else:
@@ -252,7 +236,6 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
             if keep is None:
                 break
             trial, tval, floor = _take(keep, trial, tval, floor)
-            single = xa.ndim == 1
         tgrad = gradient(trial, rows)
         if floor.count(None) < len(floor):
             # a floor row keeps its full step only if that lowers its gradient
@@ -266,7 +249,4 @@ def newton_minimize(value, gradient, hessian, x0, grad_tol, max_iters, rise=None
         xa, va, ga = trial, tval, tgrad
     else:
         finish(list(range(len(va))), max_iters)
-    if one:
-        return whole[0], val[0], whole[1], iters[0], flags[0]
-    x, grad = whole if whole and whole[0].ndim == 2 else (np.array(x), np.array(grad))
-    return x, np.array(val), grad, np.array(iters), flags
+    return np.array(x), np.array(val), np.array(grad), np.array(iters), flags

@@ -175,33 +175,29 @@ def _dual_terms(problem, t):
     plan.  `clamped` tells whether some plan exponent at a point exceeds
     EXP_MAX, from the exponent the plan was computed from.
 
-    An array of t is a block of problems, one per value, in newton_minimize's
+    The array t is a block of problems, one per value, in newton_minimize's
     block form: each function takes (x, rows), x stacking the block's rows
-    `rows` (increasing indices), or one row's 1-D point with its index, and
-    gives one result per row, bitwise the one of that row alone.  The rows
-    of a call are those of the last call or some of them, as in
-    newton_minimize, where rows only leave: the base is kept for the rows of
-    the last call and subset when rows leave.
+    `rows` (increasing indices), or the 1-D point of a block of one row with
+    the index 0, and gives one result per row, bitwise the one of that row
+    alone.  The rows of a call are those of the last call or some of them,
+    as in newton_minimize: the base is kept for the rows of the last call
+    and subset when rows leave.
     """
     check_positive_finite(t, "t")
     div, n_x = problem.penalty, problem.n_x
     top = np.maximum.reduce
-    block = np.ndim(t) == 1
     sides = np.array([0, n_x])  # where each side of a stacked vector starts
 
     def t_of(rows):
-        # rows are increasing indices into the block, or one index
-        if block and not (isinstance(rows, np.ndarray) and len(rows) == len(t)):
-            return t[rows]
-        return t
+        return t if isinstance(rows, np.ndarray) and len(rows) == len(t) else t[rows]
 
-    def evaluate(x, rows=None):
+    def evaluate(x, rows):
         exponent = plan_exponent(x, t_of(rows), problem)
         return exponent, clamped_exp(exponent)
 
     point = last_point_cache(evaluate)
     # the gradient and the Hessian run at accepted points only
-    conj = last_point_cache(lambda x, rows=None: F_conj_derivatives(-x, div))
+    conj = last_point_cache(lambda x, rows: F_conj_derivatives(-x, div))
     # the base's rows, points and direct plans; at the last point,
     # [x, exp(t (x - x_b)), gamma_b v as a column, A gamma or None]; and the
     # last point that is the base of all its rows, where u = v = 1
@@ -212,7 +208,7 @@ def _dual_terms(problem, t):
         nonlocal base_rows, base_x, base_plan
         if base_x is None:
             return False
-        if rows is not base_rows:  # keep the rows that stay, a lone one as its 1-D point
+        if rows is not base_rows:  # keep the rows that stay
             at = np.searchsorted(base_rows, rows)
             base_rows, base_x, base_plan = rows, base_x[at], base_plan[at]
         return True
@@ -231,9 +227,9 @@ def _dual_terms(problem, t):
         """The direct plans at x, and the base points that they give.
 
         A plan clamped at EXP_MAX is no scaling of the plan at its point, so
-        its base point is NaN: every later point then rebases it.  A block's
-        base is rebased row by row, in place, so it owns its arrays; a lone
-        row's base is the point and the cached plan, which nothing writes.
+        its base point is NaN: every later point then rebases it.  A stack's
+        base is rebased row by row, in place, so it owns its arrays; a 1-D
+        point's base is the point and the cached plan, which nothing writes.
         """
         if x.ndim == 1:
             exponent, gamma = point(x, rows)
@@ -277,18 +273,18 @@ def _dual_terms(problem, t):
             at[3] = scaling * np.concatenate([row_sums[..., 0], col_sums[..., 0, :]], axis=-1)
         return at[3]
 
-    def plan(x, rows=None):
+    def plan(x, rows):
         return point(x, rows)[1]
 
-    def value(x, rows=None):
+    def value(x, rows):
         _, scaling, row_sums, _ = scalings(x, rows)
         mass = (scaling[..., None, :n_x] @ row_sums)[..., 0, 0]
         return F_conj(-x, div) + mass / t_of(rows)
 
-    def gradient(x, rows=None):
+    def gradient(x, rows):
         return marginals(scalings(x, rows)) - conj(x, rows)[0]
 
-    def hessian(x, rows=None):
+    def hessian(x, rows):
         at = scalings(x, rows)
         scale = t_of(rows)
         if isinstance(scale, np.ndarray):
@@ -300,11 +296,11 @@ def _dual_terms(problem, t):
             G *= at[1][..., None, n_x:]
         return G, scale * marginals(at) + conj(x, rows)[1]
 
-    def rise(step, rows=None):
+    def rise(step, rows):
         top_x, top_y = np.maximum.reduceat(step, sides, axis=-1).T
         return t_of(rows) * (top_x + top_y)
 
-    def clamped(x, rows=None):
+    def clamped(x, rows):
         return top(point(x, rows)[0], axis=(-2, -1)) > EXP_MAX
 
     return _DualTerms(plan, value, gradient, hessian, rise, clamped)
@@ -312,30 +308,30 @@ def _dual_terms(problem, t):
 
 def kantorovich_eval(xi, t, problem):
     """Value of the regularized dual objective K_t at xi."""
-    return _dual_terms(problem, t).value(_stacked_start(problem, xi))
+    return _dual_terms(problem, np.array([t], float)).value(_stacked_start(problem, xi), 0)
 
 
 def kantorovich_grad(xi, t, problem):
     """Gradient of K_t as a stacked vector: -grad F*(-xi) + A gamma."""
-    return _dual_terms(problem, t).gradient(_stacked_start(problem, xi))
+    return _dual_terms(problem, np.array([t], float)).gradient(_stacked_start(problem, xi), 0)
 
 
 def kantorovich_hess(xi, t, problem):
     """Hessian of K_t: diag(grad^2 F*(-xi)) + t A diag(gamma) A*."""
-    return bipartite_hessian(*_dual_terms(problem, t).hessian(_stacked_start(problem, xi)))
+    terms = _dual_terms(problem, np.array([t], float))
+    return bipartite_hessian(*terms.hessian(_stacked_start(problem, xi), 0))
 
 
 def _newton_solve(problem, t, config, x0):
     """The Newton solve of K_t from the stacked start x0, as a RegSolution."""
-    return _newton_rows(problem, t, config, x0)[0]
+    return _newton_rows(problem, np.array([t], float), config, x0[None])[0]
 
 
 def _newton_rows(problem, t, config, x0):
     """Newton solves of K_t, one RegSolution per row of the stacked start x0.
 
-    A 2-D x0 is a block, row r starting at t[r], run by one newton_minimize
-    loop; each row's RegSolution is bitwise the one of its row solved alone.
-    A 1-D x0 is one solve at the scalar t.
+    Row r starts at t[r], and the block is run by one newton_minimize loop;
+    each row's RegSolution is bitwise the one of its row solved alone.
     """
     # the kernel works on the stacked potentials x0, and each trial point's
     # plan is computed once, by the value
@@ -349,8 +345,6 @@ def _newton_rows(problem, t, config, x0):
         MAX_NEWTON_ITERS,
         rise=terms.rise,
     )
-    if x.ndim == 1:
-        return [_solution(problem, config, t, x, terms.plan(x), grad, iters, flags, terms.clamped(x))]
     rows = np.arange(len(x))
     gamma, clamped = terms.plan(x, rows), terms.clamped(x, rows)
     return [

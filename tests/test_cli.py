@@ -201,10 +201,17 @@ def test_gen_writes_every_divergence_kind(tmp_path):
         assert io.load_problem(prob).divergence.kind == kind
 
 
-def _python(*args, timeout=None):
-    """Run a Python process with the package's source tree on its path."""
+def _python(*args, timeout=None, environ=None):
+    """Run a Python process with the package's source tree on its path.
+
+    `environ` maps variables to the values they get, or to None to unset them.
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
+    for name, value in (environ or {}).items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
@@ -221,6 +228,18 @@ def test_import_loads_no_scipy():
     out = _python("-c", f"import sys, uotlab, uotlab.cli; print({_LOADED_SCIPY})")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_import_pins_blas_to_one_thread_unless_set():
+    # `import uotlab` sets each BLAS thread count the environment leaves
+    # unset to 1 before numpy loads, and keeps one that is set
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    script = f"import os, uotlab; print([os.environ.get(n) for n in {names!r}])"
+    unset = dict.fromkeys(names)
+    for preset, expected in (({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"])):
+        out = _python("-c", script, environ={**unset, **preset})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == repr(expected)
 
 
 def _scipy_after_cli(*argv):

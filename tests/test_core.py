@@ -164,18 +164,18 @@ def test_newton_bipartite_step_and_ridge_flag():
     H = bipartite_hessian(G, D)
     b = rng.standard_normal(7)
     x, _, grad, iters, flags = newton_minimize(
-        lambda x: 0.5 * x @ H @ x - b @ x, lambda x: H @ x - b,
-        lambda x: (G, D), np.zeros(7), 1e-12, 5,
+        lambda x, _: 0.5 * x @ H @ x - b @ x, lambda x, _: H @ x - b,
+        lambda x, _: (G, D), np.zeros((1, 7)), 1e-12, 5,
     )
-    assert np.allclose(x, np.linalg.solve(H, b), atol=1e-12)
-    assert iters == 1 and flags == []
+    assert np.allclose(x[0], np.linalg.solve(H, b), atol=1e-12)
+    assert iters.tolist() == [1] and flags == [[]]
     indefinite = apply_A(G) - 0.1
     before = indefinite.copy()
     *_, flags = newton_minimize(
-        lambda x: 0.5 * x @ H @ x - b @ x, lambda x: H @ x - b,
-        lambda x: (G, indefinite), np.zeros(7), 1e-12, 1,
+        lambda x, _: 0.5 * x @ H @ x - b @ x, lambda x, _: H @ x - b,
+        lambda x, _: (G, indefinite), np.zeros((1, 7)), 1e-12, 1,
     )
-    assert "ridge" in flags
+    assert "ridge" in flags[0]
     assert np.array_equal(indefinite, before)
 
 
@@ -192,10 +192,10 @@ def test_newton_ridge_cap_scales_with_the_hessian():
     H = bipartite_hessian(G, D)
     b = 1e10 * rng.standard_normal(7)
     x, val, _, iters, flags = newton_minimize(
-        lambda x: 0.5 * x @ H @ x - b @ x, lambda x: H @ x - b,
-        lambda x: (G, D), np.zeros(7), 1e-12, 1,
+        lambda x, _: 0.5 * x @ H @ x - b @ x, lambda x, _: H @ x - b,
+        lambda x, _: (G, D), np.zeros((1, 7)), 1e-12, 1,
     )
-    assert iters == 1 and flags == ["ridge"] and val < 0.0
+    assert iters.tolist() == [1] and flags == [["ridge"]] and val[0] < 0.0
 
 
 def test_newton_rise_bound_limits_each_step():
@@ -211,20 +211,20 @@ def test_newton_rise_bound_limits_each_step():
     def run(rise):
         accepted = []  # the Hessian is evaluated at accepted iterates only
 
-        def hessian(x):
+        def hessian(x, _):
             accepted.append(x.sum())
             return np.exp(x.sum()).reshape(1, 1), np.exp(x.sum()) + np.ones(2)
 
         x, _, grad, _, flags = newton_minimize(
-            lambda x: float(np.exp(x.sum()) - c * x.sum() + 0.5 * (x - a) @ (x - a)),
-            lambda x: np.exp(x.sum()) - c + (x - a), hessian,
-            a - 10.0, 1e-12, 100, rise=rise,
+            lambda x, _: float(np.exp(x.sum()) - c * x.sum() + 0.5 * (x - a) @ (x - a)),
+            lambda x, _: np.exp(x.sum()) - c + (x - a), hessian,
+            (a - 10.0)[None], 1e-12, 100, rise=rise,
         )
-        assert flags == [] and np.max(np.abs(grad)) <= 1e-12
-        assert np.allclose(x, a, rtol=0, atol=1e-14)
+        assert flags == [[]] and np.max(np.abs(grad)) <= 1e-12
+        assert np.allclose(x[0], a, rtol=0, atol=1e-14)
         return np.diff(accepted + [x.sum()])
 
-    rises = run(lambda step: step.sum())  # the rise of the exponent x0 + x1
+    rises = run(lambda step, _: step.sum())  # the rise of the exponent x0 + x1
     assert rises.max() <= RISE_MAX * (1 + 1e-15)
     # without the bound the first accepted step raises x0 + x1 by more than 10
     assert run(None).max() > 10.0
@@ -233,21 +233,21 @@ def test_newton_rise_bound_limits_each_step():
 def test_newton_nan_hessian_raises():
     # a NaN Hessian pair never factors and makes the ridge NaN; the retry
     # must end with the factorization error instead of spinning
-    with pytest.raises(core.NotPositiveDefinite) as one:
+    with pytest.raises(core.NotPositiveDefinite, match="^row 0: ") as one:
         newton_minimize(
-            lambda x: float(x @ x), lambda x: 2 * x,
-            lambda x: (np.full((1, 1), np.nan), np.full(2, np.nan)), np.ones(2), 1e-12, 5,
+            lambda x, _: float(x @ x), lambda x, _: 2 * x,
+            lambda x, _: (np.full((1, 1), np.nan), np.full(2, np.nan)), np.ones((1, 2)), 1e-12, 5,
         )
-    assert one.value.row is None
+    assert one.value.row == 0
     # in a block the error names the failing row, also when the rows before
-    # it start converged and it runs alone as its 1-D point
+    # it start converged and it runs on alone
     rng = np.random.default_rng(6)
     G = rng.uniform(0.1, 2.0, (3, 3, 4))
     D = apply_A(G) + rng.uniform(0.1, 1.0, (3, 7))
     b = rng.standard_normal((3, 7))
     *_, alone, H = _quadratic_rows(G, D, b)
     nan_pair = np.full((3, 4), np.nan), np.full(7, np.nan)
-    rows = [alone(0), alone(1), (*alone(2)[:2], lambda x: nan_pair)]
+    rows = [alone[0], alone[1], (*alone[2][:2], lambda x, _: nan_pair)]
     x0 = np.zeros((3, 7))
     for converged in (False, True):
         if converged:
@@ -297,32 +297,29 @@ def test_stacked_bipartite_solve_names_the_row_that_fails(shift):
     assert (alone.value.minor is None) == (shift == -10.0)
 
 
-def _quadratic_rows(G, D, b):
-    """Block functions of 0.5 x^T H_r x - b_r^T x, H_r = bipartite_hessian(G[r], D[r]).
+def _quadratic(G, D, b, offset=0.0, domain=None):
+    """A block of one row: 0.5 x^T H x - b^T x + offset, H = bipartite_hessian(G, D).
 
-    Each row is evaluated as the 1-D lambdas below evaluate it alone; a
-    single running row comes as its 1-D point and its index.
+    The value is +inf at every point but `domain`, when that is given.
     """
-    H = [bipartite_hessian(g, dd) for g, dd in zip(G, D)]
+    H = bipartite_hessian(G, D)
 
-    def value(x, rows):
-        if x.ndim == 1:
-            return 0.5 * x @ H[rows] @ x - b[rows] @ x
-        return np.array([0.5 * xr @ H[r] @ xr - b[r] @ xr for xr, r in zip(x, rows)])
+    def value(x, _):
+        if domain is not None and not np.array_equal(x, domain):
+            return np.inf
+        return 0.5 * x @ H @ x - b @ x + offset
 
-    def gradient(x, rows):
-        if x.ndim == 1:
-            return H[rows] @ x - b[rows]
-        return np.array([H[r] @ xr - b[r] for xr, r in zip(x, rows)])
+    return value, lambda x, _: H @ x - b, lambda x, _: (G, D)
 
-    def alone(r):
-        return (
-            lambda x: 0.5 * x @ H[r] @ x - b[r] @ x,
-            lambda x: H[r] @ x - b[r],
-            lambda x: (G[r], D[r]),
-        )
 
-    return value, gradient, lambda x, rows: (G[rows], D[rows]), alone, H
+def _quadratic_rows(G, D, b):
+    """Block functions of the quadratics _quadratic(G[r], D[r], b[r]).
+
+    Also returns the functions of each row as a block of one row, and the
+    Hessians.
+    """
+    alone = [_quadratic(*row) for row in zip(G, D, b)]
+    return (*_block_of(alone), alone, [bipartite_hessian(g, dd) for g, dd in zip(G, D)])
 
 
 def test_newton_block_rows_are_each_row_minimized_alone():
@@ -347,23 +344,21 @@ def test_newton_block_rows_are_each_row_minimized_alone():
         assert flags == [[], ["ridge"], []] and iters[2] == 0
         assert x[2].tobytes() == start[2].tobytes()
         for r in range(3):
-            xr, vr, gr, ir, fr = newton_minimize(*alone(r), start[r], 1e-9, max_iters)
-            assert x[r].tobytes() == xr.tobytes() and grad[r].tobytes() == gr.tobytes()
-            assert (val[r], iters[r], flags[r]) == (vr, ir, fr), r
+            xr, vr, gr, ir, fr = newton_minimize(*alone[r], start[r : r + 1], 1e-9, max_iters)
+            assert x[r].tobytes() == xr[0].tobytes() and grad[r].tobytes() == gr[0].tobytes()
+            assert (val[r], iters[r], flags[r]) == (vr[0], ir[0], fr[0]), r
 
 
 def _block_of(alone):
-    """Block functions whose rows are evaluated by the 1-D functions alone[r].
+    """Block functions of several rows, each row evaluated by alone[r].
 
-    alone[r] is (value, gradient, hessian) of row r; a single running row
-    comes as its 1-D point and its index.
+    alone[r] is (value, gradient, hessian) of row r as a block of one row,
+    called with its 1-D point and the index 0.
     """
 
     def stacked(k, pair=False):
         def f(x, rows):
-            if x.ndim == 1:
-                return alone[rows][k](x)
-            out = [alone[r][k](xr) for xr, r in zip(x, rows)]
+            out = [alone[r][k](xr, 0) for xr, r in zip(x, rows)]
             return tuple(map(np.array, zip(*out))) if pair else np.array(out)
 
         return f
@@ -384,32 +379,76 @@ def test_newton_block_rows_stall_and_stop_at_the_rounding_floor_alone():
     G = rng.uniform(0.1, 2.0, (3, 3, 4))
     D = apply_A(G) + rng.uniform(0.1, 1.0, (3, 7))
     b = rng.standard_normal((3, 7))
-    H = [bipartite_hessian(g, dd) for g, dd in zip(G, D)]
     x0 = rng.standard_normal((3, 7))
     start = x0.copy()
-
-    def quadratic(r, offset=0.0, domain=None):
-        def value(x):
-            if domain is not None and not np.array_equal(x, domain):
-                return np.inf
-            return 0.5 * x @ H[r] @ x - b[r] @ x + offset
-
-        return value, lambda x: H[r] @ x - b[r], lambda x: (G[r], D[r])
-
-    at_start = 0.5 * start[1] @ H[1] @ start[1] - b[1] @ start[1]
-    alone = [quadratic(0), quadratic(1, -at_start, start[1]), quadratic(2, 1e20)]
+    at_start = _quadratic(G[1], D[1], b[1])[0](start[1], 0)
+    alone = [
+        _quadratic(G[0], D[0], b[0]),
+        _quadratic(G[1], D[1], b[1], -at_start, start[1]),
+        _quadratic(G[2], D[2], b[2], 1e20),
+    ]
     for max_iters in (1, 5, 50):
         x, val, grad, iters, flags = newton_minimize(*_block_of(alone), x0, 0.0, max_iters)
         assert np.array_equal(x0, start)
         assert flags == [[], ["linesearch-stalled"], []] and iters[1] == 1
         assert x[1].tobytes() == start[1].tobytes()
         for r in range(3):
-            xr, vr, gr, ir, fr = newton_minimize(*alone[r], start[r], 0.0, max_iters)
-            assert x[r].tobytes() == xr.tobytes() and grad[r].tobytes() == gr.tobytes()
-            assert (val[r], iters[r], flags[r]) == (vr, ir, fr), (max_iters, r)
+            xr, vr, gr, ir, fr = newton_minimize(*alone[r], start[r : r + 1], 0.0, max_iters)
+            assert x[r].tobytes() == xr[0].tobytes() and grad[r].tobytes() == gr[0].tobytes()
+            assert (val[r], iters[r], flags[r]) == (vr[0], ir[0], fr[0]), (max_iters, r)
     # the unbounded runs end on their own, before the cap and with a nonzero
     # gradient: rows 0 and 2 at the rounding-floor stop
     assert iters.tolist() == [3, 1, 6] and np.abs(grad[[0, 2]]).max(axis=1).min() > 0.0
+
+
+def test_newton_keeps_a_solve_in_its_shape_from_start_to_end():
+    # row 0 starts at its minimizer (gradient exactly 0), row 1 is finite
+    # only at its start and stalls at iteration 1, and row 2, offset by 1e20,
+    # runs on alone to its rounding floor.  The block hands every function a
+    # stack and an index array on every call, also while only row 2 runs; a
+    # block of one row gets its 1-D point and the index 0 on every call.
+    # Each row's result is bitwise that of its own block of one row
+    rng = np.random.default_rng(7)
+    G = rng.uniform(0.1, 2.0, (3, 3, 4))
+    D = apply_A(G) + rng.uniform(0.1, 1.0, (3, 7))
+    b = rng.standard_normal((3, 7))
+    b[0] = 0.0
+    x0 = rng.standard_normal((3, 7))
+    x0[0] = 0.0
+    at_start = _quadratic(G[1], D[1], b[1])[0](x0[1], 0)
+    alone = [
+        _quadratic(G[0], D[0], b[0]),
+        _quadratic(G[1], D[1], b[1], -at_start, x0[1]),
+        _quadratic(G[2], D[2], b[2], 1e20),
+    ]
+    calls = []
+
+    def recorded(*functions):
+        def record(f):
+            def g(x, rows):
+                calls.append((x.ndim, rows))
+                return f(x, rows)
+
+            return g
+
+        return [record(f) for f in functions]
+
+    def rise(step, _):
+        return np.max(step, axis=-1)
+
+    *block, block_rise = recorded(*_block_of(alone), rise)
+    x, val, grad, iters, flags = newton_minimize(*block, x0, 0.0, 50, rise=block_rise)
+    assert iters[:2].tolist() == [0, 1] and iters[2] > 2
+    assert flags == [[], ["linesearch-stalled"], []]
+    assert all(ndim == 2 and rows.dtype.kind == "i" for ndim, rows in calls)
+    assert sum(rows.tolist() == [2] for _, rows in calls) > 2
+    for r in range(3):
+        calls.clear()
+        *functions, row_rise = recorded(*alone[r], rise)
+        xr, vr, gr, ir, fr = newton_minimize(*functions, x0[r : r + 1], 0.0, 50, rise=row_rise)
+        assert calls and all(ndim == 1 and type(rows) is int and rows == 0 for ndim, rows in calls)
+        assert x[r].tobytes() == xr[0].tobytes() and grad[r].tobytes() == gr[0].tobytes()
+        assert (val[r], iters[r], flags[r]) == (vr[0], ir[0], fr[0]), r
 
 
 def test_newton_stalls_before_a_trial_rounds_back_to_its_start():
@@ -423,16 +462,16 @@ def test_newton_stalls_before_a_trial_rounds_back_to_its_start():
     start = np.array([0.3, -0.7])
     calls = []
 
-    def value(x):
+    def value(x, _):
         calls.append(x)
         return 35.1 if np.array_equal(x, start) else np.inf
 
     x, val, grad, iters, flags = newton_minimize(
-        value, lambda x: np.array([1.0, -2.0]),
-        lambda x: (np.zeros((1, 1)), np.ones(2)), start.copy(), 1e-12, 50,
+        value, lambda x, _: np.array([1.0, -2.0]),
+        lambda x, _: (np.zeros((1, 1)), np.ones(2)), start[None].copy(), 1e-12, 50,
     )
-    assert (iters, flags, val) == (1, ["linesearch-stalled"], 35.1)
-    assert x.tobytes() == start.tobytes() and len(calls) <= 60
+    assert (iters.tolist(), flags, val.tolist()) == ([1], [["linesearch-stalled"]], [35.1])
+    assert x[0].tobytes() == start.tobytes() and len(calls) <= 60
     # the last trial is still a real move, not the start rounded back
     assert not np.array_equal(calls[-1], start)
 

@@ -174,9 +174,9 @@ def test_primal_dual_consistency():
 
 def test_dual_plan_reference_values():
     p = make_1x1(c=0.0)
-    assert _dual_terms(p, 7.0).plan(np.zeros(2))[0, 0] == pytest.approx(1.0)
+    assert _dual_terms(p, np.array([7.0])).plan(np.zeros(2), 0)[0, 0] == pytest.approx(1.0)
     p1 = make_1x1(c=1.0)
-    g = _dual_terms(p1, 1.0).plan(np.array([1 / 3, 1 / 3]))
+    g = _dual_terms(p1, np.array([1.0])).plan(np.array([1 / 3, 1 / 3]), 0)
     assert g[0, 0] == pytest.approx(np.exp(-1 / 3))
 
 
@@ -344,8 +344,8 @@ def test_scaled_start_is_one_exact_block_sweep(div):
         before = x.copy()
         y = scaled_start(p, t, x)
         assert np.array_equal(x, before)
-        terms = _dual_terms(p, t)
-        assert terms.value(y) <= terms.value(x), t
+        terms = _dual_terms(p, np.array([t]))
+        assert terms.value(y, 0) <= terms.value(x, 0), t
         half = np.concatenate([y[:n_x], x[n_x:]])
         for point, block in ((half, slice(None, n_x)), (y, slice(n_x, None))):
             # a node's gradient moves by its mass times the rounding of a plan
@@ -353,7 +353,7 @@ def test_scaled_start_is_one_exact_block_sweep(div):
             # 1.4e-9 at t = 1e6, where a converged Newton solve on this
             # instance stops at 1.6e-11 (kl) and 2.4e-11 (quadratic)
             tol = 1e-12 * max(1.0, q_max) + t * eps * _max_abs(point) * q_max
-            assert _max_abs(terms.gradient(point)[block]) <= tol, t
+            assert _max_abs(terms.gradient(point, 0)[block]) <= tol, t
 
 
 @pytest.mark.parametrize("div", ENTROPIES)
@@ -367,8 +367,8 @@ def test_scaled_start_from_far_constant_starts(div):
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 y = scaled_start(p, t, x)
             assert np.isfinite(y).all(), (c, t)
-            terms = _dual_terms(p, t)
-            assert terms.value(y) <= terms.value(x), (c, t)
+            terms = _dual_terms(p, np.array([t]))
+            assert terms.value(y, 0) <= terms.value(x, 0), (c, t)
 
 
 @pytest.mark.parametrize("div", ENTROPIES)
@@ -526,26 +526,24 @@ def test_badly_scaled_masses_raise_named_tangent_failure(div):
 @pytest.mark.parametrize("div", ENTROPIES)
 def test_dual_terms_of_a_block_are_each_row_alone(div):
     # an array of t is a block of problems: value, gradient, Hessian pair and
-    # rise of each row, on all rows, a subset or one row as its 1-D point
-    # and index, are bitwise the row's own; the rows leave as in
-    # newton_minimize, so the block keeps the bases of those that stay
+    # rise of each row, on all rows, a subset or one row left in the stack,
+    # are bitwise those of the row's own block of one row; the rows leave as
+    # in newton_minimize, so the block keeps the bases of those that stay
     p = _clouds(div)
     ts = np.array([1.0, 10.0, 1e3])
     rng = np.random.default_rng(3)
     x = 0.1 * rng.standard_normal((3, p.n_x + p.n_y))
     step = rng.standard_normal((3, p.n_x + p.n_y))
     block = _dual_terms(p, ts)
-    for rows in (np.arange(3), np.array([0, 2]), 2):
+    for rows in (np.arange(3), np.array([0, 2]), np.array([2])):
         value, gradient = block.value(x[rows], rows), block.gradient(x[rows], rows)
         G, d = block.hessian(x[rows], rows)
         rise = block.rise(step[rows], rows)
-        if np.ndim(rows) == 0:
-            rows, value, gradient, G, d, rise = [rows], [value], [gradient], [G], [d], [rise]
         for j, r in enumerate(rows):
-            alone = _dual_terms(p, float(ts[r]))
-            assert value[j] == alone.value(x[r]) and rise[j] == alone.rise(step[r])
-            assert gradient[j].tobytes() == alone.gradient(x[r]).tobytes()
-            G_r, d_r = alone.hessian(x[r])
+            alone = _dual_terms(p, ts[r : r + 1])
+            assert value[j] == alone.value(x[r], 0) and rise[j] == alone.rise(step[r], 0)
+            assert gradient[j].tobytes() == alone.gradient(x[r], 0).tobytes()
+            G_r, d_r = alone.hessian(x[r], 0)
             assert G[j].tobytes() == G_r.tobytes() and d[j].tobytes() == d_r.tobytes()
 
 
@@ -554,8 +552,9 @@ def test_newton_rows_are_each_row_solved_alone(div):
     # a block of six points, started from the solutions at t / 3 (unscaled,
     # so the rise bound and the line search act) and one from its own
     # solution: each row's point, plan, iterations and flags are byte for
-    # byte those of the row solved alone, by the block of one row and by the
-    # 1-D kernel; the converged row takes no step and keeps its start
+    # byte those of the row solved alone, by _newton_solve and by the kernel
+    # on the row's block of one row; the converged row takes no step and
+    # keeps its start
     p = _clouds(div)
     cfg = RegSolveConfig(grad_tol=1e-12)
     ts = np.array([1.0, 3.0, 10.0, 30.0, 100.0, 1e3])
@@ -572,12 +571,13 @@ def test_newton_rows_are_each_row_solved_alone(div):
         assert sol.gamma.tobytes() == alone.gamma.tobytes(), r
         assert (sol.t, sol.iters, sol.flags, sol.grad_norm, sol.converged) == (
             alone.t, alone.iters, alone.flags, alone.grad_norm, alone.converged)
-        terms = _dual_terms(p, float(ts[r]))
+        terms = _dual_terms(p, ts[r : r + 1])
         x, _, _, iters, flags = newton_minimize(
-            terms.value, terms.gradient, terms.hessian, before[r].copy(),
+            terms.value, terms.gradient, terms.hessian, before[r : r + 1].copy(),
             cfg.grad_tol, reg_solver.MAX_NEWTON_ITERS, rise=terms.rise,
         )
-        assert x.tobytes() == sol.xi.stacked.tobytes() and (iters, flags) == (sol.iters, sol.flags)
+        assert x[0].tobytes() == sol.xi.stacked.tobytes()
+        assert (iters[0], flags[0]) == (sol.iters, sol.flags)
 
 
 def _checked_hessians(monkeypatch, seen):
@@ -613,10 +613,10 @@ def _checked_hessians(monkeypatch, seen):
     def checked(problem, t):
         terms = dual_terms(problem, t)
 
-        def hessian(x, rows=None):
+        def hessian(x, rows):
             G, D = terms.hessian(x, rows)
             for r, x_r in enumerate(np.atleast_2d(x)):
-                t_r = float(t if np.ndim(t) == 0 else np.atleast_1d(t[rows])[r])
+                t_r = float(np.atleast_1d(t[rows])[r])
                 G_r, D_r = np.reshape(G, (-1,) + G.shape[-2:])[r], np.atleast_2d(D)[r]
                 exact = t_r * clamped_exp(plan_exponent(x_r, t_r, problem))
                 rtol = 1e-13 + t_r * eps * (2 * np.abs(x_r).max() + problem.cost.max())
@@ -695,8 +695,8 @@ def test_a_plan_is_rebuilt_directly_once_its_movement_passes_rise_max(block):
     if block:
         x0 = np.array([x0, solve_dual_t(p, 10.0).xi.stacked])
         lift = np.array([lift, lift * 10.0])
-    terms = _dual_terms(p, ts if block else t)
-    rows = np.arange(2) if block else None
+    terms = _dual_terms(p, ts if block else ts[:1])
+    rows = np.arange(2) if block else 0
     t_G = ts[:, None, None] if block else t
 
     def direct(x):
@@ -725,8 +725,8 @@ def test_a_clamped_plan_is_never_rescaled(block):
     # plan directly, byte for byte, and keeps the clamp flag; in a block of
     # two such rows (t = 100 and 120), each row alike
     p = _clouds("kl")
-    t = np.array([100.0, 120.0]) if block else 100.0
-    rows = np.arange(2) if block else None
+    t = np.array([100.0, 120.0]) if block else np.array([100.0])
+    rows = np.arange(2) if block else 0
     terms = _dual_terms(p, t)
     x0 = np.full((2, p.n_x + p.n_y) if block else p.n_x + p.n_y, 5.0)
     x1 = x0 - 0.002
@@ -735,5 +735,6 @@ def test_a_clamped_plan_is_never_rescaled(block):
         terms.value(x, rows)
         terms.gradient(x, rows)
     G, _ = terms.hessian(x1, rows)
-    t_G = t[:, None, None] if block else t
-    assert G.tobytes() == (t_G * clamped_exp(plan_exponent(x1, t, p))).tobytes()
+    t_x = t if block else t[0]
+    t_G = t[:, None, None] if block else t_x
+    assert G.tobytes() == (t_G * clamped_exp(plan_exponent(x1, t_x, p))).tobytes()
