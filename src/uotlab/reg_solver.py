@@ -41,6 +41,11 @@ where the direct plan is clamped.  So an entry flushed at the base stays
 below exp(EXP_MIN + RISE_MAX), no exp sees an argument above RISE_MAX, and
 the returned plan, computed directly once more, is the one a direct
 evaluation gives.
+
+The kernel's four functions of a solve (value, gradient, Hessian pair and
+step rise) are written once, in one array form: every expression broadcasts
+over the leading axes, so the same lines serve the 1-D point of a one-row
+solve and the stack of a block.
 """
 
 from __future__ import annotations
@@ -143,16 +148,23 @@ def clamped_exp(exponent):
 
 
 class _DualTerms(NamedTuple):
-    plan: Callable
     value: Callable
     gradient: Callable
     hessian: Callable
     rise: Callable
-    clamped: Callable
 
 
 def _dual_terms(problem, t):
-    """Plan, value, gradient and Hessian of K_t, as functions of the stacked xi.
+    """Value, gradient, Hessian and rise of K_t, as functions of the stacked xi.
+
+    The array t is a block of problems, one per value, in newton_minimize's
+    block form: each function takes (x, rows), x stacking the block's rows
+    `rows` (increasing indices), or the 1-D point of a block of one row with
+    the index 0, and gives one result per row, bitwise the one of that row
+    alone.  Every expression broadcasts over the leading axes, so the same
+    lines serve the point and the stack.  The rows of a call are those of the
+    last call or some of them, as in newton_minimize: the base is kept for the
+    rows of the last call and subset when rows leave.
 
     The penalty F is problem.penalty.  A point's plan differs from the plan
     gamma_b at a base point x_b by diag(u) gamma_b diag(v), (u, v) = exp(t (x
@@ -165,43 +177,24 @@ def _dual_terms(problem, t):
     base exceeds RISE_MAX, and at every point after a clamped one (a clamped
     plan is no scaling of its neighbours'); such a point is the new base,
     with u = v = 1 exactly, and its Hessian takes the base plan as it is.
-    `plan` is the direct plan, for the returned solution.
 
-    The conjugate derivatives at a point, like its scalings, are computed
+    The scalings, marginals and conjugate derivatives at a point are computed
     once and reused by the others at the same array.  The Hessian comes as
     the pair (t gamma, t A gamma + grad^2 F*(-xi)), the weight and the full
     diagonal of core.bipartite_hessian.  `rise` maps a step to the largest
     increase it causes in a plan exponent, in O(n) and with no pass over the
-    plan.  `clamped` tells whether some plan exponent at a point exceeds
-    EXP_MAX, from the exponent the plan was computed from.
-
-    The array t is a block of problems, one per value, in newton_minimize's
-    block form: each function takes (x, rows), x stacking the block's rows
-    `rows` (increasing indices), or the 1-D point of a block of one row with
-    the index 0, and gives one result per row, bitwise the one of that row
-    alone.  The rows of a call are those of the last call or some of them,
-    as in newton_minimize: the base is kept for the rows of the last call
-    and subset when rows leave.
+    plan.
     """
     check_positive_finite(t, "t")
     div, n_x = problem.penalty, problem.n_x
     top = np.maximum.reduce
     sides = np.array([0, n_x])  # where each side of a stacked vector starts
-
-    def t_of(rows):
-        return t if isinstance(rows, np.ndarray) and len(rows) == len(t) else t[rows]
-
-    def evaluate(x, rows):
-        exponent = plan_exponent(x, t_of(rows), problem)
-        return exponent, clamped_exp(exponent)
-
-    point = last_point_cache(evaluate)
+    t_col = t[:, None]  # t_col[rows] scales the potentials of the rows
     # the gradient and the Hessian run at accepted points only
     conj = last_point_cache(lambda x, rows: F_conj_derivatives(-x, div))
-    # the base's rows, points and direct plans; at the last point,
-    # [x, exp(t (x - x_b)), gamma_b v as a column, A gamma or None]; and the
-    # last point that is the base of all its rows, where u = v = 1
-    base_rows = base_x = base_plan = last = unit = None
+    # the base's rows, points and direct plans, and the last point that is
+    # the base of all its rows, where u = v = 1
+    base_rows = base_x = base_plan = unit = None
 
     def held(rows):
         """Whether there is a base; it is subset to rows when rows left."""
@@ -213,97 +206,70 @@ def _dual_terms(problem, t):
             base_rows, base_x, base_plan = rows, base_x[at], base_plan[at]
         return True
 
-    def moved(delta):
-        """The rows whose exponent movement t (x - x_b) exceeds RISE_MAX (NaN too).
-
-        A 1-D point gives a bool, a stack the list of its positions.
-        """
-        move = np.maximum.reduceat(np.abs(delta), sides, axis=-1).tolist()
-        if delta.ndim == 1:
-            return not move[0] + move[1] <= RISE_MAX
-        return [i for i, (a, b) in enumerate(move) if not a + b <= RISE_MAX]
-
     def direct(x, rows):
         """The direct plans at x, and the base points that they give.
 
         A plan clamped at EXP_MAX is no scaling of the plan at its point, so
-        its base point is NaN: every later point then rebases it.  A stack's
-        base is rebased row by row, in place, so it owns its arrays; a 1-D
-        point's base is the point and the cached plan, which nothing writes.
+        its base point is NaN: every later point then rebases it.  The base
+        is rebased row by row, in place, so it owns its arrays.
         """
-        if x.ndim == 1:
-            exponent, gamma = point(x, rows)
-            return gamma, np.full_like(x, np.nan) if top(exponent, axis=None) > EXP_MAX else x
-        exponent, gamma = evaluate(x, rows)
+        exponent = plan_exponent(x, t[rows], problem)
         wild = top(exponent, axis=(-2, -1)) > EXP_MAX
-        return gamma, np.where(wild[:, None], np.nan, x) if wild.any() else x.copy()
+        return clamped_exp(exponent), np.where(wild[..., None], np.nan, x) if wild.any() else x.copy()
 
+    @last_point_cache
     def scalings(x, rows):
-        """[x, exp(t (x - x_b)), gamma_b v, None] at x, rebasing where needed."""
-        nonlocal base_rows, base_x, base_plan, last, unit
-        if last is not None and x is last[0]:
-            return last
-        if not held(rows):  # x becomes the base, with scalings of exactly 1
+        """(exp(t (x - x_b)), gamma_b v as a column) at x, rebasing where needed."""
+        nonlocal base_rows, base_x, base_plan, unit
+        rescaled = held(rows)
+        if rescaled:
+            delta = x - base_x
+            delta *= t_col[rows]
+            # the rows whose exponent movement exceeds RISE_MAX (NaN too)
+            move = np.maximum.reduceat(np.abs(delta), sides, axis=-1).reshape(-1, 2).tolist()
+            fresh = [i for i, (a, b) in enumerate(move) if not a + b <= RISE_MAX]
+            rescaled = len(fresh) < len(move)
+        if not rescaled:  # x is the base of all its rows, with scalings of exactly 1
             base_rows, unit = rows, x
             base_plan, base_x = direct(x, rows)
             scaling = np.ones_like(x)
         else:
-            scale = t_of(rows)
-            delta = x - base_x
-            delta *= scale[:, None] if isinstance(scale, np.ndarray) else scale
-            fresh = moved(delta)
-            if not fresh:
-                scaling = np.exp(delta, out=delta)
-            elif x.ndim == 1 or len(fresh) == len(x):
-                unit = x
-                base_plan, base_x = direct(x, rows)
-                scaling = np.ones_like(x)
-            else:
+            if fresh:
                 base_plan[fresh], base_x[fresh] = direct(x[fresh], rows[fresh])
                 delta[fresh] = 0.0  # x - x_b, exactly
-                scaling = np.exp(delta, out=delta)
-        last = [x, scaling, base_plan @ scaling[..., n_x:, None], None]
-        return last
+            scaling = np.exp(delta, out=delta)
+        return scaling, base_plan @ scaling[..., n_x:, None]
 
-    def marginals(at):
-        """A gamma at the point of scalings `at`: u * (gamma_b v) over v * (gamma_b^T u)."""
-        if at[3] is None:
-            scaling, row_sums = at[1], at[2]
-            col_sums = scaling[..., None, :n_x] @ base_plan
-            at[3] = scaling * np.concatenate([row_sums[..., 0], col_sums[..., 0, :]], axis=-1)
-        return at[3]
-
-    def plan(x, rows):
-        return point(x, rows)[1]
+    @last_point_cache
+    def marginals(x, rows):
+        """A gamma at x: u * (gamma_b v) over v * (gamma_b^T u)."""
+        scaling, row_sums = scalings(x, rows)
+        col_sums = scaling[..., None, :n_x] @ base_plan
+        return scaling * np.concatenate([row_sums[..., 0], col_sums[..., 0, :]], axis=-1)
 
     def value(x, rows):
-        _, scaling, row_sums, _ = scalings(x, rows)
+        scaling, row_sums = scalings(x, rows)
         mass = (scaling[..., None, :n_x] @ row_sums)[..., 0, 0]
-        return F_conj(-x, div) + mass / t_of(rows)
+        return F_conj(-x, div) + mass / t[rows]
 
     def gradient(x, rows):
-        return marginals(scalings(x, rows)) - conj(x, rows)[0]
+        return marginals(x, rows) - conj(x, rows)[0]
 
     def hessian(x, rows):
-        at = scalings(x, rows)
-        scale = t_of(rows)
-        if isinstance(scale, np.ndarray):
-            scale = scale[:, None]
+        scaling = scalings(x, rows)[0]
+        scale = t_col[rows]
         if unit is x:  # the base of all its rows: its plan is the base plan
-            G = base_plan * (scale[..., None] if np.ndim(scale) else scale)
+            G = base_plan * scale[..., None]
         else:
-            G = base_plan * (scale * at[1][..., :n_x])[..., None]
-            G *= at[1][..., None, n_x:]
-        return G, scale * marginals(at) + conj(x, rows)[1]
+            G = base_plan * (scale * scaling[..., :n_x])[..., None]
+            G *= scaling[..., None, n_x:]
+        return G, scale * marginals(x, rows) + conj(x, rows)[1]
 
     def rise(step, rows):
         top_x, top_y = np.maximum.reduceat(step, sides, axis=-1).T
-        return t_of(rows) * (top_x + top_y)
+        return t[rows] * (top_x + top_y)
 
-    def clamped(x, rows):
-        return top(point(x, rows)[0], axis=(-2, -1)) > EXP_MAX
-
-    return _DualTerms(plan, value, gradient, hessian, rise, clamped)
+    return _DualTerms(value, gradient, hessian, rise)
 
 
 def kantorovich_eval(xi, t, problem):
@@ -333,8 +299,6 @@ def _newton_rows(problem, t, config, x0):
     Row r starts at t[r], and the block is run by one newton_minimize loop;
     each row's RegSolution is bitwise the one of its row solved alone.
     """
-    # the kernel works on the stacked potentials x0, and each trial point's
-    # plan is computed once, by the value
     terms = _dual_terms(problem, t)
     x, _, grad, iters, flags = newton_minimize(
         terms.value,
@@ -345,8 +309,11 @@ def _newton_rows(problem, t, config, x0):
         MAX_NEWTON_ITERS,
         rise=terms.rise,
     )
-    rows = np.arange(len(x))
-    gamma, clamped = terms.plan(x, rows), terms.clamped(x, rows)
+    # the returned plans are direct, and flagged where some exponent exceeds
+    # EXP_MAX, from the exponents they are computed from
+    exponent = plan_exponent(x, t, problem)
+    clamped = (np.maximum.reduce(exponent, axis=(-2, -1)) > EXP_MAX).tolist()
+    gamma = clamped_exp(exponent)
     return [
         _solution(problem, config, t_r, x[r], gamma[r], grad[r], int(iters[r]), flags[r], clamped[r])
         for r, t_r in enumerate(t.tolist())
@@ -497,7 +464,10 @@ def solve_primal_t(problem, t):
 
 
 def primal_objective(gamma, problem, t=None):
-    """Transport cost plus marginal penalty, plus the entropy term when t is given."""
+    """Transport cost plus marginal penalty, plus the entropy term when t is given.
+
+    gamma is a plan: finite, nonnegative entries in the cost's shape.
+    """
     if t is not None:
         check_positive_finite(t, "t")
     gamma = np.asarray(gamma, dtype=float)
@@ -507,6 +477,9 @@ def primal_objective(gamma, problem, t=None):
         )
     if not np.all(np.isfinite(gamma)):
         raise InvalidInput("plan entries must be finite")
+    smallest = float(gamma.min())
+    if smallest < 0:
+        raise InvalidInput(f"plan entries must be nonnegative; the smallest is {smallest:g}")
     div = problem.penalty
     p = apply_A(gamma)
     val = float(np.sum(problem.cost * gamma)) + csiszar(p, div.q, div.entropy)

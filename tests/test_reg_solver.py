@@ -174,9 +174,9 @@ def test_primal_dual_consistency():
 
 def test_dual_plan_reference_values():
     p = make_1x1(c=0.0)
-    assert _dual_terms(p, np.array([7.0])).plan(np.zeros(2), 0)[0, 0] == pytest.approx(1.0)
+    assert clamped_exp(plan_exponent(np.zeros(2), 7.0, p))[0, 0] == pytest.approx(1.0)
     p1 = make_1x1(c=1.0)
-    g = _dual_terms(p1, np.array([1.0])).plan(np.array([1 / 3, 1 / 3]), 0)
+    g = clamped_exp(plan_exponent(np.array([1 / 3, 1 / 3]), 1.0, p1))
     assert g[0, 0] == pytest.approx(np.exp(-1 / 3))
 
 
@@ -254,6 +254,18 @@ def test_primal_objective_rejects_bad_plans():
     for gamma in (np.ones(6), np.ones((3, 2)), np.ones((1, 3)), nan_plan):
         with pytest.raises(InvalidInput):
             primal_objective(gamma, p)
+
+
+def test_primal_objective_rejects_negative_plans():
+    # [[1.5, -0.5], [0, 1]] would score below the feasible identity plan; a
+    # negative entry raises with and without t, and zero entries pass
+    p = random_problem(np.random.default_rng(7), n_x=2, n_y=2)
+    negative = np.array([[1.5, -0.5], [0.0, 1.0]])
+    for t in (None, 2.0):
+        with pytest.raises(InvalidInput, match="nonnegative; the smallest is -0.5"):
+            primal_objective(negative, p, t)
+        assert np.isfinite(primal_objective(np.eye(2), p, t))
+        assert np.isfinite(primal_objective(np.zeros((2, 2)), p, t))
 
 
 def test_primal_objective_checks_t():
@@ -730,11 +742,42 @@ def test_a_clamped_plan_is_never_rescaled(block):
     terms = _dual_terms(p, t)
     x0 = np.full((2, p.n_x + p.n_y) if block else p.n_x + p.n_y, 5.0)
     x1 = x0 - 0.002
-    assert np.all(terms.clamped(x0, rows)) and np.all(terms.clamped(x1, rows))
+    t_x = t if block else t[0]
     for x in (x0, x1):
+        assert np.all(plan_exponent(x, t_x, p).max(axis=(-2, -1)) > EXP_MAX)
         terms.value(x, rows)
         terms.gradient(x, rows)
     G, _ = terms.hessian(x1, rows)
-    t_x = t if block else t[0]
     t_G = t[:, None, None] if block else t_x
     assert G.tobytes() == (t_G * clamped_exp(plan_exponent(x1, t_x, p))).tobytes()
+
+
+def test_a_clamped_row_beside_an_ordinary_row_is_each_row_alone():
+    # a block of a clamped row (phi = psi = 5 at t = 100, every exponent
+    # past EXP_MAX) and an ordinary one (the solution at t = 10), over three
+    # points: the first, where both rows are based; one that rebases the
+    # clamped row alone and rescales the other, which moves by 0.9 RISE_MAX;
+    # and one that moves the ordinary row past RISE_MAX, so both rebase.  At
+    # each, every row's value, gradient, Hessian pair and rise are bitwise
+    # those of the row in its own block of one row
+    p = _clouds("kl")
+    ts = np.array([100.0, 10.0])
+    x0 = np.array([np.full(p.n_x + p.n_y, 5.0), solve_dual_t(p, 10.0).xi.stacked])
+    lift = np.zeros_like(x0)
+    lift[:, :p.n_x] = 0.9 * reg_solver.RISE_MAX / ts[1]
+    step = np.random.default_rng(5).standard_normal(x0.shape)
+    rows = np.arange(2)
+    block = _dual_terms(p, ts)
+    alone = [_dual_terms(p, ts[r : r + 1]) for r in rows]
+    for x in (x0, x0 + lift, x0 + 2 * lift):
+        top = plan_exponent(x, ts, p).max(axis=(-2, -1))
+        assert top[0] > EXP_MAX and top[1] < EXP_MAX
+        value, gradient = block.value(x, rows), block.gradient(x, rows)
+        G, d = block.hessian(x, rows)
+        rise = block.rise(step, rows)
+        for r, terms in enumerate(alone):
+            x_r = x[r]
+            assert value[r] == terms.value(x_r, 0) and rise[r] == terms.rise(step[r], 0)
+            assert gradient[r].tobytes() == terms.gradient(x_r, 0).tobytes()
+            G_r, d_r = terms.hessian(x_r, 0)
+            assert G[r].tobytes() == G_r.tobytes() and d[r].tobytes() == d_r.tobytes()
