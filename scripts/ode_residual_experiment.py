@@ -7,7 +7,6 @@ differencing in log t, and reports the residual of the trajectory ODE
 relative to the size of its inhomogeneous forcing term.
 """
 
-import argparse
 import sys
 
 import numpy as np
@@ -16,18 +15,15 @@ from uotlab.asymptotics import ode_inhomogeneous_norm
 from uotlab.datasets import DatasetSpec, gen_dataset
 from uotlab.sweep import SweepConfig, run_sweep
 
+# the grid starts at T_MIN and steps t by RATIO until it reaches T_MAX
+T_MIN = 8.0
+T_MAX = 1e3
+RATIO = 1.05
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--t-min", type=float, default=8.0)
-    parser.add_argument("--t-max", type=float, default=1e3)
-    parser.add_argument("--ratio", type=float, default=1.05)
-    args = parser.parse_args(argv)
 
-    n = int(np.ceil(np.log(args.t_max / args.t_min) / np.log(args.ratio))) + 1
-    cfg = SweepConfig(
-        t_min=args.t_min, t_max=args.t_min * args.ratio ** (n - 1), n_points=n
-    )
+def main():
+    n = int(np.ceil(np.log(T_MAX / T_MIN) / np.log(RATIO))) + 1
+    cfg = SweepConfig(t_min=T_MIN, t_max=T_MIN * RATIO ** (n - 1), n_points=n)
     for kind, seed in (("point-clouds", 4), ("gaussians-1d", 0)):
         for div in ("kl", "quadratic"):
             problem = gen_dataset(

@@ -49,19 +49,15 @@ class RateFit:
     r2: float
 
 
-def _stacked(xi):
-    """The stacked array of a DualPotential; arrays of stacked rows pass through."""
-    return xi.stacked if isinstance(xi, DualPotential) else np.asarray(xi, dtype=float)
-
-
 def compute_d(xi_t, xi_star, t):
     """Rescaled dual deviation t (xi(t) - xi*), stacked over both clouds.
 
-    xi_t is a DualPotential or stacked potentials; rows of them, with t an
-    array of one value per row (a grid), give one deviation per row.
+    xi_t holds stacked potentials and xi_star the stacked limit; rows of
+    xi_t, with t an array of one value per row (a grid), give one deviation
+    per row, and a point is one 1-D row with one t.
     """
     check_positive_finite(t, "t")
-    return np.asarray(t)[..., None] * (_stacked(xi_t) - xi_star.stacked)
+    return np.asarray(t)[..., None] * (xi_t - xi_star)
 
 
 def _span_residual(N, m):
@@ -108,29 +104,27 @@ def solve_d_star(exact, div, shape):
 def ode_residual(xi, xi_dot, t, problem, plan=None, exponent=None):
     """Sup-norm of the trajectory ODE left-hand side at (xi, xi_dot, t).
 
-    xi is a DualPotential or stacked potentials.  Rows of them, with xi_dot
-    of the same shape and t an array of one value per row (a grid), give an
-    array of one residual per row; one point gives a float.  The penalty in
-    the ODE's terms is problem.penalty, and `plan` and `exponent` are passed
-    on to reg_solver.ode_terms: a caller that holds the plans or their
-    exponents saves recomputing them, and `exponent` is overwritten.
+    xi holds stacked potentials.  Rows of them, with xi_dot of the same
+    shape and t an array of one value per row (a grid), give one residual
+    per row; a point is one 1-D row with one t.  The penalty in the ODE's
+    terms is problem.penalty, and `plan` and `exponent` are passed on to
+    reg_solver.ode_terms: a caller that holds the plans or their exponents
+    saves recomputing them, and `exponent` is overwritten.
     """
     check_positive_finite(t, "t")
-    x = _stacked(xi)
     dot = np.asarray(xi_dot, dtype=float)
     n = problem.n_x + problem.n_y
-    if dot.shape != x.shape or dot.shape[-1:] != (n,) or not np.isfinite(dot).all():
+    if dot.shape != xi.shape or dot.shape[-1:] != (n,) or not np.isfinite(dot).all():
         raise InvalidInput(f"xi_dot must be {n} finite stacked entries per point")
-    if np.shape(t) not in ((), x.shape[:-1]):
+    if np.shape(t) not in ((), xi.shape[:-1]):
         raise InvalidInput("t must be one value, or one value per point")
-    gamma, hess, forcing = ode_terms(x, t, problem, plan, exponent)
+    gamma, hess, forcing = ode_terms(xi, t, problem, plan, exponent)
     # the forcing is done with the exponent, so A* xi_dot may reuse it
     flow = apply_A_adjoint(dot, problem.n_x, out=exponent)
     flow *= gamma
     t = np.asarray(t)[..., None]
     lhs = apply_A(flow) + hess * dot / t + forcing / (t * t)
-    sup = np.abs(lhs).max(axis=-1)
-    return float(sup) if sup.ndim == 0 else sup
+    return np.abs(lhs).max(axis=-1)
 
 
 def ode_inhomogeneous_norm(xi, t, problem):
@@ -156,9 +150,13 @@ def xi_dot_log_grid(ts, xs):
         raise InvalidInput("derivative estimate needs at least 5 grid points")
     if xs.ndim != 2 or len(xs) != n:
         raise InvalidInput(f"derivative estimate needs {n} stacked potentials as rows")
-    steps = np.diff(np.log(ts))
+    log_t = np.log(ts)
+    steps = np.diff(log_t)
     h = float(steps.mean())
-    if float(np.max(np.abs(steps - h))) > 1e-8 * h:
+    # the steps of a geometric grid still differ by the rounding of t and of
+    # log t, which 1e-8 h falls below once the grid is fine
+    rounding = 4.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(log_t))))
+    if float(np.max(np.abs(steps - h))) > 1e-8 * h + rounding:
         raise InvalidInput("derivative estimate needs a geometric grid")
     first = (-2.0 * xs[0] - 3.0 * xs[1] + 6.0 * xs[2] - xs[3]) / (6.0 * h)
     central = (xs[:-4] - 8.0 * xs[1:-3] + 8.0 * xs[3:-1] - xs[4:]) / (12.0 * h)
@@ -166,18 +164,18 @@ def xi_dot_log_grid(ts, xs):
     return np.vstack([first, central, last]) / ts[1:-1, None]
 
 
-def fit_rate(series):
+def fit_rate(t, err):
     """Least-squares slope of log(err) against log(t).
 
-    `series` is a list of (t, err) pairs.  The fit covers the upper half of
-    the grid in log scale, or the whole grid when that half holds fewer than
-    FIT_POINTS usable points.  Points at or below the numerical floor are
-    excluded.
+    t and err are arrays of one value per point.  The fit covers the upper
+    half of the grid in log scale, or the whole grid when that half holds
+    fewer than FIT_POINTS usable points.  Points at or below the numerical
+    floor are excluded.
     """
-    pts = [(t, e) for t, e in series if e > ERROR_FLOOR]
-    if not pts:
+    keep = err > ERROR_FLOOR
+    if not keep.any():
         raise InvalidInput("no usable points above the numerical floor")
-    ts = np.array([p[0] for p in pts])
+    ts, err = t[keep], err[keep]
     log_mid = 0.5 * (np.log(ts.min()) + np.log(ts.max()))
     lo = float(np.exp(log_mid))
     if np.sum(ts >= lo) < FIT_POINTS:
@@ -187,7 +185,7 @@ def fit_rate(series):
     if sel.sum() < FIT_POINTS:
         raise InvalidInput(f"rate fit requires at least {FIT_POINTS} usable points")
     x = np.log(ts[sel])
-    y = np.log(np.array([p[1] for p in pts])[sel])
+    y = np.log(err[sel])
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
@@ -196,18 +194,16 @@ def fit_rate(series):
     return RateFit(slope=float(slope), r2=r2)
 
 
-def fit_linear_decay(series):
-    """Least-squares slope of log-value against t (exponential decay rate).
+def fit_linear_decay(t, value):
+    """Least-squares slope of a log-value against t (exponential decay rate).
 
-    `series` is a list of (t, log_value) pairs, fitted over the upper half
-    of the grid in log scale; returns the slope, so a value behaving like
-    C exp(-k t) yields approximately -k.
+    t and value are arrays, one t and one log-value per point, fitted over
+    the upper half of the grid in log scale; returns the slope, so a value
+    behaving like C exp(-k t) yields approximately -k.
     """
-    ts = np.array([p[0] for p in series])
-    ys = np.array([p[1] for p in series])
-    log_mid = 0.5 * (np.log(ts.min()) + np.log(ts.max()))
-    sel = ts >= float(np.exp(log_mid))
+    log_mid = 0.5 * (np.log(t.min()) + np.log(t.max()))
+    sel = t >= float(np.exp(log_mid))
     if sel.sum() < 2:
         raise InvalidInput("decay fit requires at least 2 points")
-    slope, _ = np.polyfit(ts[sel], ys[sel], 1)
+    slope, _ = np.polyfit(t[sel], value[sel], 1)
     return float(slope)

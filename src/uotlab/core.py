@@ -102,10 +102,6 @@ class DualPotential:
         vec = np.asarray(vec, dtype=float)
         return DualPotential(vec[:n_x], vec[n_x:])
 
-    @staticmethod
-    def zeros(n_x, n_y):
-        return DualPotential(np.zeros(n_x), np.zeros(n_y))
-
 
 def apply_A(gamma):
     """Marginal operator A: a plan's row sums stacked over its column sums.

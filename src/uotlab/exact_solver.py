@@ -70,7 +70,6 @@ class ExactSolution:
     kappa_star: float
     m_star: np.ndarray  # optimal marginals, row sums stacked over column sums
     gamma_star: np.ndarray
-    lam: np.ndarray  # KKT multipliers (a primal optimizer, support in I0)
     converged: bool
     pivots: int = 0  # crossover pivots from the seed's Kruskal forest
     flags: list = field(default_factory=list)
@@ -187,7 +186,7 @@ def solve_exact(problem):
     CrossoverFailed, so every returned solution is converged.
     """
     seed = solve_dual_t(problem, SEED_T)
-    x, lam, forest, pivots = _crossover(problem, seed.xi.stacked)
+    x, _, forest, pivots = _crossover(problem, seed.xi.stacked)
     xi_star = DualPotential.from_stacked(x, problem.n_x)
     kappa = problem.cost - apply_A_adjoint(x, problem.n_x)
     mask = forest | (kappa <= SLACK_TOL)
@@ -203,7 +202,6 @@ def solve_exact(problem):
         kappa_star=float(np.min(kappa[~mask], initial=math.inf)),
         m_star=m_star,
         gamma_star=minimal_entropy_plan(I0, m_star, kappa.shape),
-        lam=lam,
         converged=True,
         pivots=pivots,
         flags=["seed-" + f for f in flags],

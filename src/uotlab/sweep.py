@@ -156,15 +156,15 @@ def run_sweep(problem, config=None, exact=None):
     exponent gives the off-support maxima and then the ODE forcing, and one
     xi_dot_log_grid and one ode_residual call, on the solved plans, give
     every interior point's residual.  The rate fits take the converged
-    points only, and fewer than FIT_POINTS of them raise TooFewConverged.
+    rows of these arrays, selected by one mask, and fewer than FIT_POINTS
+    of them raise TooFewConverged.
     """
     config = config or SweepConfig()
     if exact is None:
         exact = solve_exact(problem)
     n_x, n_y = shape = problem.n_x, problem.n_y
     off_mask = np.ones(shape, dtype=bool)
-    for i, j in exact.I0:
-        off_mask[i, j] = False
+    off_mask[tuple(np.asarray(exact.I0, dtype=int).reshape(-1, 2).T)] = False
 
     reg_cfg = RegSolveConfig(grad_tol=GRAD_TOL)
     grid = t_grid(config)
@@ -200,7 +200,7 @@ def run_sweep(problem, config=None, exact=None):
     entropy = discrete_entropy(plans)
     primal_err = _row_norms((plans - exact.gamma_star).reshape(n, -1))
     dual_err = _row_norms(xs - exact.xi_star.stacked)
-    d = compute_d(xs, exact.xi_star, grid)
+    d = compute_d(xs, exact.xi_star.stacked, grid)
     exponent = plan_exponent(xs, grid, problem)
     off_max = np.full(n, np.nan)
     if off_mask.any():
@@ -235,18 +235,17 @@ def run_sweep(problem, config=None, exact=None):
         )
     ]
 
-    usable = [p for p in points if p.converged]
-    if len(usable) < FIT_POINTS:
-        raise TooFewConverged(len(usable), FIT_POINTS)
-    dual_fit = fit_rate([(p.t, p.dual_err) for p in usable])
-    primal_fit = fit_rate([(p.t, p.primal_err) for p in usable])
+    usable = np.array([sol.converged for sol in sols])
+    if usable.sum() < FIT_POINTS:
+        raise TooFewConverged(int(usable.sum()), FIT_POINTS)
+    t_fit = grid[usable]
+    dual_fit = fit_rate(t_fit, dual_err[usable])
+    primal_fit = fit_rate(t_fit, primal_err[usable])
     d_star = solve_d_star(exact, problem.penalty, shape)
     dim_e0, e0_res = e0_diagnostics(exact, shape)
     off_slope = None
     if off_mask.any():
-        off_slope = fit_linear_decay(
-            [(p.t, p.log_gamma_off_max) for p in usable]
-        )
+        off_slope = fit_linear_decay(t_fit, off_max[usable])
     return SweepResult(
         points=points,
         exact=exact,

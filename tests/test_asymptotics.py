@@ -56,10 +56,10 @@ def xi_1x1(t):
 
 
 def test_compute_d_closed_form():
-    star = DualPotential([0.5], [0.5])
-    d1 = compute_d(xi_1x1(1.0), star, 1.0)
+    star = np.array([0.5, 0.5])
+    d1 = compute_d(xi_1x1(1.0).stacked, star, 1.0)
     assert np.allclose(d1, [-1 / 6, -1 / 6])
-    d_large = compute_d(xi_1x1(1e7), star, 1e7)
+    d_large = compute_d(xi_1x1(1e7).stacked, star, 1e7)
     assert np.allclose(d_large, [-0.25, -0.25], atol=1e-6)
     assert np.all(compute_d(star, star, 5.0) == 0)
 
@@ -90,13 +90,12 @@ def test_solve_d_star_rejects_marginals_off_the_span():
     # I0 = diagonal of 2x2: each component {x_i, y_i} needs equal row and
     # column mass, which m* = (1, 1 | 2, 1) breaks in the first one
     ex = ExactSolution(
-        xi_star=DualPotential.zeros(2, 2),
+        xi_star=DualPotential(np.zeros(2), np.zeros(2)),
         kappa=np.array([[0.0, 1.0], [1.0, 0.0]]),
         I0=[(0, 0), (1, 1)],
         kappa_star=1.0,
         m_star=np.array([1.0, 1.0, 2.0, 1.0]),
         gamma_star=np.eye(2),
-        lam=np.eye(2),
         converged=True,
     )
     div = DivergenceF(get_entropy("kl"), np.ones(4))
@@ -275,7 +274,7 @@ def test_trajectory_tangent_solves_the_ode(kind, seed, div):
         sol = solve_dual_t(p, t)
         forcing = ode_inhomogeneous_norm(sol.xi, t, p)
         tangent = trajectory_tangent(p, sol)
-        assert ode_residual(sol.xi, tangent, t, p) <= 1e-10 * forcing
+        assert ode_residual(sol.xi.stacked, tangent, t, p) <= 1e-10 * forcing
 
 
 def test_ode_residual_analytic_derivative():
@@ -286,7 +285,7 @@ def test_ode_residual_analytic_derivative():
     rows = ode_residual(xs, dots, ts, p)
     assert rows.shape == (3,)
     for k, t in enumerate(ts.tolist()):
-        one = ode_residual(xi_1x1(t), dots[k], t, p)
+        one = ode_residual(xs[k], dots[k], t, p)
         assert one <= 1e-10
         assert rows[k] == one
 
@@ -294,7 +293,7 @@ def test_ode_residual_analytic_derivative():
 def test_ode_residual_garbage_negative_control():
     p = make_1x1(c=1.0)
     t = 100.0
-    xi = xi_1x1(t)
+    xi = xi_1x1(t).stacked
     good = ode_residual(xi, np.full(2, 1.0 / (1.0 + 2.0 * t) ** 2), t, p)
     bad = ode_residual(xi, np.array([0.3, -0.7]), t, p)
     assert bad >= 10 * max(good, 1e-12)
@@ -304,8 +303,8 @@ def test_ode_residual_garbage_negative_control():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda xi, t, p: compute_d(xi, xi, t),
-        lambda xi, t, p: ode_residual(xi, np.zeros(2), t, p),
+        lambda xi, t, p: compute_d(xi.stacked, xi.stacked, t),
+        lambda xi, t, p: ode_residual(xi.stacked, np.zeros(2), t, p),
         lambda xi, t, p: ode_inhomogeneous_norm(xi, t, p),
     ],
     ids=["compute_d", "ode_residual", "ode_inhomogeneous_norm"],
@@ -319,7 +318,7 @@ def test_ode_residual_rejects_bad_xi_dot():
     p = make_1x1(c=1.0)
     for xi_dot in (np.zeros(3), np.zeros((1, 2)), np.array([0.0, np.nan])):
         with pytest.raises(InvalidInput):
-            ode_residual(xi_1x1(1.0), xi_dot, 1.0, p)
+            ode_residual(xi_1x1(1.0).stacked, xi_dot, 1.0, p)
     # the same cases on rows of two points
     ts = np.array([1.0, 2.0])
     xs = np.array([xi_1x1(t).stacked for t in ts])
@@ -346,7 +345,7 @@ def test_ode_residual_finite_difference_ratio_105():
     sols = [solve_dual_t(p, float(t), cfg) for t in ts]
     forcing = ode_inhomogeneous_norm(sols[2].xi, ts[2], p)
     xd5 = xi_dot_log_grid(ts, np.array([s.xi.stacked for s in sols]))[1]
-    assert ode_residual(sols[2].xi, xd5, ts[2], p) <= 1e-4 * forcing
+    assert ode_residual(sols[2].xi.stacked, xd5, ts[2], p) <= 1e-4 * forcing
 
 
 def test_xi_dot_high_order_stencil():
@@ -372,6 +371,20 @@ def test_xi_dot_rejects_short_or_nongeometric_grid():
         xi_dot_log_grid(np.linspace(50.0, 100.0, 10), xs)
     with pytest.raises(InvalidInput, match="5 grid points"):
         xi_dot_log_grid(ts[:4], xs[:4])
+
+
+def test_xi_dot_accepts_a_fine_geometric_grid():
+    # a grid 1e-6 wide at t = 1e3 steps log t by 1.7e-8, so its steps differ
+    # by more than 1e-8 of a step through the rounding of log t alone
+    ts = t_grid(SweepConfig(t_min=1e3, t_max=1e3 * (1 + 1e-6), n_points=60))
+    xs = np.array([xi_1x1(t).stacked for t in ts])
+    assert xi_dot_log_grid(ts, xs).shape == (58, 2)
+    # a point moved by 1e-6 relative still fails, on this grid and the shipped one
+    for grid in (ts, t_grid(SweepConfig())):
+        moved = grid.copy()
+        moved[30] *= 1 + 1e-6
+        with pytest.raises(InvalidInput, match="geometric"):
+            xi_dot_log_grid(moved, xs)
 
 
 def test_xi_dot_interior_rows_are_the_five_point_stencil():
@@ -433,12 +446,12 @@ def test_sweep_diagnostics_equal_the_pointwise_helpers(kind, seed, div):
     assert stack.shape == (len(pts), p.n_x, p.n_y)
     for k, pt in enumerate(pts):
         assert pt.gamma.base is stack, k  # a row of the plan stack
-        assert np.array_equal(pt.d, compute_d(pt.xi, ex.xi_star, pt.t)), k
+        assert np.array_equal(pt.d, compute_d(pt.xi.stacked, ex.xi_star.stacked, pt.t)), k
         assert pt.dual_err == np.linalg.norm(pt.xi.stacked - ex.xi_star.stacked), k
         assert pt.primal_err == np.linalg.norm(pt.gamma - ex.gamma_star), k
         assert pt.log_gamma_off_max == plan_exponent(pt.xi.stacked, pt.t, p)[off].max()
         if 0 < k < len(pts) - 1:
-            assert pt.ode_residual == ode_residual(pt.xi, xi_dots[k - 1], pt.t, p), k
+            assert pt.ode_residual == ode_residual(pt.xi.stacked, xi_dots[k - 1], pt.t, p), k
         else:
             assert np.isnan(pt.ode_residual)
         assert pt.entropy_val == discrete_entropy(pt.gamma), k
@@ -493,9 +506,9 @@ def test_e0_orthogonal_perturbation_detected():
 
 def test_fit_rate_synthetic_power_laws():
     ts = np.geomspace(1.0, 1e4, 40)
-    fit1 = fit_rate([(t, 3.0 / t) for t in ts])
+    fit1 = fit_rate(ts, 3.0 / ts)
     assert fit1.slope == pytest.approx(-1.0, abs=1e-12)
-    fit2 = fit_rate([(t, 5.0 / np.sqrt(t)) for t in ts])
+    fit2 = fit_rate(ts, 5.0 / np.sqrt(ts))
     assert fit2.slope == pytest.approx(-0.5, abs=1e-12)
     assert fit2.r2 == pytest.approx(1.0, abs=1e-12)
 
@@ -503,9 +516,9 @@ def test_fit_rate_synthetic_power_laws():
 def test_fit_rate_excludes_floor_and_needs_points():
     ts = np.geomspace(1.0, 100.0, 20)
     with pytest.raises(InvalidInput):
-        fit_rate([(t, 1e-15) for t in ts])
+        fit_rate(ts, np.full(len(ts), 1e-15))
     with pytest.raises(InvalidInput):
-        fit_rate([(t, 1.0 / t) for t in ts[:6]])
+        fit_rate(ts[:6], 1.0 / ts[:6])
 
 
 @pytest.mark.parametrize(
@@ -533,7 +546,7 @@ def test_sweep_config_rejects_non_real_range(field, value):
 
 def test_fit_linear_decay():
     ts = np.linspace(1.0, 50.0, 30)
-    slope = fit_linear_decay([(t, 2.0 - 0.37 * t) for t in ts])
+    slope = fit_linear_decay(ts, 2.0 - 0.37 * ts)
     assert slope == pytest.approx(-0.37, abs=1e-12)
 
 

@@ -482,7 +482,7 @@ def test_adjoint_small():
 
 
 def test_adjoint_zero():
-    xi = DualPotential.zeros(2, 3)
+    xi = DualPotential(np.zeros(2), np.zeros(3))
     assert np.all(apply_A_adjoint(xi.stacked, 2) == 0)
 
 

@@ -394,9 +394,11 @@ def test_kkt_multipliers_are_primal_feasible():
     rng = np.random.default_rng(67)
     p = random_problem(rng, n_x=3, n_y=3)
     ex = solve_exact(p)
-    # the multiplier matrix is itself a primal optimizer: same objective
+    flows = _crossover(p, solve_dual_t(p, exact_solver.SEED_T).xi.stacked)[1]
+    # the crossover's flows (the KKT multipliers) are themselves a primal
+    # optimizer: same objective
     assert abs(
-        primal_objective(ex.lam, p) - primal_objective(ex.gamma_star, p)
+        primal_objective(flows, p) - primal_objective(ex.gamma_star, p)
     ) <= 1e-7
 
 
