@@ -6,12 +6,13 @@ quadratic) with solve_exact and prints, per instance, the crossover's pivots,
 the seed's flags, the relative duality gap, the complementarity and the
 relative component imbalance max |N^T m*| / max |m*| (N: the null basis of
 I0's spanning forest, one column per component), then a summary line with
-the failures and the instances whose seed did not converge (flag
+the failures, the instances whose seed did not converge (flag
 seed-nonconverged: its Newton steps were spent without reaching the
-tolerance, and the crossover certified the reference anyway).  Exits nonzero
-when any solve raises, when a relative gap exceeds GAP_RTOL, when
-complementarity exceeds COMPLEMENTARITY_TOL or when the imbalance exceeds
-IMBALANCE_RTOL.  About 15 s with one BLAS thread.
+tolerance, and the crossover certified the reference anyway) and those whose
+seed needed the Newton ridge (flag seed-ridge).  Exits nonzero when any solve
+raises, when a relative gap exceeds GAP_RTOL, when complementarity exceeds
+COMPLEMENTARITY_TOL or when the imbalance exceeds IMBALANCE_RTOL.  About 8 s
+with one BLAS thread.
 
     PYTHONPATH=src python scripts/scale_ladder.py
 """
@@ -59,7 +60,7 @@ def check(n_x, seed, div):
 
 
 def main():
-    failures = nonconverged = 0
+    failures = nonconverged = ridged = 0
     start = time.perf_counter()
     print("n_x  seed divergence pivots rel_gap   complement imbalance flags")
     for n_x in SIZES:
@@ -76,11 +77,12 @@ def main():
                        or imbalance > IMBALANCE_RTOL)
                 failures += bad
                 nonconverged += "seed-nonconverged" in flags
+                ridged += "seed-ridge" in flags
                 print(f"{label} {pivots:<6d} {gap:.2e}  {comp:.2e}   {imbalance:.2e}  "
                       f"{'|'.join(flags) or '-'}{'  FAIL' if bad else ''}")
     total = len(SIZES) * len(SEEDS) * len(DIVERGENCES)
     print(f"{failures}/{total} failed, {nonconverged}/{total} seeds not converged, "
-          f"in {time.perf_counter() - start:.1f} s")
+          f"{ridged}/{total} seeds ridged, in {time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
 
 

@@ -8,6 +8,8 @@ optimizer we read off the saturated set, the slack matrix, the common
 optimal marginals m* = grad F*(-xi*), and finally the minimal-entropy
 optimal plan gamma* = exp(A* z) on the saturated set, where z minimizes
 sum_{I0} exp((A* z)_xy) - <m*|z> with one node of every component grounded.
+The seed's plan on I0 is exp(A* z) at z = SEED_T (xi(SEED_T) - xi*), within
+O(1/SEED_T) of gamma*, so that z is the limit plan's start.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def _crossover(problem, x):
         forest[enter] = True
 
 
-def minimal_entropy_plan(I0, m_star, shape):
+def minimal_entropy_plan(I0, m_star, shape, start=None):
     """Entropy-minimal plan with stacked marginals m_star supported on I0.
 
     The plan is exp(A* z) on I0, where z minimizes the strictly convex
@@ -142,7 +144,14 @@ def minimal_entropy_plan(I0, m_star, shape):
     one root node in every connected component of I0 (core.component_roots).
     The root term is 0 at the minimizer exactly when m* is balanced on each
     component; ProjectionFailed is raised when m_star is not the marginal of
-    such a plan, and InvalidInput when I0 is empty.
+    such a plan, and InvalidInput when I0 is empty or `start` is not one
+    stacked vector of n_x + n_y entries.
+
+    `start` is an optional stacked z to begin from, such as solve_exact's
+    SEED_T (xi_seed - xi*), whose plan on I0 is the seed's.  Newton begins
+    from whichever of `start` and 0 has the lower functional value: from a
+    start far above the minimizer (the seed's at masses of 1e-12) Newton
+    stops short of the marginals, and ProjectionFailed is raised.
     """
     if len(I0) == 0:
         raise InvalidInput("saturated set is empty")
@@ -160,11 +169,22 @@ def minimal_entropy_plan(I0, m_star, shape):
     # the gradient's marginals of the plan are the Hessian's diagonal too;
     # the solve is a block of one row, whose functions take its 1-D point
     marginals = last_point_cache(lambda z: apply_A(plan(z)))
+
+    def value(z, _=None):
+        return float(plan(z).sum() - m @ z + 0.5 * root @ z**2)
+
+    z0 = np.zeros(n_x + n_y)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != z0.shape:
+            raise InvalidInput(f"a limit-plan start needs {z0.size} stacked entries")
+        if value(start) < value(z0):
+            z0 = start
     z, *_ = newton_minimize(
-        lambda z, _: float(plan(z).sum() - m @ z + 0.5 * root @ z**2),
+        value,
         lambda z, _: marginals(z) - m + root * z,
         lambda z, _: (plan(z), marginals(z) + root),
-        np.zeros((1, n_x + n_y)),
+        z0[None],
         1e-13 * float(np.max(m)),
         200,
     )
@@ -195,13 +215,15 @@ def solve_exact(problem):
         raise DegenerateInstance("no saturated constraint at the dual optimum")
     m_star = F_conj_grad(-x, problem.penalty)  # common to every primal optimizer
     flags = seed.flags + ([] if seed.converged else ["nonconverged"])
+    # the seed's plan on I0 is exp(A* z) at z = SEED_T (xi_seed - xi*)
+    start = SEED_T * (seed.xi.stacked - x)
     return ExactSolution(
         xi_star=xi_star,
         kappa=kappa,
         I0=I0,
         kappa_star=float(np.min(kappa[~mask], initial=math.inf)),
         m_star=m_star,
-        gamma_star=minimal_entropy_plan(I0, m_star, kappa.shape),
+        gamma_star=minimal_entropy_plan(I0, m_star, kappa.shape, start),
         converged=True,
         pivots=pivots,
         flags=["seed-" + f for f in flags],

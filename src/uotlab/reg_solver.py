@@ -10,14 +10,17 @@ gives the primal plan through gamma = exp(t (A* xi - c)).
 A cold start at large t climbs a continuation chain in t, and each stage
 starts from the one before along the trajectory: at a solved point the
 tangent d xi/dt solves the trajectory ODE (`trajectory_tangent`), and the
-expansion xi(t) = xi* + d/t carries it to the next stage's t.
+expansion xi(t) = xi* + d/t carries it to the next stage's t.  A stage below
+the target t only provides the next start, so it stops at a tolerance
+relative to the masses (CHAIN_RTOL), as path-following methods centre their
+intermediate points loosely.
 
-A warm start from outside, such as the solution at another t, carries plan
-exponents scaled for that t, so the masses of its plan miss the marginals by
-factors.  `scaled_start` repairs them in O(n_x n_y) before Newton: one exact
-block-coordinate sweep, phi then psi, each set to the minimizer of K_t with
-the other side fixed (the scaling step of unbalanced Sinkhorn; Chizat, Peyre,
-Schmitzer & Vialard 2018).
+A start made at another t, such as the solution there or the chain's
+tangent prediction, carries plan exponents scaled for that t, so the masses
+of its plan miss the marginals by factors.  `scaled_start` repairs them in
+O(n_x n_y) before Newton: one exact block-coordinate sweep, phi then psi,
+each set to the minimizer of K_t with the other side fixed (the scaling step
+of unbalanced Sinkhorn; Chizat, Peyre, Schmitzer & Vialard 2018).
 
 As t grows, the plan entries off the saturated set decay like exp(-t kappa).
 Entries with an exponent below EXP_MIN are flushed to exact zeros: they are
@@ -84,6 +87,10 @@ EXP_MIN = -100.0
 # t = CONTINUATION_FROM * CONTINUATION_RATIO**k below the target t
 CONTINUATION_FROM = 1.0
 CONTINUATION_RATIO = 10.0
+# a stage below the target t only provides the next stage's start, so it
+# stops at this gradient relative to the largest reference mass (or at the
+# solve's grad_tol, when that is larger); the last stage keeps grad_tol
+CHAIN_RTOL = 1e-4
 MAX_NEWTON_ITERS = 200
 
 
@@ -350,7 +357,9 @@ def _log_sum_exp(a, axis):
 def scaled_start(problem, t, x):
     """The stacked start x after one exact block-coordinate sweep on K_t.
 
-    phi is set to the minimizer of K_t over phi with psi fixed, then psi to
+    It serves every start made at another t: a warm start from outside, and
+    each tangent prediction of solve_dual_t's cold continuation chain.  phi
+    is set to the minimizer of K_t over phi with psi fixed, then psi to
     the minimizer over psi with the new phi, so K_t never rises.  Each half
     is one log-sum-exp per node, lse_i = log sum_j exp(t (psi_j - c_ij)) for
     phi, and then the entropy's scaling_root of t phi_i + lse_i =
@@ -382,8 +391,11 @@ def solve_dual_t(problem, t, config=None, init=None):
     goes to _newton_solve as it is.  Cold starts at zeros,
     with a geometric continuation chain in t when t is large (keeps exponents
     moderate, matching the bounded rescaled-deviation regime).  Each stage of
-    the chain starts from the tangent prediction of the one before, and the
-    result carries the flags of every stage, each once.
+    the chain after the first starts from scaled_start of the tangent
+    prediction of the one before.  A stage below t stops at a gradient of
+    max(grad_tol, CHAIN_RTOL * max q), q the penalty's reference masses; the
+    last stage, at t, is solved to grad_tol, so the result means what a warm
+    solve's does.  The result carries the flags of every stage, each once.
     """
     check_positive_finite(t, "t")
     config = config or RegSolveConfig()
@@ -391,16 +403,18 @@ def solve_dual_t(problem, t, config=None, init=None):
         x0 = scaled_start(problem, t, _stacked_start(problem, init))
         return _newton_solve(problem, t, config, x0)
     x = np.zeros(problem.n_x + problem.n_y)
+    stage = RegSolveConfig(max(config.grad_tol, CHAIN_RTOL * float(np.max(problem.penalty.q))))
     t_cur = CONTINUATION_FROM
     flags = []
     while t_cur < t:
-        sol = _newton_solve(problem, t_cur, config, x)
+        sol = _newton_solve(problem, t_cur, stage, x)
         flags += sol.flags
         t_cur *= CONTINUATION_RATIO
         # xi(t) = xi* + d/t matched to the value and tangent at s = sol.t
-        # predicts xi(t) = xi(s) + (1 - s/t) s xi_dot(s)
+        # predicts xi(t) = xi(s) + (1 - s/t) s xi_dot(s), scaled to t
         s, t_next = sol.t, min(t_cur, t)
         x = sol.xi.stacked + (1.0 - s / t_next) * s * trajectory_tangent(problem, sol)
+        x = scaled_start(problem, t_next, x)
     sol = _newton_solve(problem, t, config, x)
     sol.flags = list(dict.fromkeys(flags + sol.flags))
     return sol

@@ -10,6 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
+from uotlab import reg_solver
 from uotlab.core import DivergenceSpec, Problem, apply_A_adjoint
 from uotlab.divergence import F_conj, divergence_for
 
@@ -41,6 +42,18 @@ def random_problem(rng, n_x=None, n_y=None, kind="kl", max_n=3):
         divergence=DivergenceSpec(kind=kind),
         cost_kind="explicit",
     )
+
+
+def use_unscaled_chain(monkeypatch):
+    """Make solve_dual_t's cold chain start each stage at its tangent
+    prediction as it is, and solve every stage to the full grad_tol.
+
+    The shipped chain scales those starts and loosens the stages below the
+    target t; this plain chain is the one that needs the Newton ridge at
+    scale, so tests drive the ridge and seed-nonconverged paths through it.
+    """
+    monkeypatch.setattr(reg_solver, "scaled_start", lambda problem, t, x: x)
+    monkeypatch.setattr(reg_solver, "CHAIN_RTOL", 0.0)
 
 
 def marginal_matrix(n_x, n_y):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uotlab import exact_solver
+from uotlab import exact_solver, reg_solver
 from uotlab.core import (
     DivergenceSpec,
     InvalidInput,
@@ -26,9 +26,10 @@ from uotlab.exact_solver import (
     solve_exact,
 )
 from uotlab.io import problem_from_dict, problem_to_dict
-from uotlab.reg_solver import primal_objective, solve_dual_t, solve_primal_t
+from uotlab.newton import newton_minimize
+from uotlab.reg_solver import _newton_solve, primal_objective, solve_dual_t, solve_primal_t
 
-from conftest import make_1x1, marginal_matrix, random_problem
+from conftest import make_1x1, marginal_matrix, random_problem, use_unscaled_chain
 
 
 def test_1x1_closed_forms_kl():
@@ -257,12 +258,15 @@ def test_crossover_grounds_each_forest_once(monkeypatch):
         assert pivots >= 1 and len(calls) == pivots + 1
 
 
-def test_nonconverged_seed_is_flagged():
-    # this scale-ladder seed stops after MAX_NEWTON_ITERS ridged steps at
-    # t = SEED_T; the crossover certifies the reference from it all the same
+def test_nonconverged_seed_is_flagged(monkeypatch):
+    # the shipped chain converges on this scale-ladder seed; the unscaled
+    # chain stops it after MAX_NEWTON_ITERS ridged steps at t = SEED_T, and
+    # the crossover certifies the same reference from it all the same
     p = gen_dataset(DatasetSpec(
         kind="point-clouds", seed=6, divergence="kl", n_x=240, n_y=242,
     ))
+    assert solve_exact(p).flags == []
+    use_unscaled_chain(monkeypatch)
     ex = solve_exact(p)
     assert ex.converged and ex.pivots == 8
     assert ex.flags == ["seed-ridge", "seed-nonconverged"]
@@ -310,9 +314,9 @@ LADDER_PIVOTS = {
     (120, "kl"): 2, (120, "quadratic"): 10,
     (240, "kl"): 2, (240, "quadratic"): 9,
 }
-# instances of the scale ladder (scripts/scale_ladder.py) whose seed chain
-# needs a ridge beyond 1e8, as the ridge cap scaled with the Hessian allows,
-# and their pivots
+# instances of the scale ladder (scripts/scale_ladder.py) whose unscaled
+# seed chain (use_unscaled_chain) needs a ridge beyond 1e8, as the ridge cap
+# scaled with the Hessian allows, and their pivots from either chain
 SCALE_PIVOTS = {
     (8, 120, "kl"): 3, (8, 120, "quadratic"): 21,
     (0, 240, "kl"): 7, (5, 240, "quadratic"): 38,
@@ -330,13 +334,94 @@ def test_exact_reference_ladder(seed, n_x, div):
     ex = solve_exact(p)
     assert ex.converged and "seed-nonconverged" not in ex.flags
     if (seed, n_x, div) in SCALE_PIVOTS:
-        assert ex.pivots == SCALE_PIVOTS[seed, n_x, div] and "seed-ridge" in ex.flags
+        assert ex.pivots == SCALE_PIVOTS[seed, n_x, div] and ex.flags == []
     elif n_x > 13:
         assert ex.pivots == LADDER_PIVOTS[n_x, div]
-    div = divergence_for(p)
-    gap = primal_objective(ex.gamma_star, p) + F_conj(-ex.xi_star.stacked, div)
+    _assert_certified(ex, p)
+
+
+def _assert_certified(ex, p):
+    """Duality gap <= 1e-8 and complementarity <= 1e-10."""
+    gap = primal_objective(ex.gamma_star, p) + F_conj(-ex.xi_star.stacked, p.penalty)
     assert abs(gap) <= 1e-8
     assert float(np.max(np.abs(ex.gamma_star * ex.kappa))) <= 1e-10
+
+
+@pytest.mark.parametrize("seed,n_x,div", SCALE_PIVOTS)
+def test_unscaled_chain_needs_the_scaled_ridge_cap(seed, n_x, div, monkeypatch):
+    # from the unscaled chain these seeds need a ridge beyond 1e8, which the
+    # ridge cap scaled with the Hessian allows, and the crossover takes the
+    # pivots it takes from the shipped chain's seed
+    use_unscaled_chain(monkeypatch)
+    p = gen_dataset(DatasetSpec(
+        kind="point-clouds", seed=seed, divergence=div, n_x=n_x, n_y=n_x + 2,
+    ))
+    ex = solve_exact(p)
+    assert ex.converged and "seed-nonconverged" not in ex.flags
+    assert ex.pivots == SCALE_PIVOTS[seed, n_x, div] and "seed-ridge" in ex.flags
+    _assert_certified(ex, p)
+
+
+@pytest.mark.parametrize("kind,seed,div,n_x", [
+    *[(kind, seed, div, None) for kind, seed, div in SHIPPED_PIVOTS],
+    *[("point-clouds", 4, div, n_x) for n_x, div in LADDER_PIVOTS],
+])
+def test_seeded_limit_plan_equals_the_cold_one(kind, seed, div, n_x):
+    # solve_exact starts the limit plan from the seed's z = SEED_T (xi_seed
+    # - xi*); the plan is the one Newton finds from 0
+    size = {} if n_x is None else {"n_x": n_x, "n_y": n_x + 2}
+    p = gen_dataset(DatasetSpec(kind=kind, seed=seed, divergence=div, **size))
+    ex = solve_exact(p)
+    cold = minimal_entropy_plan(ex.I0, ex.m_star, (p.n_x, p.n_y))
+    assert np.max(np.abs(ex.gamma_star - cold)) <= 1e-13 * np.max(cold)
+
+
+def test_minimal_entropy_plan_starts_from_the_lower_value(monkeypatch):
+    # Newton begins from the start only where the functional is lower there
+    # than at 0; the plan is the same either way
+    row, col = np.array([1.0, 2.0]), np.array([1.4, 1.6])
+    I0, m = [(i, j) for i in range(2) for j in range(2)], np.concatenate([row, col])
+    cold = minimal_entropy_plan(I0, m, (2, 2))
+    starts = []
+
+    def record(value, gradient, hessian, x0, *args):
+        starts.append(x0[0])
+        return newton_minimize(value, gradient, hessian, x0, *args)
+
+    monkeypatch.setattr(exact_solver, "newton_minimize", record)
+    near = np.log(np.array([cold[0, 0], cold[1, 0], 1.0, cold[0, 1] / cold[0, 0]]))
+    far = np.full(4, 40.0)
+    for start, taken in [(near, near), (far, np.zeros(4)), (None, np.zeros(4))]:
+        g = minimal_entropy_plan(I0, m, (2, 2), start)
+        assert np.array_equal(starts[-1], taken)
+        assert np.max(np.abs(g - cold)) <= 1e-13 * np.max(cold)
+    with pytest.raises(InvalidInput, match="needs 4 stacked entries"):
+        minimal_entropy_plan(I0, m, (2, 2), near[:3])
+
+
+def test_shipped_exact_iterations_pinned(monkeypatch):
+    # Newton iterations of the four shipped exact references: the seed
+    # chains (28 stages, counted through _newton_solve) and the limit plans
+    # (through newton_minimize); iteration counts do not depend on the
+    # machine.  Unscaled stages each solved to grad_tol took 169, and limit
+    # plans started from 0 took 39
+    counts = {"seed": 0, "limit": 0}
+
+    def newton_solve(*args):
+        sol = _newton_solve(*args)
+        counts["seed"] += sol.iters
+        return sol
+
+    def limit(*args):
+        result = newton_minimize(*args)
+        counts["limit"] += int(result[3].sum())
+        return result
+
+    monkeypatch.setattr(reg_solver, "_newton_solve", newton_solve)
+    monkeypatch.setattr(exact_solver, "newton_minimize", limit)
+    for kind, seed, div in SHIPPED_PIVOTS:
+        solve_exact(gen_dataset(DatasetSpec(kind=kind, seed=seed, divergence=div)))
+    assert counts == {"seed": 101, "limit": 8}
 
 
 @pytest.mark.parametrize("seed", [7, 10])
@@ -356,17 +441,25 @@ def test_optimal_marginals_balance_each_component(seed):
     ("kl", 1e12), ("quadratic", 1e9), ("quadratic", 1e12),
     *[(div, s) for div in ("kl", "quadratic") for s in (1e-12, 1e-9, 1e-6)],
 ])
-def test_large_masses_scale_the_reference(div, scale):
+def test_large_masses_scale_the_reference(div, scale, monkeypatch):
     # the exact problem is 1-homogeneous in (plan, masses), from small masses
-    # to large; at the large scales the seed's Hessian needs a ridge far
-    # above 1e8, which the ridge cap scaled with the Hessian allows
+    # to large.  The shipped chain's seed needs no ridge at any scale; from
+    # the unscaled chain the seed's Hessian at the large scales needs a ridge
+    # far above 1e8, which the ridge cap scaled with the Hessian allows.  At
+    # 1e-12 the limit plan starts from 0, whose value is below the seed's
+    # start: from the seed it would stop short of the marginals
     base = solve_exact(gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence=div)))
-    ex = solve_exact(gen_dataset(DatasetSpec(
+    p = gen_dataset(DatasetSpec(
         kind="point-clouds", seed=4, divergence=div, mass_x=13 * scale, mass_y=15 * scale,
-    )))
-    assert ex.I0 == base.I0 and (scale < 1 or "seed-ridge" in ex.flags)
-    assert np.max(np.abs(ex.xi_star.stacked - base.xi_star.stacked)) <= 1e-12
-    assert np.max(np.abs(ex.gamma_star / scale - base.gamma_star)) <= 1e-10 * np.max(base.gamma_star)
+    ))
+    refs = [(solve_exact(p), False)]
+    if scale > 1:
+        use_unscaled_chain(monkeypatch)
+        refs.append((solve_exact(p), True))
+    for ex, ridged in refs:
+        assert ex.I0 == base.I0 and ("seed-ridge" in ex.flags) == ridged
+        assert np.max(np.abs(ex.xi_star.stacked - base.xi_star.stacked)) <= 1e-12
+        assert np.max(np.abs(ex.gamma_star / scale - base.gamma_star)) <= 1e-10 * np.max(base.gamma_star)
 
 
 @pytest.mark.parametrize("kind,seed", [("point-clouds", 4), ("gaussians-1d", 0)])

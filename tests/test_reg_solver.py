@@ -26,7 +26,7 @@ from uotlab.reg_solver import (
     solve_primal_t,
 )
 
-from conftest import coercivity_floor, make_1x1, random_problem
+from conftest import coercivity_floor, make_1x1, random_problem, use_unscaled_chain
 
 
 def closed_form_s(t):
@@ -464,9 +464,10 @@ def test_size_ladder_chain_iterations_pinned(n_x, total):
     assert sum(sol.iters for sol in _ladder_chain("kl", n_x=n_x)) == total
 
 
-def test_cold_chain_reports_the_flags_of_every_stage():
-    # on this instance the ridge is needed at the t = 1e5 stage of the chain
-    # to t = 1e6, not at the last one; the result still carries it, once
+def test_cold_chain_reports_the_flags_of_every_stage(monkeypatch):
+    # on this instance the unscaled chain to t = 1e6 needs the ridge at its
+    # t = 1e5 stage, not at the last one; the result still carries it, once.
+    # The shipped chain needs no ridge here
     p = gen_dataset(DatasetSpec(kind="point-clouds", seed=7, n_x=120, n_y=122))
     stages = []
     newton_solve = reg_solver._newton_solve
@@ -476,9 +477,12 @@ def test_cold_chain_reports_the_flags_of_every_stage():
         stages.append(list(sol.flags))
         return sol
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reg_solver, "_newton_solve", record)
-        sol = solve_dual_t(p, 1e6)
+    monkeypatch.setattr(reg_solver, "_newton_solve", record)
+    sol = solve_dual_t(p, 1e6)
+    assert stages == [[]] * 7 and sol.converged and sol.flags == []
+    stages.clear()
+    use_unscaled_chain(monkeypatch)
+    sol = solve_dual_t(p, 1e6)
     assert stages[-1] == [] and ["ridge"] in stages[:-1]
     assert sol.converged and sol.flags == ["ridge"]
 
