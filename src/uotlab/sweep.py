@@ -1,16 +1,20 @@
 """t-sweeps with warm starts, error diagnostics and CSV emission.
 
-Only the first point (index 0) is solved cold. The expansion
-xi(t) = xi* + d*/t + ... makes the trajectory smooth in u = 1/t, so every
-later point starts from the Lagrange extrapolation in u through the last
-min(k, HISTORY) solved points, k being the number solved so far.  The grid
-after the first point is solved in blocks of BLOCK consecutive points, each
-block one Newton loop over a leading row axis (newton.newton_minimize): at
-the shipped sizes a Newton iteration costs per-call overhead rather than
-arithmetic, and a block pays it once per loop for all its points.  Every
-start in a block is extrapolated from the points solved before the block,
-so points further into a block start further from their solution and take
-more iterations, while the loops of the kernel fall.
+The expansion xi(t) = xi* + d*/t + ... makes the trajectory smooth in
+u = 1/t, and its remainder is of order exp(-kappa* t) (Cominetti & San
+Martin 1994).  The sweep reads xi*, d* and kappa* before its grid, and one
+Newton loop solves every point that needs no solved neighbour: the first
+block_size(grid) + 1 points from the limit xi* scaled to their t (one
+unbalanced-Sinkhorn sweep, reg_solver.scaled_start), and, when d* is finite,
+every point with kappa* t >= ASYMPTOTIC_KAPPA_T from xi* + d*/t.  The points
+between are solved in blocks of BLOCK consecutive points, each start the
+Lagrange extrapolation in u through the last min(k, HISTORY) solved points,
+k being the number solved before the block.  Each block is one Newton loop
+over a leading row axis (newton.newton_minimize): at the shipped sizes a
+Newton iteration costs per-call overhead rather than arithmetic, and a block
+pays it once per loop for all its points.  Points further into a block start
+further from their solution and take more iterations, while the loops of the
+kernel fall.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .asymptotics import (
 )
 from .core import InvalidInput, discrete_entropy
 from .exact_solver import solve_exact
-from .reg_solver import RegSolveConfig, _newton_rows, plan_exponent, solve_dual_t
+from .reg_solver import RegSolveConfig, _newton_rows, plan_exponent, scaled_start
 
 CSV_HEADER = "t,dual_err,primal_err,ode_residual,entropy,iters,flags"
 # gradient tolerance of the sweep's solves (the CLI `solve` default is 1e-10)
@@ -50,6 +54,10 @@ BLOCK = 6
 # further a start is extrapolated, the more Newton steps it needs, and on a
 # coarse grid (12 points to t = 1e4) blocks of 6 left points unconverged
 BLOCK_SPAN = 5.0
+# a point with kappa* t at least this starts from the expansion xi* + d*/t,
+# whose remainder is of order exp(-kappa* t) (Cominetti & San Martin 1994);
+# on the seed ladder 1 and 10 took more per-point iterations than 3
+ASYMPTOTIC_KAPPA_T = 3.0
 
 
 @dataclass
@@ -92,8 +100,9 @@ class SweepResult:
     dim_e0: int
     e0_residual: float
     off_support_slope: float | None
-    # iterations of the Newton kernel's loop: point 0's, plus the most any
-    # point of a block took, over the blocks (each point's own are in points)
+    # iterations of the Newton kernel's loop: the most any point of a block
+    # took, summed over the blocks, the first of which holds the points that
+    # need no history (each point's own are in points)
     newton_loops: int
 
 
@@ -140,24 +149,28 @@ def _row_norms(a):
 
 
 def run_sweep(problem, config=None, exact=None):
-    """Solve exact once, then warm-start the regularized solves up the grid.
+    """Solve exact once, then the regularized points of the grid in blocks.
 
     The trajectory is one array xs, whose row k is the stacked solution at
-    grid[k], and its plans are one (n_points, n_x, n_y) stack.  Point 0 is
-    solved cold.  The later points are solved in blocks of block_size(grid)
-    consecutive points, one Newton loop each, and their starts are written
-    into their rows of xs and go from there to Newton as they are, without
-    solve_dual_t's scaled start: a block whose first point is k starts each
-    of its points from the extrapolation in 1/t through the last
-    min(k, HISTORY) rows (the grid is geometric, so the weights of a window
-    size and an offset into the block are the same at every block, and each
-    is computed once, from the first grid points).  The diagnostics are
-    array passes over xs, the plan stack and one plan-exponent array: the
-    exponent gives the off-support maxima and then the ODE forcing, and one
-    xi_dot_log_grid and one ode_residual call, on the solved plans, give
-    every interior point's residual.  The rate fits take the converged
-    rows of these arrays, selected by one mask, and fewer than FIT_POINTS
-    of them raise TooFewConverged.
+    grid[k], and its plans are one (n_points, n_x, n_y) stack.  Each start is
+    written into its row of xs and goes from there to Newton as it is.  The
+    limit xi* and d* are read first, and one Newton loop solves every point
+    that needs no solved neighbour: the first block_size(grid) + 1 points,
+    each from scaled_start(problem, t, xi*), and, when d* is finite, every
+    point with kappa* t >= ASYMPTOTIC_KAPPA_T, from xi* + d*/t (such a point
+    takes precedence over the first ones).  The points between the two sets
+    are solved in blocks of block_size(grid) consecutive points, one Newton
+    loop each: a block whose first point is k starts each of its points from
+    the extrapolation in 1/t through the last min(k, HISTORY) rows (the grid
+    is geometric, so the weights of a window size and an offset into the
+    block are the same at every block, and each is computed once, from the
+    first grid points).  The diagnostics are array passes over xs, the plan
+    stack and one plan-exponent array: the exponent gives the off-support
+    maxima and then the ODE forcing, and one xi_dot_log_grid and one
+    ode_residual call, on the solved plans, give every interior point's
+    residual.  The rate fits take the converged rows of these arrays,
+    selected by one mask, and fewer than FIT_POINTS of them raise
+    TooFewConverged.
     """
     config = config or SweepConfig()
     if exact is None:
@@ -165,6 +178,8 @@ def run_sweep(problem, config=None, exact=None):
     n_x, n_y = shape = problem.n_x, problem.n_y
     off_mask = np.ones(shape, dtype=bool)
     off_mask[tuple(np.asarray(exact.I0, dtype=int).reshape(-1, 2).T)] = False
+    d_star = solve_d_star(exact, problem.penalty, shape)
+    xi_star = exact.xi_star.stacked
 
     reg_cfg = RegSolveConfig(grad_tol=GRAD_TOL)
     grid = t_grid(config)
@@ -175,32 +190,42 @@ def run_sweep(problem, config=None, exact=None):
     weights = {}
     xs = np.empty((n, n_x + n_y))
     plans = np.empty((n, *shape))
-    sols = []
+    sols = [None] * n
     loops = 0
-    for k in (0, *range(1, n, size)):
-        if k:
-            stop = min(k + size, n)
-            m = min(k, HISTORY)
-            if m not in weights:
-                weights[m] = block_weights(u, m, min(size, len(u) - m))
-            # an extrapolated row is close enough that solve_dual_t's scaled
-            # start saves Newton fewer steps than it costs
-            np.matmul(weights[m][: stop - k], xs[k - m : k], out=xs[k:stop])
-            block = _newton_rows(problem, grid[k:stop], reg_cfg, xs[k:stop])
-        else:
-            block = [solve_dual_t(problem, float(grid[0]), reg_cfg)]
+
+    def solve(rows):
+        nonlocal loops
+        block = _newton_rows(problem, grid[rows], reg_cfg, xs[rows])
         loops += max(sol.iters for sol in block)
-        for i, sol in enumerate(block, start=k):
+        for i, sol in zip(np.arange(n)[rows].tolist(), block):
             xs[i] = sol.xi.stacked
             plans[i] = sol.gamma
             sol.gamma = plans[i]  # the point keeps its row of the stack, not a copy
-        sols += block
+            sols[i] = sol
+
+    # the expansion's tail starts at grid[top]; a NaN d* (a limit flow of
+    # zero on the saturated set) gives no tail
+    tail = exact.kappa_star * grid >= ASYMPTOTIC_KAPPA_T
+    top = n - int(np.count_nonzero(tail)) if np.isfinite(d_star).all() else n
+    head = min(size + 1, top)
+    for k in range(head):
+        xs[k] = scaled_start(problem, grid[k], xi_star)
+    np.divide(d_star, grid[top:, None], out=xs[top:])
+    xs[top:] += xi_star
+    solve(np.r_[:head, top:n])
+    for k in range(head, top, size):
+        stop = min(k + size, top)
+        m = min(k, HISTORY)
+        if m not in weights:
+            weights[m] = block_weights(u, m, min(size, len(u) - m))
+        np.matmul(weights[m][: stop - k], xs[k - m : k], out=xs[k:stop])
+        solve(slice(k, stop))
 
     # each pass below holds at most one trajectory-sized array beside the plans
     entropy = discrete_entropy(plans)
     primal_err = _row_norms((plans - exact.gamma_star).reshape(n, -1))
-    dual_err = _row_norms(xs - exact.xi_star.stacked)
-    d = compute_d(xs, exact.xi_star.stacked, grid)
+    dual_err = _row_norms(xs - xi_star)
+    d = compute_d(xs, xi_star, grid)
     exponent = plan_exponent(xs, grid, problem)
     off_max = np.full(n, np.nan)
     if off_mask.any():
@@ -241,7 +266,6 @@ def run_sweep(problem, config=None, exact=None):
     t_fit = grid[usable]
     dual_fit = fit_rate(t_fit, dual_err[usable])
     primal_fit = fit_rate(t_fit, primal_err[usable])
-    d_star = solve_d_star(exact, problem.penalty, shape)
     dim_e0, e0_res = e0_diagnostics(exact, shape)
     off_slope = None
     if off_mask.any():

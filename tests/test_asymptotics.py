@@ -29,6 +29,7 @@ from uotlab.reg_solver import (
 )
 from uotlab import reg_solver, sweep
 from uotlab.sweep import (
+    ASYMPTOTIC_KAPPA_T,
     BLOCK,
     GRAD_TOL,
     HISTORY,
@@ -123,18 +124,20 @@ def test_d_star_relabel_invariance(kind, seed, div):
 
 
 # Newton iterations of the shipped sweeps: the per-point total (the CSV's
-# iters summed) and the loops of the Newton kernel, which solves blocks of
-# consecutive points together; every start in a block is extrapolated from
-# the points before the block, so the points further into it start further
-# from their solutions and take more iterations (the total rises from 136,
-# 136, 118 and 121 of one point per loop), while the loops fall.  The slopes
-# are as computed with dense Newton steps from plain warm starts; neither the
-# step nor the start may move them
+# iters summed) and the loops of the Newton kernel.  One loop solves the
+# points that need no solved neighbour: the first block_size + 1 from the
+# scaled limit, and the asymptotic tail from xi* + d*/t; the points between
+# are solved in blocks of consecutive points, every start in a block
+# extrapolated from the points before the block, so the points further into
+# it start further from their solutions and take more iterations (the total
+# rises from 136, 136, 118 and 121 of one point per loop), while the loops
+# fall.  The slopes are as computed with dense Newton steps from plain warm
+# starts; neither the step nor the start may move them
 SHIPPED_SWEEP_PINS = {
-    ("point-clouds", "kl"): (193, 45, -0.9894244806743488, -1.2134520753070839),
-    ("point-clouds", "quadratic"): (194, 45, -0.9453401119750642, -1.156970529515693),
-    ("gaussians-1d", "kl"): (169, 40, -0.9699561918935524, -1.2767521776191866),
-    ("gaussians-1d", "quadratic"): (179, 45, -0.9882888702126001, -1.3298494120205395),
+    ("point-clouds", "kl"): (198, 28, -0.9894244806743488, -1.2134520753070839),
+    ("point-clouds", "quadratic"): (201, 28, -0.9453401119750642, -1.156970529515693),
+    ("gaussians-1d", "kl"): (179, 19, -0.9699561918935524, -1.2767521776191866),
+    ("gaussians-1d", "quadratic"): (175, 19, -0.9882888702126001, -1.3298494120205395),
 }
 
 
@@ -160,13 +163,16 @@ def test_block_size_follows_the_grid():
 
 def test_diagnostics_report_iterations_and_loops():
     p = gen_dataset(DatasetSpec(kind="gaussians-1d", seed=0, divergence="kl"))
-    for n_points, loops in ((60, 40), (12, 54)):
+    for n_points, loops in ((60, 19), (12, 26)):
         res = run_sweep(p, SweepConfig(n_points=n_points))
         doc = diagnostics_dict(res)
         assert doc["newton_iters"] == sum(pt.iters for pt in res.points)
         assert doc["newton_loops"] == res.newton_loops == loops
-    # one point per block: every loop is one point's iteration
-    assert doc["newton_iters"] == doc["newton_loops"]
+    # one point per block after the first, which holds the two points that
+    # need no history and the asymptotic tail from t = 351 (kappa* = 0.0165):
+    # its loops are the most of those, and every later loop is one point's
+    iters = [pt.iters for pt in res.points]
+    assert doc["newton_loops"] == max(iters[:2] + iters[7:]) + sum(iters[2:7])
 
 
 @pytest.mark.parametrize("kind,seed,div", SHIPPED)
@@ -209,16 +215,23 @@ def test_extrapolation_weights_reproduce_quartics_in_inverse_t():
 
 
 def test_warm_started_sweep_solves_no_tangent(monkeypatch):
-    # every start after the first is extrapolated in 1/t and goes to Newton
-    # as it is; only the cold continuation chain of solve_dual_t needs the
-    # trajectory tangent, and only an outside warm start is scaled
+    # every start is made for its own t and goes to Newton as it is: the
+    # first block_size + 1 points from the scaled limit, the others
+    # extrapolated in 1/t or from the expansion; only the cold continuation
+    # chain of solve_dual_t needs the trajectory tangent, and the sweep
+    # makes no such chain
     calls, scaled = [], []
     tangent = reg_solver.trajectory_tangent
-    scale = reg_solver.scaled_start
+    solve = reg_solver.solve_dual_t
+    scale = sweep.scaled_start
 
     def counting(problem, sol):
         calls.append(sol.t)
         return tangent(problem, sol)
+
+    def counting_solve(problem, t, *args, **kwargs):
+        calls.append(t)
+        return solve(problem, t, *args, **kwargs)
 
     def counting_scale(problem, t, x):
         scaled.append(t)
@@ -227,11 +240,100 @@ def test_warm_started_sweep_solves_no_tangent(monkeypatch):
     p = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, divergence="kl"))
     ex = solve_exact(p)
     monkeypatch.setattr(reg_solver, "trajectory_tangent", counting)
-    monkeypatch.setattr(reg_solver, "scaled_start", counting_scale)
+    monkeypatch.setattr(reg_solver, "solve_dual_t", counting_solve)
+    monkeypatch.setattr(sweep, "scaled_start", counting_scale)
     res = run_sweep(p, SweepConfig(), exact=ex)
     assert all(pt.converged for pt in res.points)
     assert calls == []
-    assert scaled == []
+    grid = t_grid(SweepConfig())
+    assert scaled == grid[: block_size(grid) + 1].tolist()
+
+
+def _recorded_blocks(monkeypatch, problem, config, exact=None):
+    """The sweep's result, and (t, start) of each of its Newton loops."""
+    blocks = []
+    rows = sweep._newton_rows
+
+    def recording(problem, t, config, x0):
+        blocks.append((t.copy(), x0.copy()))
+        return rows(problem, t, config, x0)
+
+    monkeypatch.setattr(sweep, "_newton_rows", recording)
+    return run_sweep(problem, config, exact=exact), blocks
+
+
+@pytest.mark.parametrize("kind,seed,div", SHIPPED)
+def test_first_block_holds_the_points_that_need_no_history(monkeypatch, kind, seed, div):
+    # the first loop solves the first block_size + 1 points from the scaled
+    # limit and every point with kappa* t >= 3 from the expansion: the top 20
+    # of the shipped grid for the point clouds, the top 26 for the gaussians
+    tail, t_tail = (20, 515.1) if kind == "point-clouds" else (26, 201.9)
+    p = gen_dataset(DatasetSpec(kind=kind, seed=seed, divergence=div))
+    res, blocks = _recorded_blocks(monkeypatch, p, SweepConfig())
+    grid = t_grid(SweepConfig())
+    size = block_size(grid)
+    kappa, top = res.exact.kappa_star, len(grid) - tail
+    assert grid[top] == pytest.approx(t_tail, abs=0.05)
+    assert kappa * grid[top] >= ASYMPTOTIC_KAPPA_T > kappa * grid[top - 1]
+    first = np.r_[: size + 1, top : len(grid)]
+    t0, x0 = blocks[0]
+    assert np.array_equal(t0, grid[first])
+    # the points between are today's blocks from point size + 1 on
+    starts = [t[0] for t, _ in blocks[1:]]
+    assert starts == grid[size + 1 : top : size].tolist()
+    assert sum(len(t) for t, _ in blocks) == len(grid)
+    xi_star = res.exact.xi_star.stacked
+    for r in range(size + 1):
+        assert np.array_equal(x0[r], sweep.scaled_start(p, t0[r], xi_star)), r
+    assert np.array_equal(x0[size + 1 :], xi_star + res.d_star / t0[size + 1 :, None])
+    # each row of the first block is bitwise its row solved alone
+    cfg = RegSolveConfig(grad_tol=GRAD_TOL)
+    for r, k in enumerate(first.tolist()):
+        alone = reg_solver._newton_rows(p, t0[r : r + 1], cfg, x0[r : r + 1])[0]
+        pt = res.points[k]
+        assert pt.xi.stacked.tobytes() == alone.xi.stacked.tobytes(), k
+        assert pt.gamma.tobytes() == alone.gamma.tobytes(), k
+        assert (pt.iters, pt.converged, pt.flags) == (alone.iters, alone.converged, alone.flags)
+
+
+def test_no_asymptotic_tail_at_small_kappa(monkeypatch):
+    # point clouds seed 4 at n_x = 60: kappa* = 8.1e-6, so kappa* t < 3 on
+    # the whole grid and the first loop holds the first points only
+    p = gen_dataset(DatasetSpec(kind="point-clouds", seed=4, n_x=60, n_y=62, divergence="kl"))
+    res, blocks = _recorded_blocks(monkeypatch, p, SweepConfig())
+    assert res.exact.kappa_star == pytest.approx(8.1e-6, rel=0.01)
+    grid = t_grid(SweepConfig())
+    assert np.array_equal(blocks[0][0], grid[: block_size(grid) + 1])
+    assert all(pt.converged for pt in res.points)
+
+
+@pytest.mark.parametrize("kind,seed,div", SHIPPED)
+def test_sweep_from_t_100_converges(kind, seed, div):
+    # point 0 at t = 100 starts from the scaled limit, with no continuation
+    # chain below it
+    p = gen_dataset(DatasetSpec(kind=kind, seed=seed, divergence=div))
+    res = run_sweep(p, SweepConfig(t_min=100.0, n_points=20))
+    assert all(pt.converged for pt in res.points), [
+        pt.t for pt in res.points if not pt.converged
+    ]
+
+
+def test_degenerate_limit_starts_no_row_from_the_expansion(monkeypatch):
+    # 1x1 quadratic at cost 2: the limit flow is 0 on the saturated entry, so
+    # d* is NaN (ROADMAP item 13) while kappa* is infinite; no start may be
+    # made from the expansion, and the sweep runs as with no tail
+    p = make_1x1(c=2.0, kind="quadratic")
+    with pytest.warns(RuntimeWarning) as record:
+        res, blocks = _recorded_blocks(monkeypatch, p, SweepConfig())
+    assert sorted(str(w.message) for w in record) == [
+        "divide by zero encountered in log",
+        "invalid value encountered in subtract",
+    ]
+    assert res.exact.kappa_star == np.inf and np.isnan(res.d_star).all()
+    assert all(np.isfinite(x0).all() for _, x0 in blocks)
+    assert len(blocks[0][0]) == block_size(t_grid(SweepConfig())) + 1
+    assert sum(pt.converged for pt in res.points) == 60
+    assert res.dual_fit.slope == pytest.approx(-0.852, abs=5e-4)
 
 
 def test_saturated_sweep_diagnostics_are_standard_json():
